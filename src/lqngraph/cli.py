@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import designers, entanglement, io, states
-from .errors import LQNError
-from .graphs import diagram_of_network, enumerate_pms
-from .model import DEFAULT_TOL, NetworkSpec, to_adjacency, to_bipartite
+from .errors import LQNError, ParseError
+from .graphs import diagram_of_network
+from .model import DEFAULT_TOL, NetworkSpec
 from .states import NoBunchState
 
 VERIFY_TOL = 1e-12
@@ -38,7 +39,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _env_tol() -> float:
-    return float(os.environ.get("LQN_TOL", DEFAULT_TOL))
+    raw = os.environ.get("LQN_TOL")
+    if raw is None:
+        return DEFAULT_TOL
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise ParseError(f"LQN_TOL must be a finite number >= 0, got {raw!r}")
+    return tol
 
 
 def _load(path: str) -> NetworkSpec:
@@ -174,9 +184,7 @@ def _cmd_design(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _load(args.file)
-    assembled = states.assemble_state(
-        enumerate_pms(to_bipartite(to_adjacency(spec))), spec
-    )
+    assembled = states.assemble_network_state(spec)
     reference = states.oracle_state(spec)
     diff = states.max_amplitude_difference(assembled, reference)
     print(f"max |assembled - reference| = {diff:.3e}")

@@ -21,6 +21,10 @@ class ZeroAmplitude(LQNError):
     pass
 
 
+class NonFiniteValue(LQNError):
+    """An amplitude is NaN or infinite, as given or after overflow."""
+
+
 class RowNotNormalized(LQNError):
     def __init__(self, row: int, actual_sum: float):
         self.row = row

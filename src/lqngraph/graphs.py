@@ -1,13 +1,14 @@
-"""Directed-graph machinery behind perfect-matching enumeration.
+"""Perfect matchings of a network and the directed-graph view of them.
 
-Merging particle ``a`` and detector ``X_a`` into one vertex ``w_a`` turns the
-bipartite network view into a digraph whose loops encode a chosen perfect
-matching. Every other perfect matching is then reachable by exchanging edges
-along pairwise vertex-disjoint elementary cycles, so enumerating cycles
-enumerates matchings. The retained subgraph of loops plus cycle edges (the
-"PM diagram") contains exactly the edges that participate in some matching,
-and its color/connectivity structure is what the entanglement criteria
-inspect.
+Matchings are enumerated by a depth-first search over particles in order
+(``walk_matchings``). The structural view: merging particle ``a`` and
+detector ``X_a`` into one vertex ``w_a`` turns the bipartite network view
+into a digraph whose loops encode a chosen perfect matching. Every other
+perfect matching is then reachable by exchanging edges along pairwise
+vertex-disjoint elementary cycles. The retained subgraph of loops plus cycle
+edges (the "PM diagram") contains exactly the edges that participate in some
+matching, and its color/connectivity structure is what the entanglement
+criteria inspect.
 
 All vertices are 1-based to match the external index convention.
 """
@@ -15,6 +16,7 @@ All vertices are 1-based to match the external index convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator, TypeVar
 
 from .errors import InvalidMatching, NoPerfectMatching
 from .model import (
@@ -27,6 +29,7 @@ from .model import (
 )
 
 Cycle = tuple[int, ...]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -122,40 +125,58 @@ def to_directed(adj: ColoredAdjacency) -> DirectedView:
     return DirectedView(adj.n, tuple(edges))
 
 
-def _matching_assignment(bip: BipartiteView) -> tuple[int, ...] | None:
-    """Augmenting-path matching; deterministic in input edge order.
-
-    Loop edges (a, X_a) are seeded first so a network that is already
-    loop-labeled keeps the identity matching; remaining particles are
-    matched by augmenting paths.
-    """
+def _neighbors(bip: BipartiteView) -> list[list[int]]:
+    """Detectors adjacent to each particle, in input edge order."""
     neighbors: list[list[int]] = [[] for _ in range(bip.n)]
     for e in bip.edges:
         neighbors[e.particle - 1].append(e.detector)
+    return neighbors
 
-    owner = [0] * (bip.n + 1)  # detector -> particle, 0 = free
-    matched = [False] * (bip.n + 1)
-    for e in bip.edges:
-        if e.particle == e.detector and owner[e.detector] == 0:
-            owner[e.detector] = e.particle
-            matched[e.particle] = True
 
-    def try_assign(a: int, visited: set[int]) -> bool:
-        for j in neighbors[a - 1]:
-            if j in visited:
-                continue
-            visited.add(j)
-            if owner[j] == 0 or try_assign(owner[j], visited):
-                owner[j] = a
-                return True
-        return False
+def _matching_assignment(n: int, neighbors: list[list[int]]) -> tuple[int, ...] | None:
+    """Augmenting-path matching; deterministic in neighbor order.
 
-    for a in range(1, bip.n + 1):
-        if not matched[a] and not try_assign(a, set()):
+    Loop edges (a, X_a) are seeded first so a network that is already
+    loop-labeled keeps the identity matching; remaining particles are
+    matched by augmenting paths, searched depth-first with an explicit
+    stack so path length is not bounded by the recursion limit.
+    """
+    owner = [0] * (n + 1)  # detector -> particle, 0 = free
+    seeded = [a in neighbors[a - 1] for a in range(1, n + 1)]
+    for a in range(1, n + 1):
+        if seeded[a - 1]:
+            owner[a] = a
+
+    for root in range(1, n + 1):
+        if seeded[root - 1]:
+            continue
+        visited: set[int] = set()
+        # frames[k] is a particle with its untried neighbors; path[k] the
+        # detector frames[k] is currently trying to take over
+        frames = [(root, iter(neighbors[root - 1]))]
+        path: list[int] = []
+        while frames:
+            for j in frames[-1][1]:
+                if j in visited:
+                    continue
+                visited.add(j)
+                path.append(j)
+                if owner[j] == 0:
+                    for (a, _), d in zip(frames, path):
+                        owner[d] = a
+                    frames.clear()
+                else:
+                    frames.append((owner[j], iter(neighbors[owner[j] - 1])))
+                break
+            else:
+                frames.pop()
+                if path:
+                    path.pop()
+        if not path:
             return None
 
-    assignment = [0] * bip.n
-    for j in range(1, bip.n + 1):
+    assignment = [0] * n
+    for j in range(1, n + 1):
         assignment[owner[j] - 1] = j
     return tuple(assignment)
 
@@ -174,7 +195,7 @@ def _pm_from_assignment(
 
 def initial_perfect_matching(bip: BipartiteView) -> PerfectMatching | None:
     """One perfect matching of the bipartite view, or None if there is none."""
-    assignment = _matching_assignment(bip)
+    assignment = _matching_assignment(bip.n, _neighbors(bip))
     if assignment is None:
         return None
     return _pm_from_assignment(assignment, {(e.particle, e.detector): e for e in bip.edges})
@@ -207,52 +228,72 @@ def relabel_to_loops(
 
 
 def _tarjan_sccs(n: int, succ: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components (Tarjan); vertices 1..n."""
-    index_of: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
+    """Strongly connected components (Tarjan, explicit stack); vertices 1..n."""
+    index_of = [0] * (n + 1)  # 0 = not yet visited, else visit order from 1
+    lowlink = [0] * (n + 1)
+    on_stack = [False] * (n + 1)
     stack: list[int] = []
     sccs: list[list[int]] = []
-    counter = [0]
+    counter = 0
 
-    def connect(v: int) -> None:
-        index_of[v] = lowlink[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        for w in succ[v - 1]:
-            if w not in index_of:
-                connect(w)
-                lowlink[v] = min(lowlink[v], lowlink[w])
-            elif w in on_stack:
-                lowlink[v] = min(lowlink[v], index_of[w])
-        if lowlink[v] == index_of[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.append(w)
-                if w == v:
+    for root in range(1, n + 1):
+        if index_of[root]:
+            continue
+        counter += 1
+        index_of[root] = lowlink[root] = counter
+        stack.append(root)
+        on_stack[root] = True
+        frames = [(root, iter(succ[root - 1]))]
+        while frames:
+            v, untried = frames[-1]
+            for w in untried:
+                if not index_of[w]:
+                    counter += 1
+                    index_of[w] = lowlink[w] = counter
+                    stack.append(w)
+                    on_stack[w] = True
+                    frames.append((w, iter(succ[w - 1])))
                     break
-            sccs.append(sorted(comp))
-
-    for v in range(1, n + 1):
-        if v not in index_of:
-            connect(v)
+                if on_stack[w]:
+                    lowlink[v] = min(lowlink[v], index_of[w])
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    lowlink[u] = min(lowlink[u], lowlink[v])
+                if lowlink[v] == index_of[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(sorted(comp))
     return sccs
 
 
-def _elementary_cycles_from_succ(n: int, succ_all: list[list[int]]) -> list[Cycle]:
-    """Johnson-style blocked search over sorted non-loop adjacency lists.
+def elementary_cycles(dir_view: DirectedView) -> list[Cycle]:
+    """All elementary cycles of length >= 2; loops are excluded.
 
-    For each start vertex s (ascending), only the strongly connected part of
-    the subgraph on vertices >= s is explored, so every cycle is reported
-    exactly once, rooted at its smallest vertex. Output is sorted
-    lexicographically.
+    Johnson-style blocked search over sorted non-loop adjacency lists, with
+    explicit stacks. For each start vertex s (ascending), only the strongly
+    connected part of the subgraph on vertices >= s is explored, so every
+    cycle is reported exactly once, rooted at its smallest vertex. Output is
+    sorted lexicographically.
     """
+    n = dir_view.n
+    succ_all = dir_view.successors()
+    max_pred = [0] * (n + 1)
+    for v, succ in enumerate(succ_all, start=1):
+        for w in succ:
+            max_pred[w] = max(max_pred[w], v)
     cycles: list[Cycle] = []
 
     for s in range(1, n + 1):
+        # a cycle rooted at s enters and leaves s through larger vertices
+        if max_pred[s] <= s or not succ_all[s - 1] or succ_all[s - 1][-1] <= s:
+            continue
         restricted = [
             [w for w in succ_all[v - 1] if w >= s] if v >= s else []
             for v in range(1, n + 1)
@@ -268,112 +309,147 @@ def _elementary_cycles_from_succ(n: int, succ_all: list[list[int]]) -> list[Cycl
 
         blocked = {v: False for v in comp}
         block_list: dict[int, set[int]] = {v: set() for v in comp}
-        path: list[int] = []
 
         def unblock(v: int) -> None:
             blocked[v] = False
-            while block_list[v]:
-                u = block_list[v].pop()
-                if blocked[u]:
-                    unblock(u)
+            pending = [v]
+            while pending:
+                u = pending.pop()
+                for w in block_list[u]:
+                    if blocked[w]:
+                        blocked[w] = False
+                        pending.append(w)
+                block_list[u].clear()
 
-        def circuit(v: int) -> bool:
-            found = False
-            path.append(v)
-            blocked[v] = True
-            for w in succ[v - 1]:
+        # path[k] is the vertex of frames[k]; a frame holds the vertex's
+        # untried successors and whether a cycle was closed below it
+        path = [s]
+        blocked[s] = True
+        frames = [[iter(succ[s - 1]), False]]
+        while frames:
+            frame = frames[-1]
+            for w in frame[0]:
                 if w == s:
                     cycles.append(tuple(path))
-                    found = True
+                    frame[1] = True
                 elif not blocked[w]:
-                    if circuit(w):
-                        found = True
-            if found:
-                unblock(v)
+                    path.append(w)
+                    blocked[w] = True
+                    frames.append([iter(succ[w - 1]), False])
+                    break
             else:
-                for w in succ[v - 1]:
-                    block_list[w].add(v)
-            path.pop()
-            return found
-
-        circuit(s)
+                frames.pop()
+                v = path.pop()
+                if frame[1]:
+                    unblock(v)
+                    if frames:
+                        frames[-1][1] = True
+                else:
+                    for w in succ[v - 1]:
+                        block_list[w].add(v)
 
     return sorted(cycles)
 
 
-def elementary_cycles(dir_view: DirectedView) -> list[Cycle]:
-    """All elementary cycles of length >= 2; loops are excluded."""
-    return _elementary_cycles_from_succ(dir_view.n, dir_view.successors())
+def walk_matchings(
+    n: int, edges: Iterable[tuple[int, int, complex, T]]
+) -> Iterator[tuple[list[int], list[T], complex, int]]:
+    """Every perfect matching, by depth-first search over particles 1..n.
 
+    ``edges`` holds ``(particle, detector, weight, tag)`` in any order.
+    Each particle tries its free detectors in ascending order, so matchings
+    come out in lexicographic order of assignment. Per matching this yields
+    ``(assignment, tags, weight, odd)``: ``assignment[a-1]`` is particle
+    a's detector, ``tags[j-1]`` the tag of the edge reaching detector j,
+    ``weight`` the product of the edge weights multiplied left to right in
+    particle order from ``complex(1.0)``, and ``odd`` the parity (0 or 1)
+    of the assignment permutation. Both lists are updated in place between
+    matchings; copy them to keep them.
 
-def _disjoint_cycle_assignments(n: int, cycles: list[Cycle]) -> list[tuple[int, ...]]:
-    """Permutations from every subset of pairwise vertex-disjoint cycles.
-
-    Walks vertices in ascending order; at the smallest free vertex either
-    keep its loop or splice in one of the cycles rooted there (canonical
-    cycles start at their minimum vertex, so each subset is built exactly
-    once). The empty subset contributes the identity. Output size is
-    exponential in the worst case, which is accepted: matching enumeration
-    is inherently so.
+    A network without a perfect matching is detected up front by one
+    augmenting-path search. A branch is pruned as soon as a free detector
+    has lost its last unassigned neighbor.
     """
-    by_root: list[list[Cycle]] = [[] for _ in range(n + 2)]
-    for c in cycles:
-        by_root[c[0]].append(c)
-    results: list[tuple[int, ...]] = []
-    perm = list(range(1, n + 1))
-    used = [False] * (n + 1)
+    options: list[list[tuple[int, int, complex, T]]] = [[] for _ in range(n)]
+    for a, j, w, tag in edges:
+        options[a - 1].append((1 << j, j, w, tag))
+    for opts in options:
+        opts.sort(key=lambda o: o[1])
+    if _matching_assignment(n, [[o[1] for o in opts] for opts in options]) is None:
+        return
 
-    def walk(v: int) -> None:
-        while v <= n and used[v]:
-            v += 1
-        if v > n:
-            results.append(tuple(perm))
-            return
-        walk(v + 1)  # v keeps its loop
-        for c in by_root[v]:
-            if any(used[u] for u in c):
+    # due[a-1]: detectors whose last neighbor is particle a, so a must take
+    # any of them still free
+    last_neighbor = [0] * (n + 1)
+    for a, opts in enumerate(options):
+        for o in opts:
+            last_neighbor[o[1]] = a
+    due = [0] * n
+    for j in range(1, n + 1):
+        due[last_neighbor[j]] |= 1 << j
+    by_bit = [{o[0]: o for o in opts} for opts in options]
+
+    full = ((1 << n) - 1) << 1
+    last = n - 1
+    assignment = [0] * n
+    tags: list = [None] * n
+    # prefix[a], parity[a]: weight product and permutation parity of the
+    # placements of particles 1..a
+    prefix = [complex(1.0)] * n
+    parity = [0] * n
+    held = [0] * n  # detector bit held by each particle, 0 = none
+    untried = [iter(())] * n
+    used = 0
+    a = 0  # 0-based particle being placed
+    while a >= 0:
+        if a == last:
+            # the last particle takes the one detector left, if it can
+            hit = by_bit[a].get(full ^ used)
+            if hit is not None:
+                _, j, w, tag = hit
+                assignment[a] = j
+                tags[j - 1] = tag
+                # all n - j detectors above j are held by earlier particles
+                yield assignment, tags, prefix[a] * w, parity[a] ^ ((n - j) & 1)
+            a -= 1
+            continue
+        if held[a]:
+            used ^= held[a]
+        else:
+            pending = due[a] & ~used
+            if pending & (pending - 1):  # two free detectors need this particle
+                a -= 1
                 continue
-            for k, u in enumerate(c):
-                used[u] = True
-                perm[u - 1] = c[(k + 1) % len(c)]
-            walk(v + 1)
-            for u in c:
-                used[u] = False
-                perm[u - 1] = u
-
-    walk(1)
-    return results
+            untried[a] = iter((by_bit[a][pending],) if pending else options[a])
+        for bit, j, w, tag in untried[a]:
+            if not used & bit:
+                break
+        else:
+            held[a] = 0
+            a -= 1
+            continue
+        held[a] = bit
+        assignment[a] = j
+        tags[j - 1] = tag
+        prefix[a + 1] = prefix[a] * w
+        parity[a + 1] = parity[a] ^ ((used >> j).bit_count() & 1)
+        used |= bit
+        a += 1
 
 
 def enumerate_pms(bip: BipartiteView) -> list[PerfectMatching]:
-    """The complete set of perfect matchings, lexicographic by assignment.
-
-    Protocol: find one matching, relabel detectors so it becomes the
-    diagonal (all loops), enumerate elementary cycles of the resulting
-    digraph, and realize every subset of pairwise vertex-disjoint cycles as
-    an edge exchange on the loops. Relabeling back yields each matching of
-    the original network exactly once.
-    """
-    base = _matching_assignment(bip)
-    if base is None:
-        return []
-    edge_map = {(e.particle, e.detector): e for e in bip.edges}
-
-    slot_of = [0] * (bip.n + 1)
-    for a, j in enumerate(base, start=1):
-        slot_of[j] = a
-    succ: list[set[int]] = [set() for _ in range(bip.n)]
-    for e in bip.edges:
-        head = slot_of[e.detector]
-        if head != e.particle:
-            succ[e.particle - 1].add(head)
-    cycles = _elementary_cycles_from_succ(bip.n, [sorted(s) for s in succ])
-
+    """The complete set of perfect matchings, lexicographic by assignment."""
     pms = []
-    for rho in _disjoint_cycle_assignments(bip.n, cycles):
-        assignment = tuple(base[rho[a - 1] - 1] for a in range(1, bip.n + 1))
-        pms.append(_pm_from_assignment(assignment, edge_map))
-    pms.sort(key=lambda pm: pm.assignment)
+    walk = walk_matchings(bip.n, ((e.particle, e.detector, e.weight, e) for e in bip.edges))
+    for assignment, by_detector, _, _ in walk:
+        chosen = [by_detector[j - 1] for j in assignment]
+        pms.append(
+            PerfectMatching(
+                tuple(assignment),
+                tuple(e.weight for e in chosen),
+                tuple(e.color for e in chosen),
+            )
+        )
     return pms
 
 
@@ -390,7 +466,7 @@ def pm_diagram(dir_view: DirectedView) -> PMDiagram:
             for e in dir_view.edges
         ),
     )
-    base = _matching_assignment(bip)
+    base = _matching_assignment(bip.n, _neighbors(bip))
     if base is None:
         raise NoPerfectMatching("network has no perfect matching")
 

@@ -42,13 +42,23 @@ from .model import (
 from .states import NoBunchState
 
 
+def _number(obj: dict, key: str, where: str) -> float:
+    value = obj[key]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ParseError(f"{where}: amp {key} must be a number, got {value!r}")
+
+
 def _parse_amp(obj, where: str) -> complex:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: amp must be an object")
     if set(obj) == {"re", "im"}:
-        return complex(float(obj["re"]), float(obj["im"]))
+        return complex(_number(obj, "re", where), _number(obj, "im", where))
     if set(obj) == {"r", "theta"}:
-        return polar_amplitude(float(obj["r"]), float(obj["theta"]))
+        return polar_amplitude(_number(obj, "r", where), _number(obj, "theta", where))
     raise ParseError(f"{where}: amp needs keys re/im or r/theta, got {sorted(obj)}")
 
 
@@ -56,7 +66,7 @@ def parse_network(text: str, row_tol: float = DEFAULT_TOL) -> NetworkSpec:
     """Parse and validate a network file; raises ParseError on bad shape."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, int digit limit, nesting
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
@@ -84,17 +94,10 @@ def parse_network(text: str, row_tol: float = DEFAULT_TOL) -> NetworkSpec:
         color = str(edge["color"])
         if color not in ("up", "down"):
             raise ParseError(f"{where}: color must be up or down, got {color!r}")
-        try:
-            a, j = int(edge["from"]), int(edge["to"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: from/to must be integers") from exc
-        transitions.append((a, j, _parse_amp(edge["amp"], where), color))
+        amp = _parse_amp(edge["amp"], where)
+        transitions.append((edge["from"], edge["to"], amp, color))
 
-    try:
-        n = int(doc["n"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError("n must be an integer") from exc
-    return validate_network(n, statistics, transitions, mode, row_tol=row_tol)
+    return validate_network(doc["n"], statistics, transitions, mode, row_tol=row_tol)
 
 
 def serialize_network(spec: NetworkSpec) -> str:

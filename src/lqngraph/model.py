@@ -14,6 +14,7 @@ Indices are 1-based at every public surface (particle ``a``, detector
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -23,6 +24,7 @@ import numpy as np
 from .errors import (
     DuplicateEdge,
     IndexOutOfRange,
+    NonFiniteValue,
     RowNotNormalized,
     SuperposedInternalState,
     ZeroAmplitude,
@@ -146,6 +148,16 @@ def _coerce_color(value) -> Color:
     raise ValueError(f"not a color: {value!r}")
 
 
+def _index(value, what: str) -> int:
+    """A strict integer: floats, bools and numeric strings are rejected."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise IndexOutOfRange(f"{what} must be an integer, got {value!r}")
+
+
 def validate_network(
     n: int,
     statistics: Statistics | str,
@@ -155,11 +167,12 @@ def validate_network(
 ) -> NetworkSpec:
     """Check invariants on raw transition data and build a NetworkSpec.
 
-    Raises IndexOutOfRange, DuplicateEdge or ZeroAmplitude on malformed
-    edges. In strict mode every particle row must satisfy
+    Raises IndexOutOfRange, DuplicateEdge, ZeroAmplitude or NonFiniteValue
+    on malformed edges. In strict mode every particle row must satisfy
     sum_j |T_aj|^2 = 1 within ``row_tol`` (RowNotNormalized otherwise);
     design mode skips the row check.
     """
+    n = _index(n, "n")
     if n < 1:
         raise IndexOutOfRange(f"n must be >= 1, got {n}")
     if isinstance(statistics, str):
@@ -170,6 +183,7 @@ def validate_network(
     seen: set[tuple[int, int]] = set()
     cooked: list[Transition] = []
     for a, j, amp, color in transitions:
+        a, j = _index(a, "transition source"), _index(j, "transition detector")
         if not (1 <= a <= n and 1 <= j <= n):
             raise IndexOutOfRange(f"transition ({a}, {j}) outside 1..{n}")
         if (a, j) in seen:
@@ -178,6 +192,8 @@ def validate_network(
         amp = complex(amp)
         if amp == 0:
             raise ZeroAmplitude(f"transition ({a}, {j}) has zero amplitude")
+        if not cmath.isfinite(amp):
+            raise NonFiniteValue(f"transition ({a}, {j}) has amplitude {amp!r}")
         cooked.append(Transition(a, j, amp, _coerce_color(color)))
 
     if normalization_mode is NormalizationMode.STRICT:

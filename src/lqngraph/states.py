@@ -14,13 +14,22 @@ plus/minus pair of the two-particle beam-splitter state.
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import DimensionMismatch, InvalidMatching, TooLarge, ZeroState
-from .graphs import PerfectMatching, enumerate_pms
-from .model import Color, NetworkSpec, Statistics, to_adjacency, to_bipartite
+from .errors import (
+    DimensionMismatch,
+    InvalidMatching,
+    NonFiniteValue,
+    TooLarge,
+    ZeroState,
+)
+from .graphs import PerfectMatching, walk_matchings
+from .model import Color, NetworkSpec, Statistics
 
 ORACLE_LIMIT = 10
 
@@ -97,17 +106,31 @@ def assemble_state(pms: list[PerfectMatching], spec: NetworkSpec) -> NoBunchStat
 
 
 def assemble_network_state(spec: NetworkSpec) -> NoBunchState:
-    """Full pipeline: enumerate matchings of ``spec`` and assemble them."""
-    bip = to_bipartite(to_adjacency(spec))
-    return assemble_state(enumerate_pms(bip), spec)
+    """Full pipeline: walk the matchings of ``spec`` and sum them as they come.
+
+    The walk yields matchings in lexicographic order with the edge weights
+    multiplied in particle order, exactly as ``assemble_state`` does, so the
+    two agree bit for bit. Exactly cancelled strings are dropped.
+    """
+    fermion = spec.statistics is Statistics.FERMION
+    edges = ((t.source, t.detector, t.amplitude, t.color.value) for t in spec.transitions)
+    amplitudes: dict[str, complex] = {}
+    for _, ket, weight, odd in walk_matchings(spec.n, edges):
+        key = "".join(ket)
+        amplitudes[key] = amplitudes.get(key, 0j) + (-1 if fermion and odd else 1) * weight
+    amplitudes = {k: v for k, v in amplitudes.items() if v != 0}
+    return NoBunchState(spec.n, amplitudes)
 
 
 def oracle_state(spec: NetworkSpec) -> NoBunchState:
     """Brute-force reference: sum over all n! detector assignments.
 
-    Deliberately ignorant of the cycle machinery: it walks
+    Deliberately ignorant of the matching walk: it walks
     itertools.permutations and keeps those whose every pair is a network
-    edge, so it can vouch for the matching-based assembly.
+    edge, so it can vouch for the matching-based assembly. Its ket/weight
+    loop repeats the one in ``assemble_state`` on purpose, not shared:
+    permutations come in lexicographic order and weights are multiplied in
+    particle order, so it equals the engine bit for bit.
     """
     if spec.n > ORACLE_LIMIT:
         raise TooLarge(spec.n, ORACLE_LIMIT)
@@ -129,19 +152,36 @@ def oracle_state(spec: NetworkSpec) -> NoBunchState:
     return NoBunchState(spec.n, amplitudes)
 
 
-def normalize(state: NoBunchState, zero_tol: float = 1e-12) -> NoBunchState:
+def normalize(state: NoBunchState) -> NoBunchState:
     """Scale to unit norm; record the input's squared norm.
 
-    Raises ZeroState when the input has (numerically) no weight, i.e. no
-    matching exists or all contributions cancelled.
+    Raises ZeroState when no ket survived assembly, i.e. no matching exists
+    or all contributions cancelled exactly. A squared norm that is not a
+    normal positive float (a large network's weight underflows) is taken
+    over amplitudes divided by their largest component first; that path
+    raises NonFiniteValue if an amplitude overflowed.
     """
-    norm_sq = state.norm_squared()
-    if norm_sq <= zero_tol**2:
+    if not any(state.amplitudes.values()):
         raise ZeroState("state has zero norm (no matchings or exact cancellation)")
-    scale = norm_sq**-0.5
+    try:
+        norm_sq = state.norm_squared()
+    except OverflowError:  # a float |v| ** 2 beyond the float range
+        norm_sq = math.inf
+    if sys.float_info.min <= norm_sq < math.inf:
+        scale = norm_sq**-0.5
+        amplitudes = {k: v * scale for k, v in state.amplitudes.items()}
+    else:
+        if not all(map(cmath.isfinite, state.amplitudes.values())):
+            raise NonFiniteValue("state has a non-finite amplitude (overflow)")
+        peak = max(max(abs(v.real), abs(v.imag)) for v in state.amplitudes.values())
+        amplitudes = {k: v / peak for k, v in state.amplitudes.items()}
+        rest_sq = sum(abs(v) ** 2 for v in amplitudes.values())
+        scale = rest_sq**-0.5
+        amplitudes = {k: v * scale for k, v in amplitudes.items()}
+        norm_sq = peak * peak * rest_sq
     return NoBunchState(
         state.n,
-        {k: v * scale for k, v in state.amplitudes.items()},
+        amplitudes,
         normalized=True,
         postselect_probability=norm_sq,
     )

@@ -6,7 +6,8 @@ import math
 import pytest
 
 import lqngraph.cli as cli
-from lqngraph.io import parse_network
+from lqngraph.designers import design_ghz, design_w
+from lqngraph.io import parse_network, serialize_network
 from lqngraph.states import NoBunchState
 
 
@@ -51,6 +52,27 @@ class TestCompute:
         code, _, err = run(capsys, "compute", str(path))
         assert code == cli.EXIT_VALIDATION
         assert "zero norm" in err
+
+    @pytest.mark.parametrize("family, n", [("ghz", 2048), ("w", 200)])
+    def test_large_rings_give_closed_forms(self, capsys, tmp_path, family, n):
+        # the weight 2**(1-n) falls below any absolute norm floor; at n=2048
+        # the plain sum of squares, like the closed form, underflows to 0.0
+        if family == "ghz":
+            spec = design_ghz(n)
+            want = {"u" * n: 2**-0.5, "d" * n: 2**-0.5}
+        else:
+            spec = design_w(n, form="ring")
+            want = {"u" * k + "d" + "u" * (n - k - 1): n**-0.5 for k in range(n)}
+        prob = 2.0 ** (1 - n)
+        path = tmp_path / "ring.json"
+        path.write_text(serialize_network(spec))
+        code, out, err = run(capsys, "compute", "--json", str(path))
+        assert code == 0, err
+        doc = json.loads(out)
+        got = {t["ket"]: complex(t["amp"]["re"], t["amp"]["im"]) for t in doc["terms"]}
+        assert got.keys() == want.keys()
+        assert max(abs(got[k] - want[k]) for k in want) <= 1e-12
+        assert doc["postselect_probability"] == pytest.approx(prob, rel=1e-9, abs=0)
 
 
 class TestAnalyze:
@@ -210,3 +232,34 @@ class TestEnvTolerance:
         assert run(capsys, "compute", str(path))[0] == cli.EXIT_VALIDATION
         monkeypatch.setenv("LQN_TOL", "0.1")
         assert run(capsys, "compute", str(path))[0] == 0
+
+
+class TestHardening:
+    @pytest.mark.parametrize(
+        "mode, patch",
+        [
+            ("strict", {"amp": {"re": math.nan, "im": 0.0}}),
+            ("design", {"amp": {"re": math.inf, "im": 0.0}}),
+            ("strict", {"amp": {"re": "x", "im": 0.0}}),
+            ("strict", {"amp": {"re": None, "im": 0.0}}),
+            ("strict", {"from": 1.9}),
+            ("strict", {"to": True}),
+        ],
+    )
+    def test_malformed_edge_is_validation_error(self, capsys, tmp_path, mode, patch):
+        edge = {"from": 1, "to": 1, "amp": {"re": 1.0, "im": 0.0}, "color": "up"}
+        edge.update(patch)
+        doc = {"n": 1, "statistics": "boson", "mode": mode, "edges": [edge]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "compute", "--json", str(path))
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_non_numeric_lqn_tol_is_validation_error(self, capsys, fixtures_dir, monkeypatch):
+        monkeypatch.setenv("LQN_TOL", "abc")
+        code, out, err = run(capsys, "compute", str(fixtures_dir / "tritter.json"))
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert "LQN_TOL" in err

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lqngraph.designers import design_cluster4, design_ghz, design_w, preset_tritter
+from lqngraph.entanglement import Verdict, build_report
 from lqngraph.errors import InvalidMatching, NoPerfectMatching
 from lqngraph.graphs import (
     diagram_of_network,
@@ -317,3 +318,30 @@ class TestConnectivity:
     def test_w_star_is_single_block(self):
         diag = diagram_of_network(design_w(5, form="star"))
         assert weak_components(diag) == ((1, 2, 3, 4, 5),)
+
+
+class TestBeyondRecursionLimit:
+    # n is above Python's default recursion limit of 1000, so each search
+    # must keep its own stack
+    N = 1100
+
+    def test_ghz_ring_analyze(self):
+        report = build_report(design_ghz(self.N))
+        assert report.lemma2_partition == (tuple(range(1, self.N + 1)),)
+        assert report.theorem1.verdict is Verdict.MAY_BE_GENUINE
+
+    def test_ghz_ring_has_its_single_cycle(self):
+        cycles = elementary_cycles(directed_of(design_ghz(self.N)))
+        assert cycles == [tuple(range(1, self.N + 1))]
+
+    def test_shifted_chain_gets_its_matching(self):
+        # loops seed the identity on 1..n-1; the last particle reaches only
+        # X1, so its augmenting path displaces every earlier particle
+        n = self.N
+        edges = [(a, a, 1.0, "u") for a in range(1, n)]
+        edges += [(a, a + 1, 1.0, "d") for a in range(1, n)]
+        edges.append((n, 1, 1.0, "d"))
+        bip = bipartite_of(validate_network(n, "boson", edges, "design"))
+        shifted = tuple(range(2, n + 1)) + (1,)
+        assert initial_perfect_matching(bip).assignment == shifted
+        assert [pm.assignment for pm in enumerate_pms(bip)] == [shifted]

@@ -5,9 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lqngraph.designers import design_dicke2, preset_beamsplitter, preset_tritter
-from lqngraph.errors import DimensionMismatch, InvalidMatching, TooLarge, ZeroState
+from lqngraph.errors import (
+    DimensionMismatch,
+    InvalidMatching,
+    NonFiniteValue,
+    TooLarge,
+    ZeroState,
+)
 from lqngraph.graphs import PerfectMatching, diagram_of_network, enumerate_pms
 from lqngraph.model import Statistics, to_adjacency, to_bipartite, validate_network
 from lqngraph.states import (
@@ -20,7 +28,7 @@ from lqngraph.states import (
     state_equiv,
 )
 
-from conftest import n5_network, random_network
+from conftest import brute_force_assignments, n5_network, random_network
 
 
 def pms_of(spec):
@@ -103,6 +111,39 @@ class TestOracle:
             assert ket.count("d") == 2
             assert amp == pytest.approx(1 / 9)
 
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_engine_is_bit_exact_with_oracle(self, data):
+        # Both sum the matchings in lexicographic order, multiplying edge
+        # weights particle by particle, so not even the last bit may differ.
+        n = data.draw(st.integers(1, 7), label="n")
+        statistics = data.draw(st.sampled_from(["boson", "fermion"]))
+        density = data.draw(st.sampled_from([0.2, 0.45, 0.7, 0.9, 1.0]))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        edges = [
+            (a, j, complex(*rng.uniform(-1.5, 1.5, 2)), "ud"[rng.integers(0, 2)])
+            for a in range(1, n + 1)
+            for j in range(1, n + 1)
+            if rng.random() < density
+        ]
+        spec = validate_network(n, statistics, edges, "design")
+        engine = assemble_network_state(spec)
+        oracle = oracle_state(spec)
+        assert list(engine.amplitudes) == list(oracle.amplitudes)
+        assert engine.amplitudes == oracle.amplitudes
+        assert [pm.assignment for pm in pms_of(spec)] == sorted(
+            brute_force_assignments(spec)
+        )
+
+    def test_complete_fermion_n8_is_bit_exact_with_oracle(self):
+        rng = np.random.default_rng(53)
+        spec = random_network(rng, 8, Statistics.FERMION, edge_prob=1.0)
+        assert len(spec.transitions) == 64
+        engine = assemble_network_state(spec)
+        assert len(engine.amplitudes) > 1
+        assert engine.amplitudes == oracle_state(spec).amplitudes
+
     def test_size_guard(self):
         spec = validate_network(
             11, "boson", [(a, a, 1.0, "up") for a in range(1, 12)], "strict"
@@ -137,6 +178,19 @@ class TestNormalize:
         assert state.amplitudes == {}
         with pytest.raises(ZeroState):
             normalize(state)
+
+
+    def test_weight_beyond_float_range(self):
+        # |T|^2 = 1e600 overflows a float; the state itself is fine
+        big = validate_network(1, "boson", [(1, 1, 1e300, "u")], "design")
+        state = normalize(assemble_network_state(big))
+        assert state.amplitudes == {"u": 1.0}
+        assert state.postselect_probability == math.inf
+        # 1e200 * 1e200 overflows the matching weight itself
+        edges = [(1, 1, 1e200, "u"), (2, 2, 1e200, "u")]
+        overflowed = validate_network(2, "boson", edges, "design")
+        with pytest.raises(NonFiniteValue):
+            normalize(assemble_network_state(overflowed))
 
 
 class TestStateEquiv:
