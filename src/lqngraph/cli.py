@@ -102,11 +102,10 @@ def _cmd_analyze(args) -> int:
         print(json.dumps(doc, indent=2))
         return EXIT_OK
 
-    diag = diagram_of_network(spec)
     if report.lemma1_vertices:
         print("single-color vertices (pinned detectors):")
         for v, color in report.lemma1_vertices:
-            det = diag.detector_of_vertex(v)
+            det = report.diagram.detector_of_vertex(v)
             print(f"  w{v} -> X{det} pinned to {color.glyph}")
     else:
         print("single-color vertices: none")

@@ -11,7 +11,9 @@ diagram can still produce a separable state for special amplitudes).
 The numerical route works on an assembled state directly: the Schmidt rank
 across a detector bipartition is 1 exactly when the state factors there,
 and recursively splitting along rank-1 cuts yields the finest product
-partition, unique for pure states.
+partition, unique for pure states. ``build_report`` applies it to one weak
+component of the PM diagram at a time, since the state is the product of
+the component states.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, TooLarge
 from .graphs import PMDiagram, diagram_of_network, strongly_connected, weak_components
-from .model import Color, NetworkSpec, validate_network
+from .model import Color, NetworkSpec, NormalizationMode, Transition, validate_network
 from .states import NoBunchState, assemble_network_state, normalize
 
 PARTITION_LIMIT = 10
@@ -81,6 +83,7 @@ class SeparabilityReport:
     lemma2_partition: Partition
     theorem1: Theorem1Report
     numeric_finest_partition: Partition | None
+    diagram: PMDiagram
 
 
 def _incoming_colors(diag: PMDiagram) -> list[set[Color]]:
@@ -273,6 +276,50 @@ def generic_amplitudes(
     return validate_network(spec.n, spec.statistics, raw, "strict")
 
 
+def _partition_by_component(
+    spec: NetworkSpec, diag: PMDiagram, sv_tol: float
+) -> Partition:
+    """Finest partition of the state of ``spec``, one diagram component at a time.
+
+    An edge between two weak components lies in no perfect matching, so the
+    state is, up to sign, the tensor product of the component states, and
+    its finest partition is the union of theirs. Vertex ``v`` stands for
+    particle ``v`` and detector ``diag.relabeling[v-1]``; each component's
+    particles and detectors are renumbered 1..m in ascending order. The
+    size limit applies per component and is checked before any assembly.
+    """
+    components = weak_components(diag)
+    largest = max(len(c) for c in components)
+    if largest > PARTITION_LIMIT:
+        raise TooLarge(largest, PARTITION_LIMIT)
+    # (component index, local label) of every particle and every detector
+    particle_at = [(0, 0)] * (diag.n + 1)
+    detector_at = [(0, 0)] * (diag.n + 1)
+    detectors = []
+    for k, comp in enumerate(components):
+        for local, a in enumerate(comp, start=1):
+            particle_at[a] = (k, local)
+        dets = sorted(diag.detector_of_vertex(v) for v in comp)
+        for local, j in enumerate(dets, start=1):
+            detector_at[j] = (k, local)
+        detectors.append(dets)
+    inside: list[list[Transition]] = [[] for _ in components]
+    for t in spec.transitions:
+        (k, a), (kj, j) = particle_at[t.source], detector_at[t.detector]
+        if k == kj:
+            inside[k].append(Transition(a, j, t.amplitude, t.color))
+
+    blocks = []
+    for dets, transitions in zip(detectors, inside):
+        sub = NetworkSpec(
+            len(dets), spec.statistics, tuple(transitions), NormalizationMode.DESIGN
+        )
+        state = normalize(assemble_network_state(sub))
+        for block in finest_partition(state, sv_tol):
+            blocks.append(tuple(dets[d - 1] for d in block))
+    return tuple(sorted(blocks))
+
+
 def build_report(
     spec: NetworkSpec,
     numeric_seed: int | None = None,
@@ -283,17 +330,19 @@ def build_report(
     The numeric part redraws amplitudes generically from ``numeric_seed``
     (structure-driven entanglement should not depend on amplitude
     coincidences) and computes the finest product partition of the
-    resulting state.
+    resulting state, assembling and splitting each weak component of the
+    PM diagram on its own. ``PARTITION_LIMIT`` bounds each component, not
+    the whole network.
     """
     diag = diagram_of_network(spec)
     numeric = None
     if numeric_seed is not None:
         generic = generic_amplitudes(spec, np.random.default_rng(numeric_seed))
-        state = normalize(assemble_network_state(generic))
-        numeric = finest_partition(state, sv_tol)
+        numeric = _partition_by_component(generic, diag, sv_tol)
     return SeparabilityReport(
         tuple(lemma1_separable_vertices(diag)),
         lemma2_partition(diag),
         theorem1_check(diag),
         numeric,
+        diag,
     )

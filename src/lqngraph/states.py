@@ -14,7 +14,6 @@ plus/minus pair of the two-particle beam-splitter state.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import sys
@@ -156,10 +155,11 @@ def normalize(state: NoBunchState) -> NoBunchState:
     """Scale to unit norm; record the input's squared norm.
 
     Raises ZeroState when no ket survived assembly, i.e. no matching exists
-    or all contributions cancelled exactly. A squared norm that is not a
-    normal positive float (a large network's weight underflows) is taken
-    over amplitudes divided by their largest component first; that path
-    raises NonFiniteValue if an amplitude overflowed.
+    or all contributions cancelled exactly, and NonFiniteValue when the
+    squared norm to be recorded is not finite (an amplitude or the sum of
+    squares overflowed). A squared norm below the normal float range (a
+    large network's weight underflows) is taken over amplitudes divided by
+    their largest component first.
     """
     if not any(state.amplitudes.values()):
         raise ZeroState("state has zero norm (no matchings or exact cancellation)")
@@ -167,12 +167,12 @@ def normalize(state: NoBunchState) -> NoBunchState:
         norm_sq = state.norm_squared()
     except OverflowError:  # a float |v| ** 2 beyond the float range
         norm_sq = math.inf
-    if sys.float_info.min <= norm_sq < math.inf:
+    if not math.isfinite(norm_sq):
+        raise NonFiniteValue(f"state has squared norm {norm_sq!r} (float overflow)")
+    if norm_sq >= sys.float_info.min:
         scale = norm_sq**-0.5
         amplitudes = {k: v * scale for k, v in state.amplitudes.items()}
     else:
-        if not all(map(cmath.isfinite, state.amplitudes.values())):
-            raise NonFiniteValue("state has a non-finite amplitude (overflow)")
         peak = max(max(abs(v.real), abs(v.imag)) for v in state.amplitudes.values())
         amplitudes = {k: v / peak for k, v in state.amplitudes.items()}
         rest_sq = sum(abs(v) ** 2 for v in amplitudes.values())

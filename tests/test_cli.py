@@ -3,11 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import lqngraph.cli as cli
 from lqngraph.designers import design_ghz, design_w
 from lqngraph.io import parse_network, serialize_network
+from lqngraph.model import validate_network
 from lqngraph.states import NoBunchState
 
 
@@ -75,6 +77,62 @@ class TestCompute:
         assert doc["postselect_probability"] == pytest.approx(prob, rel=1e-9, abs=0)
 
 
+def _strict_json(text):
+    """json.loads that rejects the non-standard NaN and Infinity tokens."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestComputeJsonIsStrict:
+    @pytest.mark.parametrize("name", ["n5_example.json", "tritter.json"])
+    def test_fixture_output_is_standard_json(self, capsys, fixtures_dir, name):
+        code, out, _ = run(capsys, "compute", "--json", str(fixtures_dir / name))
+        assert code == 0
+        assert _strict_json(out)["terms"]
+
+    def test_norm_overflow_is_validation_error(self, capsys, tmp_path):
+        doc = {
+            "n": 1,
+            "statistics": "boson",
+            "mode": "design",
+            "edges": [
+                {"from": 1, "to": 1, "amp": {"re": 1e300, "im": 0.0}, "color": "up"}
+            ],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "compute", "--json", str(path))
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error:")
+
+
+def _block_union(specs, detector_order):
+    """Disjoint union of networks with detectors relabeled by ``detector_order``.
+
+    Returns the union, in design mode, and its planted detector blocks. One
+    forward edge from the first block into the second lies in no perfect
+    matching and must not merge them.
+    """
+    edges, blocks, offset = [], [], 0
+    for spec in specs:
+        for t in spec.transitions:
+            edges.append((
+                t.source + offset,
+                detector_order[t.detector + offset - 1],
+                t.amplitude,
+                t.color,
+            ))
+        blocks.append(sorted(detector_order[offset:offset + spec.n]))
+        offset += spec.n
+    edges.append((1, detector_order[specs[0].n], 0.5, "d"))
+    union = validate_network(offset, "fermion", edges, "design")
+    return union, sorted(blocks)
+
+
 class TestAnalyze:
     def test_structural_and_numeric_text(self, capsys, fixtures_dir):
         code, out, _ = run(
@@ -99,6 +157,30 @@ class TestAnalyze:
         assert doc["lemma2_partition"] == [[1, 3, 4], [2, 5]]
         assert doc["theorem1"]["verdict"] == "cannot_be_genuine"
         assert doc["numeric_finest_partition"] == [[1, 4], [2, 5], [3]]
+
+    def test_numeric_partition_beyond_ten_detectors(self, capsys, tmp_path):
+        # each PM-diagram component is split on its own, so only components
+        # are bound by the ten-detector limit, not the whole network
+        specs = [design_w(4, form="ring")] + [
+            design_ghz(3, colors=c) for c in ("uud", "udu", "duu", "ddd")
+        ]
+        order = [int(d) for d in np.random.default_rng(4).permutation(16) + 1]
+        union, planted = _block_union(specs, order)
+        path = tmp_path / "blocks.json"
+        path.write_text(serialize_network(union))
+        code, out, err = run(capsys, "analyze", str(path), "--numeric", "1", "--json")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["lemma2_partition"] == planted
+        assert doc["numeric_finest_partition"] == planted
+
+    def test_component_beyond_limit_is_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "w12.json"
+        path.write_text(serialize_network(design_w(12, form="ring")))
+        code, out, err = run(capsys, "analyze", str(path), "--numeric", "1", "--json")
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert "n=12 exceeds" in err
 
 
 class TestPMDiagram:

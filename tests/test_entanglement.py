@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lqngraph.designers import design_ghz, design_w, preset_beamsplitter
 from lqngraph.entanglement import (
@@ -258,6 +260,38 @@ class TestReport:
     def test_numeric_part_is_optional(self):
         report = build_report(n5_network())
         assert report.numeric_finest_partition is None
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_numeric_partition_equals_full_state_route(self, data):
+        # the report splits each PM-diagram component on its own; the
+        # finest partition of the whole assembled state is the reference
+        n = data.draw(st.integers(1, 8), label="n")
+        statistics = data.draw(st.sampled_from(["boson", "fermion"]))
+        mode = data.draw(st.sampled_from(["strict", "design"]))
+        density = data.draw(st.floats(0.15, 0.6), label="density")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        # a planted permutation guarantees a perfect matching
+        planted = {(a, int(j)) for a, j in enumerate(rng.permutation(n) + 1, start=1)}
+        amps = {
+            (a, j): complex(*rng.uniform(-1.0, 1.0, 2))
+            for a in range(1, n + 1)
+            for j in range(1, n + 1)
+            if (a, j) in planted or rng.random() < density
+        }
+        if mode == "strict":
+            rows = [0.0] * (n + 1)
+            for (a, _), amp in amps.items():
+                rows[a] += abs(amp) ** 2
+            amps = {(a, j): amp / rows[a] ** 0.5 for (a, j), amp in amps.items()}
+        edges = [(a, j, amp, "ud"[rng.integers(0, 2)]) for (a, j), amp in amps.items()]
+        spec = validate_network(n, statistics, edges, mode)
+        numeric_seed = data.draw(st.integers(0, 2**32 - 1), label="numeric_seed")
+        generic = generic_amplitudes(spec, np.random.default_rng(numeric_seed))
+        full = finest_partition(normalize(assemble_network_state(generic)))
+        report = build_report(spec, numeric_seed=numeric_seed)
+        assert report.numeric_finest_partition == full
 
     def test_pinned_vertices_are_numeric_singletons(self):
         rng = np.random.default_rng(89)
