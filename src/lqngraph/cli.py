@@ -9,6 +9,7 @@ normalization tolerance (1e-9) used when reading network files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -52,7 +53,11 @@ def _env_tol() -> float:
 
 
 def _load(path: str) -> NetworkSpec:
-    return io.parse_network(Path(path).read_text(encoding="utf-8"), row_tol=_env_tol())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return io.parse_network(text, row_tol=_env_tol())
 
 
 def _print_state(state: NoBunchState, as_json: bool) -> None:
@@ -208,7 +213,9 @@ def _cmd_dot(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use; parsing leaves it unchanged."""
     parser = _Parser(prog="lqn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -273,9 +280,8 @@ def _build_parser() -> _Parser:
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -286,10 +292,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except LQNError as exc:
+    except (OSError, LQNError) as exc:  # OSError: design --out could not write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -18,7 +18,7 @@ import cmath
 import math
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BadLength, NoPresetForN
+from .errors import BadLength, InvalidArgument, NoPresetForN
 from .model import (
     Color,
     NetworkSpec,
@@ -45,7 +45,10 @@ def color_vector(value: Iterable[Color | str] | str | None, n: int) -> ColorVect
         raise BadLength(f"color vector has length {len(items)}, expected {n}")
     out = []
     for item in items:
-        out.append(item if isinstance(item, Color) else Color(str(item)))
+        try:
+            out.append(item if isinstance(item, Color) else Color(str(item)))
+        except ValueError:
+            raise InvalidArgument(f"color {item!r} is not 'u' or 'd'") from None
     return tuple(out)
 
 

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooLarge
+from .errors import DimensionMismatch, InvalidArgument, TooLarge
 from .graphs import PMDiagram, diagram_of_network, strongly_connected, weak_components
 from .model import Color, NetworkSpec, NormalizationMode, Transition, validate_network
 from .states import NoBunchState, assemble_network_state, normalize
@@ -337,6 +337,8 @@ def build_report(
     diag = diagram_of_network(spec)
     numeric = None
     if numeric_seed is not None:
+        if numeric_seed < 0:
+            raise InvalidArgument(f"numeric seed must be >= 0, got {numeric_seed}")
         generic = generic_amplitudes(spec, np.random.default_rng(numeric_seed))
         numeric = _partition_by_component(generic, diag, sv_tol)
     return SeparabilityReport(

@@ -78,3 +78,7 @@ class NoPresetForN(LQNError):
 
 class ParseError(LQNError):
     pass
+
+
+class InvalidArgument(LQNError, ValueError):
+    """An argument outside its domain: a matching index, a seed, a color."""

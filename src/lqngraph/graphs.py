@@ -1,7 +1,8 @@
 """Perfect matchings of a network and the directed-graph view of them.
 
 Matchings are enumerated by a depth-first search over particles in order
-(``walk_matchings``). The structural view: merging particle ``a`` and
+(``walk_matchings``), with the last three placed from a table keyed by the
+detectors left free. The structural view: merging particle ``a`` and
 detector ``X_a`` into one vertex ``w_a`` turns the bipartite network view
 into a digraph whose loops encode a chosen perfect matching. Every other
 perfect matching is then reachable by exchanging edges along pairwise
@@ -351,24 +352,77 @@ def elementary_cycles(dir_view: DirectedView) -> list[Cycle]:
     return sorted(cycles)
 
 
-def walk_matchings(
+#: particles at the bottom of the matching walk that are placed from a
+#: per-free-set table of completions instead of being searched; the row
+#: layout of ``_completion_rows`` is written for three
+TABLE_PARTICLES = 3
+
+_ONE = complex(1.0)
+
+
+def _pair_rows(n: int, options: list, last: dict, free: int) -> list:
+    """Rows for particles n-1 and n taking the two detectors in ``free``.
+
+    They have the layout of ``_completion_rows``, led by weight 1 and a
+    repeat of their first placement.
+    """
+    rows = []
+    for bit, j, w, tag in options[n - 2]:
+        if free & bit and free ^ bit in last:
+            _, k, v, tag_k = last[free ^ bit]
+            odd = (n - j - (free >> (j + 1)).bit_count() + n - k) & 1
+            rows.append((_ONE, w, v, j - 1, tag, j - 1, tag, k - 1, tag_k, (j, k), odd))
+    return rows
+
+
+def _completion_rows(
+    n: int, options: list, last: dict, pairs: dict[int, list], free: int
+) -> list:
+    """Every way for the last particles to take the detectors in ``free``.
+
+    ``free`` is the bitmask a walk prefix left free, and the rows place the
+    last ``TABLE_PARTICLES`` particles (all n when n is smaller) on it in
+    lexicographic order. A row is ``(w1, w2, w3, i1, t1, i2, t2, i3, t3,
+    detectors, odd)``: the weights, the tag index (detector - 1) and tag
+    of each placement, the detectors in particle order, and the parity
+    bit. Rows of fewer particles lead with weight 1 and repeat their first
+    placement, which changes neither the product nor the tags.
+
+    Each of the first particle's choices is extended by the two-particle
+    rows of the set it leaves, kept in ``pairs`` for the rest of the walk.
+    When particle a takes detector j, particles 1..a-1 hold exactly the
+    n - j detectors above j that are not free, so a row's parity bit
+    depends on the free set alone.
+    """
+    if n == 1:  # the up-front matching check found the one edge
+        _, _, w, tag = last[free]
+        return [(_ONE, _ONE, w, 0, tag, 0, tag, 0, tag, (1,), 0)]
+    if n == 2:
+        return _pair_rows(n, options, last, free)
+    rows = []
+    for bit, j, w, tag in options[n - 3]:
+        if free & bit:
+            rest = free ^ bit
+            odd = (n - j - (free >> (j + 1)).bit_count()) & 1
+            pair_rows = pairs.get(rest)
+            if pair_rows is None:
+                pair_rows = pairs[rest] = _pair_rows(n, options, last, rest)
+            for _, w2, w3, _, _, i2, t2, i3, t3, (j2, j3), odd23 in pair_rows:
+                rows.append((w, w2, w3, j - 1, tag, i2, t2, i3, t3, (j, j2, j3), odd ^ odd23))
+    return rows
+
+
+def walk_prefixes(
     n: int, edges: Iterable[tuple[int, int, complex, T]]
-) -> Iterator[tuple[list[int], list[T], complex, int]]:
-    """Every perfect matching, by depth-first search over particles 1..n.
+) -> Iterator[tuple[list[int], list[T], complex, int, list]]:
+    """The matching walk down to its completion table (see ``walk_matchings``).
 
-    ``edges`` holds ``(particle, detector, weight, tag)`` in any order.
-    Each particle tries its free detectors in ascending order, so matchings
-    come out in lexicographic order of assignment. Per matching this yields
-    ``(assignment, tags, weight, odd)``: ``assignment[a-1]`` is particle
-    a's detector, ``tags[j-1]`` the tag of the edge reaching detector j,
-    ``weight`` the product of the edge weights multiplied left to right in
-    particle order from ``complex(1.0)``, and ``odd`` the parity (0 or 1)
-    of the assignment permutation. Both lists are updated in place between
-    matchings; copy them to keep them.
-
-    A network without a perfect matching is detected up front by one
-    augmenting-path search. A branch is pruned as soon as a free detector
-    has lost its last unassigned neighbor.
+    Particles 1..n-K, K = ``TABLE_PARTICLES`` (all of them when n <= K),
+    are placed by depth-first search. Per placement of them that the last
+    K particles can complete this yields ``(assignment, tags, prefix,
+    parity, rows)``: the placement so far (both lists updated in place),
+    its weight product and parity, and the completion rows of its free
+    detectors, as ``_completion_rows`` describes.
     """
     options: list[list[tuple[int, int, complex, T]]] = [[] for _ in range(n)]
     for a, j, w, tag in edges:
@@ -387,30 +441,32 @@ def walk_matchings(
     due = [0] * n
     for j in range(1, n + 1):
         due[last_neighbor[j]] |= 1 << j
-    by_bit = [{o[0]: o for o in opts} for opts in options]
-
     full = ((1 << n) - 1) << 1
-    last = n - 1
+    depth = max(n - TABLE_PARTICLES, 0)
+    by_bit = [{o[0]: o for o in opts} for opts in options[:depth]]
+    last = {o[0]: o for o in options[-1]}
+    # completion rows per free set at the table depth, and the two-particle
+    # rows they are built from
+    table: dict[int, list] = {}
+    pairs: dict[int, list] = {}
     assignment = [0] * n
     tags: list = [None] * n
     # prefix[a], parity[a]: weight product and permutation parity of the
     # placements of particles 1..a
-    prefix = [complex(1.0)] * n
+    prefix = [_ONE] * n
     parity = [0] * n
     held = [0] * n  # detector bit held by each particle, 0 = none
     untried = [iter(())] * n
     used = 0
     a = 0  # 0-based particle being placed
     while a >= 0:
-        if a == last:
-            # the last particle takes the one detector left, if it can
-            hit = by_bit[a].get(full ^ used)
-            if hit is not None:
-                _, j, w, tag = hit
-                assignment[a] = j
-                tags[j - 1] = tag
-                # all n - j detectors above j are held by earlier particles
-                yield assignment, tags, prefix[a] * w, parity[a] ^ ((n - j) & 1)
+        if a == depth:
+            free = full ^ used
+            rows = table.get(free)
+            if rows is None:
+                rows = table[free] = _completion_rows(n, options, last, pairs, free)
+            if rows:
+                yield assignment, tags, prefix[a], parity[a], rows
             a -= 1
             continue
         if held[a]:
@@ -435,6 +491,37 @@ def walk_matchings(
         parity[a + 1] = parity[a] ^ ((used >> j).bit_count() & 1)
         used |= bit
         a += 1
+
+
+def walk_matchings(
+    n: int, edges: Iterable[tuple[int, int, complex, T]]
+) -> Iterator[tuple[list[int], list[T], complex, int]]:
+    """Every perfect matching, by depth-first search over particles 1..n.
+
+    ``edges`` holds ``(particle, detector, weight, tag)`` in any order.
+    Each particle tries its free detectors in ascending order, so matchings
+    come out in lexicographic order of assignment. Per matching this yields
+    ``(assignment, tags, weight, odd)``: ``assignment[a-1]`` is particle
+    a's detector, ``tags[j-1]`` the tag of the edge reaching detector j,
+    ``weight`` the product of the edge weights multiplied left to right in
+    particle order from ``complex(1.0)``, and ``odd`` the parity (0 or 1)
+    of the assignment permutation. Both lists are updated in place between
+    matchings; copy them to keep them.
+
+    A network without a perfect matching is detected up front by one
+    augmenting-path search. A branch is pruned as soon as a free detector
+    has lost its last unassigned neighbor. The last ``TABLE_PARTICLES``
+    particles are not searched: each placement of the others is completed
+    from a table of rows keyed by its free detectors (``walk_prefixes``).
+    """
+    depth = max(n - TABLE_PARTICLES, 0)
+    for assignment, tags, prefix, parity, rows in walk_prefixes(n, edges):
+        for w1, w2, w3, i1, t1, i2, t2, i3, t3, detectors, odd in rows:
+            tags[i1] = t1
+            tags[i2] = t2
+            tags[i3] = t3
+            assignment[depth:] = detectors
+            yield assignment, tags, ((prefix * w1) * w2) * w3, parity ^ odd
 
 
 def enumerate_pms(bip: BipartiteView) -> list[PerfectMatching]:

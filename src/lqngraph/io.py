@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ParseError
+from .errors import InvalidArgument, ParseError
 from .graphs import (
     BipartiteView,
     DirectedView,
@@ -209,7 +209,7 @@ def export_dot(
         if opts.highlight_pm is not None:
             pms = enumerate_pms(to_bipartite(to_adjacency(artifact)))
             if not 0 <= opts.highlight_pm < len(pms):
-                raise ValueError(
+                raise InvalidArgument(
                     f"matching index {opts.highlight_pm} out of range ({len(pms)} found)"
                 )
             marked = {

@@ -27,7 +27,7 @@ from .errors import (
     TooLarge,
     ZeroState,
 )
-from .graphs import PerfectMatching, walk_matchings
+from .graphs import PerfectMatching, walk_prefixes
 from .model import Color, NetworkSpec, Statistics
 
 ORACLE_LIMIT = 10
@@ -107,16 +107,24 @@ def assemble_state(pms: list[PerfectMatching], spec: NetworkSpec) -> NoBunchStat
 def assemble_network_state(spec: NetworkSpec) -> NoBunchState:
     """Full pipeline: walk the matchings of ``spec`` and sum them as they come.
 
-    The walk yields matchings in lexicographic order with the edge weights
-    multiplied in particle order, exactly as ``assemble_state`` does, so the
-    two agree bit for bit. Exactly cancelled strings are dropped.
+    This is the leaf loop of ``graphs.walk_matchings`` with the sum inside
+    it, which spares a generator step per matching. Matchings come in
+    lexicographic order with the edge weights multiplied left to right in
+    particle order, exactly as ``assemble_state`` does, so the two agree
+    bit for bit. Exactly cancelled strings are dropped.
     """
     fermion = spec.statistics is Statistics.FERMION
     edges = ((t.source, t.detector, t.amplitude, t.color.value) for t in spec.transitions)
     amplitudes: dict[str, complex] = {}
-    for _, ket, weight, odd in walk_matchings(spec.n, edges):
-        key = "".join(ket)
-        amplitudes[key] = amplitudes.get(key, 0j) + (-1 if fermion and odd else 1) * weight
+    for _, ket, prefix, parity, rows in walk_prefixes(spec.n, edges):
+        for w1, w2, w3, i1, t1, i2, t2, i3, t3, _, odd in rows:
+            ket[i1] = t1
+            ket[i2] = t2
+            ket[i3] = t3
+            key = "".join(ket)
+            amplitudes[key] = amplitudes.get(key, 0j) + (
+                -1 if fermion and parity ^ odd else 1
+            ) * (((prefix * w1) * w2) * w3)
     amplitudes = {k: v for k, v in amplitudes.items() if v != 0}
     return NoBunchState(spec.n, amplitudes)
 

@@ -299,6 +299,80 @@ class TestErrors:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
+    def test_directory_as_input_is_validation_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "compute", str(tmp_path))
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+    def test_undecodable_input_is_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "compute", str(path))
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+    def test_unwritable_design_output_is_validation_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "design", "ghz", "--n", "3", "--out", str(tmp_path))
+        assert code == cli.EXIT_VALIDATION
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestBadFlagValues:
+    """Each bad value ends as a one-line error with exit 2, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("analyze", "{tritter}", "--numeric", "-1"), "numeric seed must be >= 0"),
+            (("dot", "{tritter}", "--view", "pm", "--highlight", "99"), "matching index 99"),
+            (("dot", "{tritter}", "--view", "pm", "--highlight", "-1"), "matching index -1"),
+            (("design", "w", "--n", "3", "--colors", "xyz"), "color 'x'"),
+        ],
+    )
+    def test_bad_value_is_validation_error(self, capsys, fixtures_dir, argv, message):
+        tritter = str(fixtures_dir / "tritter.json")
+        code, out, err = run(capsys, *(a.format(tritter=tritter) for a in argv))
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_valid_values_still_answer(self, capsys, fixtures_dir):
+        tritter = str(fixtures_dir / "tritter.json")
+        assert run(capsys, "analyze", tritter, "--numeric", "0")[0] == 0
+        code, out, _ = run(capsys, "dot", tritter, "--view", "pm", "--highlight", "5")
+        assert code == 0 and out.startswith("digraph")
+        assert run(capsys, "design", "w", "--n", "3", "--colors", "udu")[0] == 0
+
+
+class TestRepeatedCalls:
+    """One parser serves every call; nothing carries over between calls."""
+
+    def test_json_flag_does_not_stick(self, capsys, fixtures_dir):
+        tritter = str(fixtures_dir / "tritter.json")
+        code, out, _ = run(capsys, "compute", tritter, "--json")
+        assert code == 0 and json.loads(out)["n"] == 3
+        code, out, _ = run(capsys, "compute", tritter)
+        assert code == 0 and out.startswith("post-selection probability:")
+
+    def test_numeric_seed_does_not_stick(self, capsys, fixtures_dir):
+        tritter = str(fixtures_dir / "tritter.json")
+        code, out, _ = run(capsys, "analyze", tritter, "--numeric", "3", "--json")
+        assert code == 0 and json.loads(out)["numeric_finest_partition"] is not None
+        code, out, _ = run(capsys, "analyze", tritter, "--json")
+        assert code == 0
+        assert json.loads(out)["numeric_finest_partition"] is None
+
+    def test_usage_error_then_valid_call(self, capsys, fixtures_dir):
+        tritter = str(fixtures_dir / "tritter.json")
+        assert run(capsys, "compute", tritter, "--frobnicate")[0] == cli.EXIT_USAGE
+        assert run(capsys, "analyze")[0] == cli.EXIT_USAGE
+        code, out, err = run(capsys, "compute", tritter)
+        assert code == 0 and err == ""
+        assert "post-selection probability: 0.111111111111" in out
+
 
 class TestEnvTolerance:
     def test_lqn_tol_loosens_row_check(self, capsys, tmp_path, monkeypatch):

@@ -21,7 +21,7 @@ from lqngraph.entanglement import (
     theorem1_check,
     theorem2_w_optimal_check,
 )
-from lqngraph.errors import BadLength, NoPresetForN, RowNotNormalized
+from lqngraph.errors import BadLength, InvalidArgument, NoPresetForN, RowNotNormalized
 from lqngraph.graphs import diagram_of_network, elementary_cycles, enumerate_pms, to_directed
 from lqngraph.io import parse_network, serialize_network
 from lqngraph.model import (
@@ -88,6 +88,10 @@ class TestGHZ:
             design_ghz(1)
         with pytest.raises(BadLength):
             design_ghz(4, colors="ud")
+
+    def test_rejects_unknown_color(self):
+        with pytest.raises(InvalidArgument):
+            color_vector("uxd", 3)
 
 
 class TestW:

@@ -22,7 +22,7 @@ from lqngraph.entanglement import (
     theorem1_check,
     theorem2_w_optimal_check,
 )
-from lqngraph.errors import DimensionMismatch, TooLarge
+from lqngraph.errors import DimensionMismatch, InvalidArgument, TooLarge
 from lqngraph.graphs import diagram_of_network, enumerate_pms
 from lqngraph.model import Color, to_adjacency, to_bipartite, validate_network
 from lqngraph.states import NoBunchState, assemble_network_state, normalize
@@ -260,6 +260,10 @@ class TestReport:
     def test_numeric_part_is_optional(self):
         report = build_report(n5_network())
         assert report.numeric_finest_partition is None
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidArgument):
+            build_report(n5_network(), numeric_seed=-1)
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())

@@ -18,6 +18,7 @@ from lqngraph.graphs import (
     relabel_to_loops,
     strongly_connected,
     to_directed,
+    walk_matchings,
     weak_components,
 )
 from lqngraph.model import (
@@ -212,6 +213,32 @@ class TestEnumeratePMs:
                 spec = random_network(rng, n)
                 pms = enumerate_pms(bipartite_of(spec))
                 assert [pm.assignment for pm in pms] == brute_force_assignments(spec)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_walk_weight_and_parity_per_matching(self, n):
+        # every field the walk yields, against a product and an inversion
+        # count taken straight from the brute-force assignment
+        spec = random_network_with_pm(np.random.default_rng(31 + n), n)
+        weight_of = {(t.source, t.detector): t.amplitude for t in spec.transitions}
+        color_of = {(t.source, t.detector): t.color for t in spec.transitions}
+        got = [
+            (tuple(assignment), list(tags), weight, odd)
+            for assignment, tags, weight, odd in walk_matchings(
+                n, ((t.source, t.detector, t.amplitude, t.color) for t in spec.transitions)
+            )
+        ]
+        want = []
+        for perm in brute_force_assignments(spec):
+            weight = complex(1.0)
+            for a, j in enumerate(perm, start=1):
+                weight *= weight_of[(a, j)]
+            tags = [None] * n
+            for a, j in enumerate(perm, start=1):
+                tags[j - 1] = color_of[(a, j)]
+            inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+            want.append((perm, tags, weight, inversions % 2))
+        assert got == want
+        assert [repr(g[2]) for g in got] == [repr(w[2]) for w in want]
 
     def test_dense_seven_detector_network(self):
         # thousands of elementary cycles; all 7! matchings must come out

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from lqngraph.designers import preset_tritter
-from lqngraph.errors import DuplicateEdge, ParseError
+from lqngraph.errors import DuplicateEdge, InvalidArgument, ParseError
 from lqngraph.graphs import diagram_of_network, to_directed
 from lqngraph.io import (
     DotRenderOptions,
@@ -176,6 +176,14 @@ class TestDot:
             export_dot(
                 preset_tritter(),
                 DotRenderOptions(view=View.BIPARTITE, highlight_pm=6),
+            )
+
+    @pytest.mark.parametrize("index", [-1, 99])
+    def test_highlight_out_of_range_is_an_lqn_error(self, index):
+        with pytest.raises(InvalidArgument):
+            export_dot(
+                preset_tritter(),
+                DotRenderOptions(view=View.PM_DIAGRAM, highlight_pm=index),
             )
 
 

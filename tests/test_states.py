@@ -35,6 +35,20 @@ def pms_of(spec):
     return enumerate_pms(to_bipartite(to_adjacency(spec)))
 
 
+def assert_engine_is_bit_exact(spec):
+    # Both sum the matchings in lexicographic order, multiplying edge
+    # weights particle by particle, so not even the last bit may differ;
+    # repr also tells -0.0 from 0.0, which == does not.
+    engine = assemble_network_state(spec).amplitudes
+    oracle = oracle_state(spec).amplitudes
+    assert list(engine) == list(oracle)
+    assert engine == oracle
+    assert [repr(engine[k]) for k in engine] == [repr(oracle[k]) for k in oracle]
+    assert [pm.assignment for pm in pms_of(spec)] == sorted(
+        brute_force_assignments(spec)
+    )
+
+
 class TestAssemble:
     def test_two_mode_crossing_boson(self):
         a1, b1 = 0.6, 0.8j
@@ -114,8 +128,6 @@ class TestOracle:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
     def test_engine_is_bit_exact_with_oracle(self, data):
-        # Both sum the matchings in lexicographic order, multiplying edge
-        # weights particle by particle, so not even the last bit may differ.
         n = data.draw(st.integers(1, 7), label="n")
         statistics = data.draw(st.sampled_from(["boson", "fermion"]))
         density = data.draw(st.sampled_from([0.2, 0.45, 0.7, 0.9, 1.0]))
@@ -128,13 +140,24 @@ class TestOracle:
             if rng.random() < density
         ]
         spec = validate_network(n, statistics, edges, "design")
-        engine = assemble_network_state(spec)
-        oracle = oracle_state(spec)
-        assert list(engine.amplitudes) == list(oracle.amplitudes)
-        assert engine.amplitudes == oracle.amplitudes
-        assert [pm.assignment for pm in pms_of(spec)] == sorted(
-            brute_force_assignments(spec)
-        )
+        assert_engine_is_bit_exact(spec)
+
+    @pytest.mark.parametrize("statistics", ["boson", "fermion"])
+    @pytest.mark.parametrize("density", [1.0, 0.5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_table_covers_most_particles(self, n, density, statistics):
+        # the last three particles come from the completion table, so here
+        # it places all or all but one of them
+        rng = np.random.default_rng(100 * n + int(10 * density))
+        planted = {(a, int(j)) for a, j in enumerate(rng.permutation(n) + 1, start=1)}
+        edges = [
+            (a, j, complex(*rng.uniform(-1.5, 1.5, 2)), "ud"[rng.integers(0, 2)])
+            for a in range(1, n + 1)
+            for j in range(1, n + 1)
+            if (a, j) in planted or rng.random() < density
+        ]
+        spec = validate_network(n, statistics, edges, "design")
+        assert_engine_is_bit_exact(spec)
 
     def test_complete_fermion_n8_is_bit_exact_with_oracle(self):
         rng = np.random.default_rng(53)
