@@ -20,8 +20,6 @@ from .entanglement import (
     SeparabilityReport,
     Verdict,
     build_report,
-    concurrence2,
-    concurrence2_raw,
     finest_partition,
     generic_amplitudes,
     lemma1_separable_vertices,
@@ -33,44 +31,31 @@ from .entanglement import (
 from .errors import LQNError
 from .graphs import (
     DirectedView,
-    PerfectMatching,
     PMDiagram,
     diagram_of_network,
     elementary_cycles,
-    enumerate_pms,
-    initial_perfect_matching,
     pm_diagram,
-    relabel_to_loops,
     strongly_connected,
     to_directed,
+    walk_matchings,
     weak_components,
 )
 from .io import DotRenderOptions, View, export_dot, parse_network, serialize_network, serialize_state
 from .model import (
-    BipartiteView,
     Color,
     ColoredAdjacency,
-    GeneralTransform,
     NetworkSpec,
     NormalizationMode,
     Statistics,
-    exchange_rows,
-    is_unitary,
-    reduce_general_transform,
     to_adjacency,
-    to_bipartite,
-    to_general_transform,
-    validate_general_transform,
     validate_network,
 )
 from .states import (
     NoBunchState,
     assemble_network_state,
-    assemble_state,
     max_amplitude_difference,
     normalize,
     oracle_state,
-    state_equiv,
 )
 
 __version__ = "0.1.0"

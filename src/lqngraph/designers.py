@@ -58,7 +58,7 @@ def _apply_overrides(edges: RawEdges, amplitudes: AmplitudeOverrides | None) -> 
     known = {(a, j) for a, j, _, _ in edges}
     unknown = set(amplitudes) - known
     if unknown:
-        raise ValueError(f"amplitude overrides for absent edges: {sorted(unknown)}")
+        raise InvalidArgument(f"amplitude overrides for absent edges: {sorted(unknown)}")
     return [
         (a, j, complex(amplitudes.get((a, j), amp)), color)
         for a, j, amp, color in edges
@@ -109,7 +109,7 @@ def design_w(
     if n < 3:
         raise BadLength(f"W construction needs n >= 3, got {n}")
     if form not in ("star", "ring"):
-        raise ValueError(f"form must be 'star' or 'ring', got {form!r}")
+        raise InvalidArgument(f"form must be 'star' or 'ring', got {form!r}")
     c = color_vector(colors, n)
     hub_amp = 1 / math.sqrt(n)
     leaf_amp = 1 / math.sqrt(2)
@@ -186,7 +186,7 @@ def design_dicke2(
     mode = NormalizationMode.STRICT
     if preset is not None:
         if amplitudes is not None:
-            raise ValueError("pass either preset or amplitudes, not both")
+            raise InvalidArgument("pass either preset or amplitudes, not both")
         if preset == "paper-n4":
             if n != 4:
                 raise NoPresetForN(f"preset {preset!r} is defined for n=4, got {n}")

@@ -236,24 +236,6 @@ def finest_partition(state: NoBunchState, tol: float = DEFAULT_SV_TOL) -> Partit
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
-def concurrence2(state: NoBunchState) -> float:
-    """Two-detector concurrence 2|ad - bc| of a normalized state."""
-    if state.n != 2:
-        raise DimensionMismatch(f"concurrence needs n=2, state has n={state.n}")
-    if not state.normalized:
-        raise ValueError("state must be normalized; see concurrence2_raw")
-    return concurrence2_raw(state)
-
-
-def concurrence2_raw(state: NoBunchState) -> float:
-    """2|ad - bc| of the raw amplitudes, without requiring unit norm."""
-    if state.n != 2:
-        raise DimensionMismatch(f"concurrence needs n=2, state has n={state.n}")
-    a, b = state.amplitude("uu"), state.amplitude("ud")
-    c, d = state.amplitude("du"), state.amplitude("dd")
-    return 2.0 * abs(a * d - b * c)
-
-
 def generic_amplitudes(
     spec: NetworkSpec, rng: np.random.Generator
 ) -> NetworkSpec:

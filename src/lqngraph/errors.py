@@ -34,21 +34,6 @@ class RowNotNormalized(LQNError):
         )
 
 
-class SuperposedInternalState(LQNError):
-    """A channel carries both internal components; not representable here."""
-
-    def __init__(self, source: int, detector: int):
-        self.source = source
-        self.detector = detector
-        super().__init__(
-            f"channel ({source}, {detector}) has a superposed internal state"
-        )
-
-
-class InvalidMatching(LQNError):
-    pass
-
-
 class NoPerfectMatching(LQNError):
     pass
 

@@ -2,7 +2,10 @@
 
 Matchings are enumerated by a depth-first search over particles in order
 (``walk_matchings``), with the last three placed from a table keyed by the
-detectors left free. The structural view: merging particle ``a`` and
+detectors left free. It is the package's only enumeration, and it keeps no
+matching as an object: ``states`` sums the state inside it
+(``walk_prefixes``), and ``io`` stops it at the matching that a DOT
+export highlights. The structural view: merging particle ``a`` and
 detector ``X_a`` into one vertex ``w_a`` turns the bipartite network view
 into a digraph whose loops encode a chosen perfect matching. Every other
 perfect matching is then reachable by exchanging edges along pairwise
@@ -19,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TypeVar
 
-from .errors import InvalidMatching, NoPerfectMatching
+from .errors import NoPerfectMatching
 from .model import (
     BipartiteEdge,
-    BipartiteView,
     Color,
     ColoredAdjacency,
     NetworkSpec,
@@ -48,9 +50,6 @@ class DirectedView:
     n: int
     edges: tuple[DirectedEdge, ...]
 
-    def edge_map(self) -> dict[tuple[int, int], DirectedEdge]:
-        return {(e.tail, e.head): e for e in self.edges}
-
     def successors(self) -> list[list[int]]:
         """Sorted non-loop out-neighbors per vertex (index 0 ↔ w_1)."""
         out: list[set[int]] = [set() for _ in range(self.n)]
@@ -58,23 +57,6 @@ class DirectedView:
             if e.tail != e.head:
                 out[e.tail - 1].add(e.head)
         return [sorted(s) for s in out]
-
-
-@dataclass(frozen=True)
-class PerfectMatching:
-    """A bijection particle → detector along existing edges.
-
-    ``assignment[a-1]`` is the detector receiving particle ``a``;
-    ``weights``/``colors`` follow the same particle order.
-    """
-
-    assignment: tuple[int, ...]
-    weights: tuple[complex, ...]
-    colors: tuple[Color, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.assignment)
 
 
 @dataclass(frozen=True)
@@ -126,14 +108,6 @@ def to_directed(adj: ColoredAdjacency) -> DirectedView:
     return DirectedView(adj.n, tuple(edges))
 
 
-def _neighbors(bip: BipartiteView) -> list[list[int]]:
-    """Detectors adjacent to each particle, in input edge order."""
-    neighbors: list[list[int]] = [[] for _ in range(bip.n)]
-    for e in bip.edges:
-        neighbors[e.particle - 1].append(e.detector)
-    return neighbors
-
-
 def _matching_assignment(n: int, neighbors: list[list[int]]) -> tuple[int, ...] | None:
     """Augmenting-path matching; deterministic in neighbor order.
 
@@ -180,52 +154,6 @@ def _matching_assignment(n: int, neighbors: list[list[int]]) -> tuple[int, ...] 
     for j in range(1, n + 1):
         assignment[owner[j] - 1] = j
     return tuple(assignment)
-
-
-def _pm_from_assignment(
-    assignment: tuple[int, ...], edge_map: dict[tuple[int, int], BipartiteEdge]
-) -> PerfectMatching:
-    weights = []
-    colors = []
-    for a, j in enumerate(assignment, start=1):
-        e = edge_map[(a, j)]
-        weights.append(e.weight)
-        colors.append(e.color)
-    return PerfectMatching(assignment, tuple(weights), tuple(colors))
-
-
-def initial_perfect_matching(bip: BipartiteView) -> PerfectMatching | None:
-    """One perfect matching of the bipartite view, or None if there is none."""
-    assignment = _matching_assignment(bip.n, _neighbors(bip))
-    if assignment is None:
-        return None
-    return _pm_from_assignment(assignment, {(e.particle, e.detector): e for e in bip.edges})
-
-
-def relabel_to_loops(
-    dir_view: DirectedView, pm: PerfectMatching
-) -> tuple[DirectedView, tuple[int, ...]]:
-    """Permute detector labels so the given matching becomes the diagonal.
-
-    After relabeling every vertex has a loop. Returns the relabeled view and
-    the relabeling: entry ``v-1`` is the original detector now in slot ``v``.
-    """
-    n = dir_view.n
-    if sorted(pm.assignment) != list(range(1, n + 1)):
-        raise InvalidMatching(f"assignment {pm.assignment} is not a bijection")
-    edge_map = dir_view.edge_map()
-    for a, j in enumerate(pm.assignment, start=1):
-        if (a, j) not in edge_map:
-            raise InvalidMatching(f"matching pair ({a}, {j}) is not a network edge")
-
-    slot_of = [0] * (n + 1)  # original detector -> new slot
-    for a, j in enumerate(pm.assignment, start=1):
-        slot_of[j] = a
-    edges = tuple(
-        DirectedEdge(e.tail, slot_of[e.head], e.weight, e.color)
-        for e in dir_view.edges
-    )
-    return DirectedView(n, edges), tuple(pm.assignment)
 
 
 def _tarjan_sccs(n: int, succ: list[list[int]]) -> list[list[int]]:
@@ -524,61 +452,43 @@ def walk_matchings(
             yield assignment, tags, ((prefix * w1) * w2) * w3, parity ^ odd
 
 
-def enumerate_pms(bip: BipartiteView) -> list[PerfectMatching]:
-    """The complete set of perfect matchings, lexicographic by assignment."""
-    pms = []
-    walk = walk_matchings(bip.n, ((e.particle, e.detector, e.weight, e) for e in bip.edges))
-    for assignment, by_detector, _, _ in walk:
-        chosen = [by_detector[j - 1] for j in assignment]
-        pms.append(
-            PerfectMatching(
-                tuple(assignment),
-                tuple(e.weight for e in chosen),
-                tuple(e.color for e in chosen),
-            )
-        )
-    return pms
-
-
 def pm_diagram(dir_view: DirectedView) -> PMDiagram:
     """Restrict a loop-labelable digraph to loops plus elementary-cycle edges.
 
     Raises NoPerfectMatching when the underlying network has no matching
     (without one there is no loop labeling to define the diagram).
     """
-    bip = BipartiteView(
-        dir_view.n,
-        tuple(
-            BipartiteEdge(e.tail, e.head, e.weight, e.color)
-            for e in dir_view.edges
-        ),
-    )
-    base = _matching_assignment(bip.n, _neighbors(bip))
-    if base is None:
+    n = dir_view.n
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for e in dir_view.edges:
+        neighbors[e.tail - 1].append(e.head)
+    relabeling = _matching_assignment(n, neighbors)
+    if relabeling is None:
         raise NoPerfectMatching("network has no perfect matching")
 
-    relabeled, relabeling = relabel_to_loops(
-        dir_view,
-        _pm_from_assignment(base, {(e.particle, e.detector): e for e in bip.edges}),
+    # permute detector labels so the base matching becomes the diagonal:
+    # detector relabeling[v-1] moves to slot v
+    slot_of = [0] * (n + 1)
+    for a, j in enumerate(relabeling, start=1):
+        slot_of[j] = a
+    relabeled = tuple(
+        DirectedEdge(e.tail, slot_of[e.head], e.weight, e.color)
+        for e in dir_view.edges
     )
-    cycles = tuple(elementary_cycles(relabeled))
+    cycles = tuple(elementary_cycles(DirectedView(n, relabeled)))
 
-    kept: set[tuple[int, int]] = {(v, v) for v in range(1, dir_view.n + 1)}
+    kept: set[tuple[int, int]] = {(v, v) for v in range(1, n + 1)}
     for c in cycles:
         for k, v in enumerate(c):
             kept.add((v, c[(k + 1) % len(c)]))
 
-    kept_edges = tuple(
-        e for e in relabeled.edges if (e.tail, e.head) in kept
-    )
+    kept_edges = tuple(e for e in relabeled if (e.tail, e.head) in kept)
     removed = tuple(
         BipartiteEdge(e.tail, relabeling[e.head - 1], e.weight, e.color)
-        for e in relabeled.edges
+        for e in relabeled
         if (e.tail, e.head) not in kept
     )
-    return PMDiagram(
-        DirectedView(dir_view.n, kept_edges), relabeling, cycles, removed
-    )
+    return PMDiagram(DirectedView(n, kept_edges), relabeling, cycles, removed)
 
 
 def diagram_of_network(spec: NetworkSpec) -> PMDiagram:

@@ -23,12 +23,11 @@ from enum import Enum
 
 from .errors import InvalidArgument, ParseError
 from .graphs import (
-    BipartiteView,
     DirectedView,
     PMDiagram,
     diagram_of_network,
-    enumerate_pms,
     to_directed,
+    walk_matchings,
 )
 from .model import (
     DEFAULT_TOL,
@@ -36,7 +35,6 @@ from .model import (
     NetworkSpec,
     polar_amplitude,
     to_adjacency,
-    to_bipartite,
     validate_network,
 )
 from .states import NoBunchState
@@ -170,15 +168,15 @@ def _edge_attrs(color: Color, weight: complex, opts: DotRenderOptions, bold: boo
     return ", ".join(attrs)
 
 
-def _dot_bipartite(bip: BipartiteView, opts: DotRenderOptions, marked: set) -> str:
+def _dot_bipartite(spec: NetworkSpec, opts: DotRenderOptions, marked: set) -> str:
     lines = ["graph network {", "  rankdir=LR;"]
-    lines.append("  { rank=source; " + " ".join(f'"{a}";' for a in range(1, bip.n + 1)) + " }")
+    lines.append("  { rank=source; " + " ".join(f'"{a}";' for a in range(1, spec.n + 1)) + " }")
     lines.append(
-        "  { rank=sink; " + " ".join(f'"X{j}";' for j in range(1, bip.n + 1)) + " }"
+        "  { rank=sink; " + " ".join(f'"X{j}";' for j in range(1, spec.n + 1)) + " }"
     )
-    for e in sorted(bip.edges, key=lambda e: (e.particle, e.detector)):
-        attrs = _edge_attrs(e.color, e.weight, opts, (e.particle, e.detector) in marked)
-        lines.append(f'  "{e.particle}" -- "X{e.detector}" [{attrs}];')
+    for t in sorted(spec.transitions, key=lambda t: (t.source, t.detector)):
+        attrs = _edge_attrs(t.color, t.amplitude, opts, (t.source, t.detector) in marked)
+        lines.append(f'  "{t.source}" -- "X{t.detector}" [{attrs}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -194,49 +192,48 @@ def _dot_directed(view: DirectedView, opts: DotRenderOptions, marked: set) -> st
     return "\n".join(lines) + "\n"
 
 
+def _matching_pairs(spec: NetworkSpec, index: int) -> set[tuple[int, int]]:
+    """(particle, detector) pairs of matching ``index`` in lexicographic order.
+
+    The walk stops at that matching; only an index outside the matchings
+    walks to the end, counting them for the error.
+    """
+    edges = ((t.source, t.detector, t.amplitude, None) for t in spec.transitions)
+    found = 0
+    for found, (assignment, _, _, _) in enumerate(walk_matchings(spec.n, edges), start=1):
+        if found == index + 1:
+            return set(enumerate(assignment, start=1))
+    raise InvalidArgument(f"matching index {index} out of range ({found} found)")
+
+
 def export_dot(
-    artifact: NetworkSpec | BipartiteView | DirectedView | PMDiagram,
+    artifact: NetworkSpec | PMDiagram,
     opts: DotRenderOptions = DotRenderOptions(),
 ) -> str:
     """Render an artifact as DOT text; deterministic edge order.
 
-    A NetworkSpec is rendered in the view chosen by ``opts.view``; a view
-    object must agree with ``opts.view``. Matching highlighting (by index
-    into the lexicographic matching order) needs a NetworkSpec.
+    A NetworkSpec is rendered in the view chosen by ``opts.view``, with
+    matching ``opts.highlight_pm`` (an index into the lexicographic
+    matching order) drawn bold when given. A PMDiagram renders only as
+    ``View.PM_DIAGRAM``.
     """
-    marked: set = set()
-    if isinstance(artifact, NetworkSpec):
-        if opts.highlight_pm is not None:
-            pms = enumerate_pms(to_bipartite(to_adjacency(artifact)))
-            if not 0 <= opts.highlight_pm < len(pms):
-                raise InvalidArgument(
-                    f"matching index {opts.highlight_pm} out of range ({len(pms)} found)"
-                )
-            marked = {
-                (a, j)
-                for a, j in enumerate(pms[opts.highlight_pm].assignment, start=1)
-            }
-        if opts.view is View.BIPARTITE:
-            return _dot_bipartite(to_bipartite(to_adjacency(artifact)), opts, marked)
-        if opts.view is View.DIRECTED:
-            return _dot_directed(to_directed(to_adjacency(artifact)), opts, marked)
-        diag = diagram_of_network(artifact)
-        relabeled_marked = set()
-        if marked:
-            slot_of = {d: v for v, d in enumerate(diag.relabeling, start=1)}
-            relabeled_marked = {(a, slot_of[j]) for a, j in marked}
-        return _dot_directed(diag.view, opts, relabeled_marked)
-
-    if isinstance(artifact, BipartiteView):
-        if opts.view is not View.BIPARTITE:
-            raise ValueError(f"bipartite artifact cannot render view {opts.view.value}")
-        return _dot_bipartite(artifact, opts, marked)
-    if isinstance(artifact, DirectedView):
-        if opts.view is not View.DIRECTED:
-            raise ValueError(f"directed artifact cannot render view {opts.view.value}")
-        return _dot_directed(artifact, opts, marked)
     if isinstance(artifact, PMDiagram):
         if opts.view is not View.PM_DIAGRAM:
-            raise ValueError(f"diagram artifact cannot render view {opts.view.value}")
-        return _dot_directed(artifact.view, opts, marked)
-    raise TypeError(f"cannot render {type(artifact).__name__}")
+            raise InvalidArgument(f"diagram artifact cannot render view {opts.view.value}")
+        return _dot_directed(artifact.view, opts, set())
+    if not isinstance(artifact, NetworkSpec):
+        raise TypeError(f"cannot render {type(artifact).__name__}")
+
+    marked: set = set()
+    if opts.highlight_pm is not None:
+        marked = _matching_pairs(artifact, opts.highlight_pm)
+    if opts.view is View.BIPARTITE:
+        return _dot_bipartite(artifact, opts, marked)
+    if opts.view is View.DIRECTED:
+        return _dot_directed(to_directed(to_adjacency(artifact)), opts, marked)
+    diag = diagram_of_network(artifact)
+    relabeled_marked = set()
+    if marked:
+        slot_of = {d: v for v, d in enumerate(diag.relabeling, start=1)}
+        relabeled_marked = {(a, slot_of[j]) for a, j in marked}
+    return _dot_directed(diag.view, opts, relabeled_marked)

@@ -24,17 +24,13 @@ import numpy as np
 from .errors import (
     DuplicateEdge,
     IndexOutOfRange,
+    InvalidArgument,
     NonFiniteValue,
     RowNotNormalized,
-    SuperposedInternalState,
     ZeroAmplitude,
 )
 
 DEFAULT_TOL = 1e-9
-
-#: components with squared magnitude below this are treated as absent when
-#: reducing a general transform to single-internal-state channels
-SPIN_COMPONENT_TOL = 1e-12
 
 
 class Color(Enum):
@@ -110,32 +106,6 @@ class BipartiteEdge:
     color: Color
 
 
-@dataclass(frozen=True)
-class BipartiteView:
-    """The network as a balanced bigraph: particles 1..n vs detectors X_1..X_n."""
-
-    n: int
-    edges: tuple[BipartiteEdge, ...]
-
-
-@dataclass(frozen=True)
-class Channel:
-    """General-transform channel with separate up/down amplitudes."""
-
-    source: int
-    detector: int
-    amp_up: complex
-    amp_down: complex
-
-
-@dataclass(frozen=True)
-class GeneralTransform:
-    """Linear transform whose internal-state rotation is kept explicit."""
-
-    n: int
-    channels: tuple[Channel, ...]
-
-
 def _coerce_color(value) -> Color:
     if isinstance(value, Color):
         return value
@@ -145,7 +115,16 @@ def _coerce_color(value) -> Color:
             return Color.UP
         if key in ("d", "down", "↓"):
             return Color.DOWN
-    raise ValueError(f"not a color: {value!r}")
+    raise InvalidArgument(f"not a color: {value!r}")
+
+
+def _member(enum: type[Enum], value, what: str):
+    """``enum(value)``, with an unknown value raised as InvalidArgument."""
+    try:
+        return enum(value)
+    except ValueError:
+        choices = ", ".join(m.value for m in enum)
+        raise InvalidArgument(f"{what} must be one of {choices}, got {value!r}") from None
 
 
 def _index(value, what: str) -> int:
@@ -168,17 +147,16 @@ def validate_network(
     """Check invariants on raw transition data and build a NetworkSpec.
 
     Raises IndexOutOfRange, DuplicateEdge, ZeroAmplitude or NonFiniteValue
-    on malformed edges. In strict mode every particle row must satisfy
+    on malformed edges, and InvalidArgument on an unknown statistics, mode
+    or color. In strict mode every particle row must satisfy
     sum_j |T_aj|^2 = 1 within ``row_tol`` (RowNotNormalized otherwise);
     design mode skips the row check.
     """
     n = _index(n, "n")
     if n < 1:
         raise IndexOutOfRange(f"n must be >= 1, got {n}")
-    if isinstance(statistics, str):
-        statistics = Statistics(statistics)
-    if isinstance(normalization_mode, str):
-        normalization_mode = NormalizationMode(normalization_mode)
+    statistics = _member(Statistics, statistics, "statistics")
+    normalization_mode = _member(NormalizationMode, normalization_mode, "mode")
 
     seen: set[tuple[int, int]] = set()
     cooked: list[Transition] = []
@@ -215,111 +193,6 @@ def to_adjacency(spec: NetworkSpec) -> ColoredAdjacency:
         weights[t.source - 1, t.detector - 1] = t.amplitude
         colors[t.source - 1, t.detector - 1] = t.color
     return ColoredAdjacency(weights, colors)
-
-
-def to_bipartite(adj: ColoredAdjacency) -> BipartiteView:
-    """One undirected edge (a, X_j) per nonzero matrix entry."""
-    edges = []
-    n = adj.n
-    for a in range(n):
-        for j in range(n):
-            color = adj.colors[a, j]
-            if color is not None:
-                edges.append(
-                    BipartiteEdge(a + 1, j + 1, complex(adj.weights[a, j]), color)
-                )
-    return BipartiteView(n, tuple(edges))
-
-
-def exchange_rows(
-    adj: ColoredAdjacency, a: int, b: int, statistics: Statistics
-) -> tuple[ColoredAdjacency, int]:
-    """Swap particle rows a and b in both matrices.
-
-    Returns the swapped adjacency and the exchange sign: +1 for bosons,
-    -1 for fermions.
-    """
-    n = adj.n
-    if not (1 <= a <= n and 1 <= b <= n):
-        raise IndexOutOfRange(f"rows ({a}, {b}) outside 1..{n}")
-    if a == b:
-        raise ValueError("rows to exchange must differ")
-    weights = adj.weights.copy()
-    colors = adj.colors.copy()
-    weights[[a - 1, b - 1]] = weights[[b - 1, a - 1]]
-    colors[[a - 1, b - 1]] = colors[[b - 1, a - 1]]
-    sign = -1 if statistics is Statistics.FERMION else 1
-    return ColoredAdjacency(weights, colors), sign
-
-
-def validate_general_transform(
-    n: int,
-    channels: Iterable[tuple[int, int, complex, complex]],
-    row_tol: float = DEFAULT_TOL,
-) -> GeneralTransform:
-    """Build a GeneralTransform, checking index ranges and row normalization.
-
-    Rows must satisfy sum_{j,r} |T_{a,jr}|^2 = 1; there is no design mode
-    for general transforms.
-    """
-    if n < 1:
-        raise IndexOutOfRange(f"n must be >= 1, got {n}")
-    seen: set[tuple[int, int]] = set()
-    cooked: list[Channel] = []
-    sums = [0.0] * n
-    for a, j, up, down in channels:
-        if not (1 <= a <= n and 1 <= j <= n):
-            raise IndexOutOfRange(f"channel ({a}, {j}) outside 1..{n}")
-        if (a, j) in seen:
-            raise DuplicateEdge(f"more than one channel on ({a}, {j})")
-        seen.add((a, j))
-        up, down = complex(up), complex(down)
-        cooked.append(Channel(a, j, up, down))
-        sums[a - 1] += abs(up) ** 2 + abs(down) ** 2
-    for a, s in enumerate(sums, start=1):
-        if abs(s - 1.0) > row_tol:
-            raise RowNotNormalized(a, s)
-    return GeneralTransform(n, tuple(cooked))
-
-
-def reduce_general_transform(
-    gt: GeneralTransform, statistics: Statistics = Statistics.BOSON
-) -> NetworkSpec:
-    """Collapse a general transform whose channels are all single-component.
-
-    A channel with exactly one internal component above SPIN_COMPONENT_TOL
-    (by squared magnitude) becomes a colored transition; a channel with both
-    components present raises SuperposedInternalState, as such networks
-    would need multi-edges between vertex pairs. Channels with neither
-    component are dropped.
-    """
-    transitions = []
-    for ch in gt.channels:
-        has_up = abs(ch.amp_up) ** 2 > SPIN_COMPONENT_TOL
-        has_down = abs(ch.amp_down) ** 2 > SPIN_COMPONENT_TOL
-        if has_up and has_down:
-            raise SuperposedInternalState(ch.source, ch.detector)
-        if has_up:
-            transitions.append((ch.source, ch.detector, ch.amp_up, Color.UP))
-        elif has_down:
-            transitions.append((ch.source, ch.detector, ch.amp_down, Color.DOWN))
-    return validate_network(gt.n, statistics, transitions, NormalizationMode.STRICT)
-
-
-def to_general_transform(spec: NetworkSpec) -> GeneralTransform:
-    """Re-expand a network into explicit up/down channel amplitudes."""
-    channels = []
-    for t in spec.transitions:
-        up = t.amplitude if t.color is Color.UP else 0j
-        down = t.amplitude if t.color is Color.DOWN else 0j
-        channels.append(Channel(t.source, t.detector, up, down))
-    return GeneralTransform(spec.n, tuple(channels))
-
-
-def is_unitary(adj: ColoredAdjacency, tol: float = DEFAULT_TOL) -> bool:
-    """True iff A·A† equals the identity entrywise within ``tol``."""
-    product = adj.weights @ adj.weights.conj().T
-    return bool(np.max(np.abs(product - np.eye(adj.n))) <= tol)
 
 
 def polar_amplitude(r: float, theta: float) -> complex:

@@ -4,7 +4,10 @@ A no-bunching outcome places exactly one particle at each detector, so the
 detectors' internal states form an N-character string over {u, d} (position
 j-1 holds detector X_j). Each perfect matching contributes the product of
 its edge weights to the string determined by its edge colors; matchings
-landing on the same string add coherently.
+landing on the same string add coherently. ``assemble_network_state`` sums
+them during the matching walk itself (``graphs.walk_prefixes``), the only
+route from a network to its state; ``oracle_state`` is the independent
+n! reference it is checked against.
 
 Sign convention for fermions: output creation operators are ordered by
 detector index, so a matching with assignment permutation σ picks up the
@@ -22,12 +25,12 @@ from typing import Mapping
 
 from .errors import (
     DimensionMismatch,
-    InvalidMatching,
+    InvalidArgument,
     NonFiniteValue,
     TooLarge,
     ZeroState,
 )
-from .graphs import PerfectMatching, walk_prefixes
+from .graphs import walk_prefixes
 from .model import Color, NetworkSpec, Statistics
 
 ORACLE_LIMIT = 10
@@ -50,7 +53,7 @@ class NoBunchState:
     def __post_init__(self):
         for ket in self.amplitudes:
             if len(ket) != self.n or not set(ket) <= {"u", "d"}:
-                raise ValueError(f"bad ket {ket!r} for n={self.n}")
+                raise InvalidArgument(f"bad ket {ket!r} for n={self.n}")
 
     def amplitude(self, ket: str) -> complex:
         return self.amplitudes.get(ket, 0j)
@@ -78,40 +81,14 @@ def _sign(assignment: tuple[int, ...], statistics: Statistics) -> int:
     return -1 if inv % 2 else 1
 
 
-def assemble_state(pms: list[PerfectMatching], spec: NetworkSpec) -> NoBunchState:
-    """Sum the matching contributions into an unnormalized state.
-
-    Contributions are accumulated in lexicographic matching order so the
-    floating-point result is reproducible. Exactly cancelled strings are
-    dropped.
-    """
-    edge_map = spec.transition_map()
-    amplitudes: dict[str, complex] = {}
-    for pm in sorted(pms, key=lambda p: p.assignment):
-        if sorted(pm.assignment) != list(range(1, spec.n + 1)):
-            raise InvalidMatching(f"assignment {pm.assignment} is not a bijection")
-        ket = ["" for _ in range(spec.n)]
-        weight = complex(1.0)
-        for a, j in enumerate(pm.assignment, start=1):
-            t = edge_map.get((a, j))
-            if t is None:
-                raise InvalidMatching(f"matching pair ({a}, {j}) is not a network edge")
-            ket[j - 1] = t.color.value
-            weight *= t.amplitude
-        key = "".join(ket)
-        amplitudes[key] = amplitudes.get(key, 0j) + _sign(pm.assignment, spec.statistics) * weight
-    amplitudes = {k: v for k, v in amplitudes.items() if v != 0}
-    return NoBunchState(spec.n, amplitudes)
-
-
 def assemble_network_state(spec: NetworkSpec) -> NoBunchState:
     """Full pipeline: walk the matchings of ``spec`` and sum them as they come.
 
     This is the leaf loop of ``graphs.walk_matchings`` with the sum inside
     it, which spares a generator step per matching. Matchings come in
     lexicographic order with the edge weights multiplied left to right in
-    particle order, exactly as ``assemble_state`` does, so the two agree
-    bit for bit. Exactly cancelled strings are dropped.
+    particle order, exactly as ``oracle_state`` sums its permutations, so
+    the two agree bit for bit. Exactly cancelled strings are dropped.
     """
     fermion = spec.statistics is Statistics.FERMION
     edges = ((t.source, t.detector, t.amplitude, t.color.value) for t in spec.transitions)
@@ -134,10 +111,10 @@ def oracle_state(spec: NetworkSpec) -> NoBunchState:
 
     Deliberately ignorant of the matching walk: it walks
     itertools.permutations and keeps those whose every pair is a network
-    edge, so it can vouch for the matching-based assembly. Its ket/weight
-    loop repeats the one in ``assemble_state`` on purpose, not shared:
-    permutations come in lexicographic order and weights are multiplied in
-    particle order, so it equals the engine bit for bit.
+    edge, so it can vouch for the matching-based assembly. It shares no
+    code with ``assemble_network_state`` on purpose: permutations come in
+    lexicographic order and weights are multiplied in particle order, so it
+    equals the engine bit for bit.
     """
     if spec.n > ORACLE_LIMIT:
         raise TooLarge(spec.n, ORACLE_LIMIT)
@@ -193,19 +170,6 @@ def normalize(state: NoBunchState) -> NoBunchState:
         normalized=True,
         postselect_probability=norm_sq,
     )
-
-
-def state_equiv(s1: NoBunchState, s2: NoBunchState, tol: float = 1e-9) -> bool:
-    """True iff the normalized states agree up to a global phase."""
-    if s1.n != s2.n:
-        raise DimensionMismatch(f"states on {s1.n} and {s2.n} detectors")
-    if not (s1.normalized and s2.normalized):
-        raise ValueError("state_equiv compares normalized states")
-    overlap = sum(
-        s1.amplitude(k).conjugate() * s2.amplitude(k)
-        for k in set(s1.amplitudes) | set(s2.amplitudes)
-    )
-    return abs(abs(overlap) - 1.0) <= tol
 
 
 def max_amplitude_difference(s1: NoBunchState, s2: NoBunchState) -> float:

@@ -9,14 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lqngraph.graphs import DirectedView, initial_perfect_matching
-from lqngraph.model import (
-    NetworkSpec,
-    Statistics,
-    to_adjacency,
-    to_bipartite,
-    validate_network,
-)
+from lqngraph.graphs import DirectedView, walk_matchings
+from lqngraph.model import Color, NetworkSpec, Statistics, validate_network
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -50,13 +44,33 @@ def random_network(
     return validate_network(n, statistics, edges, "strict")
 
 
+def matchings(spec: NetworkSpec) -> list[tuple[tuple[int, ...], tuple[Color, ...]]]:
+    """(assignment, colors by particle) of every perfect matching, lexicographic."""
+    edges = ((t.source, t.detector, t.amplitude, t.color) for t in spec.transitions)
+    return [
+        (tuple(assignment), tuple(tags[j - 1] for j in assignment))
+        for assignment, tags, _, _ in walk_matchings(spec.n, edges)
+    ]
+
+
 def random_network_with_pm(
     rng: np.random.Generator, n: int, statistics: Statistics | None = None
 ) -> NetworkSpec:
     while True:
         spec = random_network(rng, n, statistics)
-        if initial_perfect_matching(to_bipartite(to_adjacency(spec))) is not None:
+        edges = ((t.source, t.detector, t.amplitude, None) for t in spec.transitions)
+        if next(walk_matchings(n, edges), None) is not None:
             return spec
+
+
+def max_error_up_to_phase(state, target: dict) -> float:
+    """Largest amplitude deviation after aligning the global phase."""
+    overlap = sum(v.conjugate() * state.amplitude(k) for k, v in target.items())
+    if overlap == 0:
+        return math.inf
+    phase = overlap / abs(overlap)
+    keys = set(state.amplitudes) | set(target)
+    return max(abs(state.amplitude(k) / phase - target.get(k, 0)) for k in keys)
 
 
 def brute_force_assignments(spec: NetworkSpec) -> list[tuple[int, ...]]:

@@ -28,37 +28,28 @@ from lqngraph.entanglement import (
     theorem1_check,
     theorem2_w_optimal_check,
 )
-from lqngraph.graphs import diagram_of_network, enumerate_pms
-from lqngraph.model import Color, Statistics, to_adjacency, to_bipartite
+from lqngraph.graphs import diagram_of_network
+from lqngraph.model import Color, Statistics
 from lqngraph.states import (
     assemble_network_state,
-    assemble_state,
     max_amplitude_difference,
     normalize,
     oracle_state,
 )
 
-from conftest import n5_network, random_network, random_network_with_pm
+from conftest import (
+    matchings,
+    max_error_up_to_phase,
+    n5_network,
+    random_network,
+    random_network_with_pm,
+)
 from lqngraph.designers import color_vector
 
 
 def _report(name: str, ok: bool) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}")
     assert ok, name
-
-
-def pms_of(spec):
-    return enumerate_pms(to_bipartite(to_adjacency(spec)))
-
-
-def max_error_up_to_phase(state, target: dict) -> float:
-    """Largest amplitude deviation after aligning the global phase."""
-    overlap = sum(v.conjugate() * state.amplitude(k) for k, v in target.items())
-    if overlap == 0:
-        return math.inf
-    phase = overlap / abs(overlap)
-    keys = set(state.amplitudes) | set(target)
-    return max(abs(state.amplitude(k) / phase - target.get(k, 0)) for k in keys)
 
 
 def all_bipartitions(n):
@@ -81,7 +72,7 @@ def test_criterion_1_two_mode_crossing_amplitudes():
         a2, b2 = np.cos(th2) * phases[2], np.sin(th2) * phases[3]
         statistics = Statistics.BOSON if trial % 2 else Statistics.FERMION
         spec = preset_beamsplitter(a1, b1, a2, b2, statistics)
-        state = assemble_state(pms_of(spec), spec)
+        state = assemble_network_state(spec)
         sign = 1 if statistics is Statistics.BOSON else -1
         worst = max(
             worst,
@@ -98,8 +89,8 @@ def test_criterion_1_two_mode_crossing_amplitudes():
 
 def test_criterion_2_tritter_uniform_w():
     spec = preset_tritter()
-    pms = pms_of(spec)
-    state = normalize(assemble_state(pms, spec))
+    pms = matchings(spec)
+    state = normalize(assemble_network_state(spec))
     target = 1 / math.sqrt(3)
     magnitudes_ok = set(state.amplitudes) == {"uud", "udu", "duu"} and all(
         abs(abs(a) - target) < 1e-12 for a in state.amplitudes.values()
@@ -118,7 +109,7 @@ def test_criterion_2_tritter_uniform_w():
 
 def test_criterion_3_five_detector_worked_example():
     spec = n5_network()
-    pms = pms_of(spec)
+    pms = matchings(spec)
     expected_assignments = {
         (1, 2, 3, 4, 5),
         (1, 5, 3, 4, 2),
@@ -136,7 +127,7 @@ def test_criterion_3_five_detector_worked_example():
     _report(
         f"criterion 3: 5-detector example: {len(pms)} matchings, removed "
         f"{diag.removed_bipartite_pairs()}, numeric partition {numeric}",
-        {pm.assignment for pm in pms} == expected_assignments
+        {assignment for assignment, _ in pms} == expected_assignments
         and len(pms) == 6
         and removed_ok
         and lemma1_ok
@@ -177,7 +168,7 @@ def test_criterion_5_ghz_family():
                 ["u" if rng.random() < 0.5 else "d" for _ in range(n)], n
             )
             spec = design_ghz(n, colors=colors)
-            pms = pms_of(spec)
+            pms = matchings(spec)
             ok &= len(pms) == 2
             state = normalize(assemble_network_state(spec))
             ket = "".join(c.value for c in colors)
@@ -199,10 +190,10 @@ def test_criterion_6_w_family():
     for n in range(3, 7):
         for form in ("star", "ring"):
             spec = design_w(n, form=form)
-            pms = pms_of(spec)
+            pms = matchings(spec)
             ok &= len(pms) == n
             ok &= all(
-                sum(1 for c in pm.colors if c is Color.DOWN) == 1 for pm in pms
+                sum(1 for c in colors if c is Color.DOWN) == 1 for _, colors in pms
             )
             ok &= theorem2_w_optimal_check(diagram_of_network(spec)).ok
             generic = generic_amplitudes(spec, rng)
@@ -250,13 +241,13 @@ def test_criterion_9_structural_soundness_sweep():
         n = int(rng.integers(2, 7))
         spec = random_network_with_pm(rng, n)
         diag = diagram_of_network(spec)
-        pms = pms_of(spec)
+        pms = matchings(spec)
 
         for vertex, color in lemma1_separable_vertices(diag):
             detector = diag.detector_of_vertex(vertex)
-            for pm in pms:
-                a = pm.assignment.index(detector)
-                if pm.colors[a] is not color:
+            for assignment, colors in pms:
+                a = assignment.index(detector)
+                if colors[a] is not color:
                     lemma1_failures += 1
 
         state = normalize(assemble_network_state(spec))

@@ -16,32 +16,24 @@ from lqngraph.designers import (
 )
 from lqngraph.entanglement import (
     Verdict,
-    concurrence2,
     finest_partition,
     theorem1_check,
     theorem2_w_optimal_check,
 )
 from lqngraph.errors import BadLength, InvalidArgument, NoPresetForN, RowNotNormalized
-from lqngraph.graphs import diagram_of_network, elementary_cycles, enumerate_pms, to_directed
+from lqngraph.graphs import diagram_of_network, elementary_cycles, to_directed
 from lqngraph.io import parse_network, serialize_network
-from lqngraph.model import (
-    Color,
-    Statistics,
-    is_unitary,
-    to_adjacency,
-    to_bipartite,
-)
-from lqngraph.states import (
-    NoBunchState,
-    assemble_network_state,
-    max_amplitude_difference,
-    normalize,
-    state_equiv,
-)
+from lqngraph.model import Color, Statistics, to_adjacency
+from lqngraph.states import assemble_network_state, max_amplitude_difference, normalize
+
+from conftest import matchings, max_error_up_to_phase
 
 
-def pms_of(spec):
-    return enumerate_pms(to_bipartite(to_adjacency(spec)))
+def concurrence(state):
+    """Two-detector concurrence 2|ad - bc| of a normalized state."""
+    a, b = state.amplitude("uu"), state.amplitude("ud")
+    c, d = state.amplitude("du"), state.amplitude("dd")
+    return 2 * abs(a * d - b * c)
 
 
 def edge_pairs(spec):
@@ -52,8 +44,7 @@ class TestGHZ:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_two_matchings_and_balanced_state(self, n):
         spec = design_ghz(n)
-        pms = pms_of(spec)
-        assert len(pms) == 2
+        assert len(matchings(spec)) == 2
         state = normalize(assemble_network_state(spec))
         h = 1 / math.sqrt(2)
         assert state.amplitude("u" * n) == pytest.approx(h, abs=1e-12)
@@ -128,10 +119,10 @@ class TestW:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_n_matchings_single_red_each(self, form, n):
         spec = design_w(n, form=form)
-        pms = pms_of(spec)
+        pms = matchings(spec)
         assert len(pms) == n
-        for pm in pms:
-            assert sum(1 for c in pm.colors if c is Color.DOWN) == 1
+        for _, colors in pms:
+            assert sum(1 for c in colors if c is Color.DOWN) == 1
         assert theorem2_w_optimal_check(diagram_of_network(spec)).ok
 
     def test_uniform_w_state(self):
@@ -182,8 +173,7 @@ class TestDicke:
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_matching_count_and_ket_pattern(self, n):
         spec = design_dicke2(n)
-        pms = pms_of(spec)
-        assert len(pms) == 1 + 2 * (n - 2) + 4 * math.comb(n - 2, 2)
+        assert len(matchings(spec)) == 1 + 2 * (n - 2) + 4 * math.comb(n - 2, 2)
         state = assemble_network_state(spec)
         assert len(state.amplitudes) == math.comb(n, 2)
         for ket in state.amplitudes:
@@ -233,12 +223,8 @@ class TestDicke:
 class TestCluster4:
     def test_state_matches_target(self):
         state = normalize(assemble_network_state(design_cluster4()))
-        target = NoBunchState(
-            4,
-            {"uuuu": 0.5, "uudd": 0.5, "dduu": 0.5, "dddd": -0.5},
-            normalized=True,
-        )
-        assert state_equiv(state, target, tol=1e-10)
+        target = {"uuuu": 0.5, "uudd": 0.5, "dduu": 0.5, "dddd": -0.5}
+        assert max_error_up_to_phase(state, target) <= 1e-10
 
     def test_three_elementary_cycles(self):
         cycles = elementary_cycles(to_directed(to_adjacency(design_cluster4())))
@@ -252,31 +238,31 @@ class TestCluster4:
 class TestTritter:
     def test_unitary_and_six_matchings(self):
         spec = preset_tritter()
-        assert is_unitary(to_adjacency(spec))
-        assert len(pms_of(spec)) == 6
+        w = to_adjacency(spec).weights
+        assert np.max(np.abs(w @ w.conj().T - np.eye(3))) <= 1e-9
+        assert len(matchings(spec)) == 6
 
     def test_uniform_w_with_probability_one_ninth(self):
         state = normalize(assemble_network_state(preset_tritter()))
         assert state.postselect_probability == pytest.approx(1 / 9, abs=1e-12)
         t = 1 / math.sqrt(3)
-        uniform = NoBunchState(3, {"uud": t, "udu": t, "duu": t}, normalized=True)
-        assert state_equiv(state, uniform, tol=1e-12)
+        uniform = {"uud": t, "udu": t, "duu": t}
+        assert max_error_up_to_phase(state, uniform) <= 1e-12
 
 
 class TestBeamSplitter:
     def test_balanced_crossing_is_maximally_entangled(self):
         h = 1 / math.sqrt(2)
         state = normalize(assemble_network_state(preset_beamsplitter(h, h, h, h)))
-        assert concurrence2(state) == pytest.approx(1.0)
+        assert concurrence(state) == pytest.approx(1.0)
 
     def test_no_spatial_coherence_is_separable(self):
         h = 1 / math.sqrt(2)
         spec = preset_beamsplitter(1.0, 0.0, h, h)
-        pms = pms_of(spec)
-        assert len(pms) == 1
+        assert len(matchings(spec)) == 1
         state = normalize(assemble_network_state(spec))
         assert set(state.amplitudes) == {"uu"}
-        assert concurrence2(state) == pytest.approx(0.0)
+        assert concurrence(state) == pytest.approx(0.0)
 
     def test_fermion_relative_sign(self):
         h = 1 / math.sqrt(2)

@@ -1,4 +1,4 @@
-"""Structural criteria, Schmidt ranks, finest partitions, concurrence."""
+"""Structural criteria, Schmidt ranks, finest partitions."""
 
 import math
 
@@ -7,13 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lqngraph.designers import design_ghz, design_w, preset_beamsplitter
+from lqngraph.designers import design_ghz, design_w
 from lqngraph.entanglement import (
     Bipartition,
     Verdict,
     build_report,
-    concurrence2,
-    concurrence2_raw,
     finest_partition,
     generic_amplitudes,
     lemma1_separable_vertices,
@@ -23,11 +21,12 @@ from lqngraph.entanglement import (
     theorem2_w_optimal_check,
 )
 from lqngraph.errors import DimensionMismatch, InvalidArgument, TooLarge
-from lqngraph.graphs import diagram_of_network, enumerate_pms
-from lqngraph.model import Color, to_adjacency, to_bipartite, validate_network
+from lqngraph.graphs import diagram_of_network
+from lqngraph.model import Color, validate_network
 from lqngraph.states import NoBunchState, assemble_network_state, normalize
 
 from conftest import (
+    matchings,
     n5_network,
     random_network_with_pm,
     superposed_subsystem_network,
@@ -70,12 +69,12 @@ class TestLemma1:
         for _ in range(40):
             spec = random_network_with_pm(rng, int(rng.integers(2, 7)))
             diag = diagram_of_network(spec)
-            pms = enumerate_pms(to_bipartite(to_adjacency(spec)))
+            pms = matchings(spec)
             for vertex, color in lemma1_separable_vertices(diag):
                 detector = diag.detector_of_vertex(vertex)
-                for pm in pms:
-                    a = pm.assignment.index(detector) + 1
-                    assert pm.colors[a - 1] is color
+                for assignment, colors in pms:
+                    a = assignment.index(detector) + 1
+                    assert colors[a - 1] is color
 
 
 class TestLemma2:
@@ -223,30 +222,6 @@ class TestFinestPartition:
         state = NoBunchState(11, {"u" * 11: 1.0}, normalized=True)
         with pytest.raises(TooLarge):
             finest_partition(state)
-
-
-class TestConcurrence:
-    def test_bell_state_is_maximal(self):
-        assert concurrence2(BELL) == pytest.approx(1.0)
-
-    def test_product_state_is_zero(self):
-        assert concurrence2(PRODUCT_UD) == pytest.approx(0.0)
-
-    def test_balanced_crossing(self):
-        h = 1 / math.sqrt(2)
-        spec = preset_beamsplitter(h, h, h, h)
-        raw = assemble_network_state(spec)
-        assert concurrence2_raw(raw) == pytest.approx(0.5)
-        assert concurrence2(normalize(raw)) == pytest.approx(1.0)
-
-    def test_requires_two_detectors(self):
-        state = NoBunchState(3, {"uuu": 1.0}, normalized=True)
-        with pytest.raises(DimensionMismatch):
-            concurrence2(state)
-
-    def test_requires_normalized_flag(self):
-        with pytest.raises(ValueError):
-            concurrence2(NoBunchState(2, {"uu": 2.0}))
 
 
 class TestReport:

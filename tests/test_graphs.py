@@ -8,30 +8,25 @@ import pytest
 
 from lqngraph.designers import design_cluster4, design_ghz, design_w, preset_tritter
 from lqngraph.entanglement import Verdict, build_report
-from lqngraph.errors import InvalidMatching, NoPerfectMatching
+from lqngraph.errors import NoPerfectMatching
 from lqngraph.graphs import (
+    DirectedEdge,
+    _matching_assignment,
     diagram_of_network,
     elementary_cycles,
-    enumerate_pms,
-    initial_perfect_matching,
     pm_diagram,
-    relabel_to_loops,
     strongly_connected,
     to_directed,
     walk_matchings,
     weak_components,
 )
-from lqngraph.model import (
-    Color,
-    to_adjacency,
-    to_bipartite,
-    validate_network,
-)
+from lqngraph.model import Color, to_adjacency, validate_network
 
 from conftest import (
     N5_DEAD_EDGES,
     brute_force_assignments,
     brute_force_cycles,
+    matchings,
     n5_network,
     random_network,
     random_network_with_pm,
@@ -42,8 +37,24 @@ def directed_of(spec):
     return to_directed(to_adjacency(spec))
 
 
-def bipartite_of(spec):
-    return to_bipartite(to_adjacency(spec))
+def neighbors_of(spec):
+    neighbors = [[] for _ in range(spec.n)]
+    for t in spec.transitions:
+        neighbors[t.source - 1].append(t.detector)
+    return neighbors
+
+
+def assignments_of(spec):
+    return [assignment for assignment, _ in matchings(spec)]
+
+
+def walk_of(spec):
+    """(assignment, transitions by particle, weight, parity) per matching."""
+    edges = ((t.source, t.detector, t.amplitude, t) for t in spec.transitions)
+    return [
+        (tuple(assignment), tuple(tags[j - 1] for j in assignment), weight, odd)
+        for assignment, tags, weight, odd in walk_matchings(spec.n, edges)
+    ]
 
 
 def identity_network(n):
@@ -85,55 +96,48 @@ class TestToDirected:
 
 
 class TestInitialMatching:
+    """The base matching that the PM diagram relabels to loops."""
+
     def test_n5_finds_the_diagonal(self):
-        pm = initial_perfect_matching(bipartite_of(n5_network()))
-        assert pm is not None
-        assert pm.assignment == (1, 2, 3, 4, 5)
+        assert _matching_assignment(5, neighbors_of(n5_network())) == (1, 2, 3, 4, 5)
 
     def test_pigeonhole_failure_returns_none(self):
         spec = validate_network(
             2, "boson", [(1, 1, 1.0, "u"), (2, 1, 1.0, "u")], "strict"
         )
-        assert initial_perfect_matching(bipartite_of(spec)) is None
+        assert _matching_assignment(2, neighbors_of(spec)) is None
 
     def test_identity_network(self):
-        pm = initial_perfect_matching(bipartite_of(identity_network(3)))
-        assert pm.assignment == (1, 2, 3)
-        assert pm.colors == (Color.UP,) * 3
+        spec = identity_network(3)
+        assert _matching_assignment(3, neighbors_of(spec)) == (1, 2, 3)
+        assert matchings(spec) == [((1, 2, 3), (Color.UP,) * 3)]
 
 
 class TestRelabelToLoops:
+    """``pm_diagram`` moves the base matching onto the diagonal."""
+
     def test_swap_only_network_gets_loops(self):
         spec = validate_network(
             2, "boson", [(1, 2, 1.0, "u"), (2, 1, 1.0, "d")], "strict"
         )
-        view = directed_of(spec)
-        pm = initial_perfect_matching(bipartite_of(spec))
-        relabeled, relabeling = relabel_to_loops(view, pm)
-        assert relabeling == (2, 1)
-        assert {(e.tail, e.head) for e in relabeled.edges} == {(1, 1), (2, 2)}
+        diag = pm_diagram(directed_of(spec))
+        assert diag.relabeling == (2, 1)
+        assert {(e.tail, e.head) for e in diag.view.edges} == {(1, 1), (2, 2)}
 
     def test_diagonal_matching_leaves_n5_unchanged(self):
-        spec = n5_network()
-        view = directed_of(spec)
-        pm = initial_perfect_matching(bipartite_of(spec))
-        relabeled, relabeling = relabel_to_loops(view, pm)
-        assert relabeling == (1, 2, 3, 4, 5)
-        assert relabeled == view
+        view = directed_of(n5_network())
+        diag = pm_diagram(view)
+        assert diag.relabeling == (1, 2, 3, 4, 5)
+        removed = {
+            DirectedEdge(e.particle, e.detector, e.weight, e.color) for e in diag.removed
+        }
+        assert set(diag.view.edges) | removed == set(view.edges)
 
     def test_tritter_diagonal_is_usable(self):
         spec = preset_tritter()
-        pm = initial_perfect_matching(bipartite_of(spec))
-        assert pm.assignment == (1, 2, 3)
-        relabeled, _ = relabel_to_loops(directed_of(spec), pm)
-        assert relabeled == directed_of(spec)
-
-    def test_invalid_matching_rejected(self):
-        spec = n5_network()
-        pm = initial_perfect_matching(bipartite_of(spec))
-        bad = pm.__class__((2, 1, 3, 4, 5), pm.weights, pm.colors)
-        with pytest.raises(InvalidMatching):
-            relabel_to_loops(directed_of(spec), bad)
+        diag = pm_diagram(directed_of(spec))
+        assert diag.relabeling == (1, 2, 3)
+        assert diag.view == directed_of(spec)
 
 
 class TestElementaryCycles:
@@ -172,6 +176,8 @@ class TestElementaryCycles:
 
 
 class TestEnumeratePMs:
+    """Perfect matchings as ``walk_matchings`` enumerates them."""
+
     def test_two_mode_crossing_has_two_matchings(self):
         spec = validate_network(
             2,
@@ -179,12 +185,10 @@ class TestEnumeratePMs:
             [(1, 1, 0.6, "u"), (1, 2, 0.8, "d"), (2, 1, 0.8, "d"), (2, 2, 0.6, "u")],
             "strict",
         )
-        pms = enumerate_pms(bipartite_of(spec))
-        assert [pm.assignment for pm in pms] == [(1, 2), (2, 1)]
+        assert assignments_of(spec) == [(1, 2), (2, 1)]
 
     def test_n5_exact_matchings(self):
-        pms = enumerate_pms(bipartite_of(n5_network()))
-        assert [pm.assignment for pm in pms] == [
+        assert assignments_of(n5_network()) == [
             (1, 2, 3, 4, 5),
             (1, 5, 3, 4, 2),
             (4, 2, 1, 3, 5),
@@ -194,9 +198,9 @@ class TestEnumeratePMs:
         ]
 
     def test_tritter_has_all_six_permutations(self):
-        pms = enumerate_pms(bipartite_of(preset_tritter()))
-        assert len(pms) == 6
-        assert {pm.assignment for pm in pms} == set(
+        assignments = assignments_of(preset_tritter())
+        assert len(assignments) == 6
+        assert set(assignments) == set(
             itertools.permutations((1, 2, 3))
         )
 
@@ -204,15 +208,14 @@ class TestEnumeratePMs:
         spec = validate_network(
             2, "boson", [(1, 1, 1.0, "u"), (2, 1, 1.0, "u")], "strict"
         )
-        assert enumerate_pms(bipartite_of(spec)) == []
+        assert matchings(spec) == []
 
     def test_matches_brute_force_up_to_n7(self):
         rng = np.random.default_rng(17)
         for n in range(2, 8):
             for _ in range(6):
                 spec = random_network(rng, n)
-                pms = enumerate_pms(bipartite_of(spec))
-                assert [pm.assignment for pm in pms] == brute_force_assignments(spec)
+                assert assignments_of(spec) == brute_force_assignments(spec)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_walk_weight_and_parity_per_matching(self, n):
@@ -243,37 +246,33 @@ class TestEnumeratePMs:
     def test_dense_seven_detector_network(self):
         # thousands of elementary cycles; all 7! matchings must come out
         spec = complete_digraph_network(7)
-        pms = enumerate_pms(bipartite_of(spec))
-        assert len(pms) == math.factorial(7)
-        assert [pm.assignment for pm in pms] == sorted(
+        assignments = assignments_of(spec)
+        assert len(assignments) == math.factorial(7)
+        assert assignments == sorted(
             itertools.permutations(range(1, 8))
         )
 
     def test_edge_order_invariance(self):
         rng = np.random.default_rng(23)
         spec = n5_network(rng)
-        pms = enumerate_pms(bipartite_of(spec))
-        reference = [(pm.assignment, pm.weights, pm.colors) for pm in pms]
+        reference = walk_of(spec)
         edges = [
             (t.source, t.detector, t.amplitude, t.color) for t in spec.transitions
         ]
         for _ in range(5):
             rng.shuffle(edges)
             shuffled = validate_network(5, spec.statistics, edges, "strict")
-            again = enumerate_pms(bipartite_of(shuffled))
-            assert [(pm.assignment, pm.weights, pm.colors) for pm in again] == reference
+            assert walk_of(shuffled) == reference
 
     def test_matchings_reference_existing_edges(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
             spec = random_network_with_pm(rng, int(rng.integers(2, 6)))
             present = {(t.source, t.detector): t for t in spec.transitions}
-            for pm in enumerate_pms(bipartite_of(spec)):
-                assert sorted(pm.assignment) == list(range(1, spec.n + 1))
-                for a, j in enumerate(pm.assignment, start=1):
-                    t = present[(a, j)]
-                    assert pm.weights[a - 1] == t.amplitude
-                    assert pm.colors[a - 1] == t.color
+            for assignment, by_particle, _, _ in walk_of(spec):
+                assert sorted(assignment) == list(range(1, spec.n + 1))
+                for a, j in enumerate(assignment, start=1):
+                    assert by_particle[a - 1] == present[(a, j)]
 
 
 class TestPMDiagram:
@@ -309,8 +308,8 @@ class TestPMDiagram:
             spec = random_network_with_pm(rng, int(rng.integers(2, 7)))
             diag = diagram_of_network(spec)
             union = set()
-            for pm in enumerate_pms(bipartite_of(spec)):
-                union |= {(a, j) for a, j in enumerate(pm.assignment, start=1)}
+            for assignment in assignments_of(spec):
+                union |= {(a, j) for a, j in enumerate(assignment, start=1)}
             assert set(diag.kept_bipartite_pairs()) == union
             removed = set(diag.removed_bipartite_pairs())
             all_edges = {(t.source, t.detector) for t in spec.transitions}
@@ -368,7 +367,7 @@ class TestBeyondRecursionLimit:
         edges = [(a, a, 1.0, "u") for a in range(1, n)]
         edges += [(a, a + 1, 1.0, "d") for a in range(1, n)]
         edges.append((n, 1, 1.0, "d"))
-        bip = bipartite_of(validate_network(n, "boson", edges, "design"))
+        spec = validate_network(n, "boson", edges, "design")
         shifted = tuple(range(2, n + 1)) + (1,)
-        assert initial_perfect_matching(bip).assignment == shifted
-        assert [pm.assignment for pm in enumerate_pms(bip)] == [shifted]
+        assert _matching_assignment(n, neighbors_of(spec)) == shifted
+        assert assignments_of(spec) == [shifted]

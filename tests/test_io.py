@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
 from lqngraph.designers import preset_tritter
 from lqngraph.errors import DuplicateEdge, InvalidArgument, ParseError
-from lqngraph.graphs import diagram_of_network, to_directed
+from lqngraph.graphs import diagram_of_network
 from lqngraph.io import (
     DotRenderOptions,
     View,
@@ -17,10 +19,10 @@ from lqngraph.io import (
     serialize_network,
     serialize_state,
 )
-from lqngraph.model import to_adjacency, to_bipartite
+from lqngraph.model import validate_network
 from lqngraph.states import assemble_network_state, max_amplitude_difference, normalize
 
-from conftest import n5_network
+from conftest import brute_force_assignments, n5_network, random_network_with_pm
 
 
 class TestParseNetwork:
@@ -150,6 +152,14 @@ class TestDot:
         opts = DotRenderOptions(view=View.DIRECTED, show_weights=True)
         assert export_dot(spec, opts) == export_dot(spec, opts)
 
+    def test_input_edge_order_does_not_matter(self):
+        spec = n5_network()
+        edges = [(t.source, t.detector, t.amplitude, t.color) for t in spec.transitions]
+        shuffled = validate_network(5, spec.statistics, edges[::-1], "strict")
+        for view in View:
+            opts = DotRenderOptions(view=view, show_weights=True, highlight_pm=3)
+            assert export_dot(shuffled, opts) == export_dot(spec, opts)
+
     def test_weights_and_highlight(self):
         spec = preset_tritter()
         opts = DotRenderOptions(
@@ -161,18 +171,18 @@ class TestDot:
 
     def test_isolated_nodes_shown_without_edges(self):
         dot = export_dot(
-            to_directed(to_adjacency(preset_tritter())).__class__(2, ()),
+            validate_network(2, "boson", [], "design"),
             DotRenderOptions(view=View.DIRECTED),
         )
         assert '"w1";' in dot and '"w2";' in dot
 
     def test_view_mismatch_rejected(self):
-        bip = to_bipartite(to_adjacency(preset_tritter()))
-        with pytest.raises(ValueError):
-            export_dot(bip, DotRenderOptions(view=View.DIRECTED))
+        diag = diagram_of_network(preset_tritter())
+        with pytest.raises(InvalidArgument):
+            export_dot(diag, DotRenderOptions(view=View.DIRECTED))
 
     def test_highlight_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             export_dot(
                 preset_tritter(),
                 DotRenderOptions(view=View.BIPARTITE, highlight_pm=6),
@@ -185,6 +195,36 @@ class TestDot:
                 preset_tritter(),
                 DotRenderOptions(view=View.PM_DIAGRAM, highlight_pm=index),
             )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [preset_tritter(), n5_network()]
+        + [
+            random_network_with_pm(np.random.default_rng(seed), n)
+            for n in range(1, 6)
+            for seed in (n, 10 + n)
+        ],
+    )
+    def test_highlight_marks_the_kth_matching(self, spec):
+        # every view marks the K-th assignment in lexicographic order, and
+        # an index outside 0..count-1 is refused with the matching count
+        expected = brute_force_assignments(spec)
+        relabeling = diagram_of_network(spec).relabeling
+        for view in View:
+            for k, perm in enumerate(expected):
+                dot = export_dot(spec, DotRenderOptions(view=view, highlight_pm=k))
+                marked = {
+                    tuple(int(v) for v in re.findall(r'"[wX]?(\d+)"', line))
+                    for line in dot.splitlines()
+                    if "penwidth=2.5" in line
+                }
+                if view is View.PM_DIAGRAM:
+                    marked = {(a, relabeling[v - 1]) for a, v in marked}
+                assert marked == set(enumerate(perm, start=1))
+            for k in (len(expected), -1):
+                message = f"matching index {k} out of range ({len(expected)} found)"
+                with pytest.raises(InvalidArgument, match=re.escape(message)):
+                    export_dot(spec, DotRenderOptions(view=view, highlight_pm=k))
 
 
 def test_format_complex():

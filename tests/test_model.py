@@ -1,4 +1,4 @@
-"""Core model: validation, adjacency mapping, row exchange, reductions."""
+"""Core model: validation, adjacency mapping, library argument errors."""
 
 import cmath
 import math
@@ -6,28 +6,24 @@ import math
 import numpy as np
 import pytest
 
-from lqngraph.designers import design_dicke2, preset_beamsplitter, preset_tritter
+from lqngraph.designers import (
+    design_dicke2,
+    design_ghz,
+    design_w,
+    preset_beamsplitter,
+    preset_tritter,
+)
 from lqngraph.errors import (
     DuplicateEdge,
     IndexOutOfRange,
+    InvalidArgument,
     RowNotNormalized,
-    SuperposedInternalState,
     ZeroAmplitude,
 )
-from lqngraph.model import (
-    Color,
-    Statistics,
-    exchange_rows,
-    is_unitary,
-    reduce_general_transform,
-    to_adjacency,
-    to_bipartite,
-    to_general_transform,
-    validate_general_transform,
-    validate_network,
-)
-
-from conftest import random_network
+from lqngraph.graphs import diagram_of_network
+from lqngraph.io import DotRenderOptions, View, export_dot
+from lqngraph.model import Color, to_adjacency, validate_network
+from lqngraph.states import NoBunchState
 
 BS_AMPS = (0.6, 0.8j, 1 / math.sqrt(2), -1 / math.sqrt(2))
 
@@ -120,127 +116,37 @@ class TestToAdjacency:
             assert adj.colors[2, j] is Color.DOWN
 
 
-class TestToBipartite:
-    def test_beamsplitter_has_four_edges(self):
-        bip = to_bipartite(
-            to_adjacency(validate_network(2, "boson", beamsplitter_edges(), "strict"))
-        )
-        assert len(bip.edges) == 4
-        assert {(e.particle, e.detector) for e in bip.edges} == {
-            (1, 1), (1, 2), (2, 1), (2, 2),
-        }
-
-    def test_diagonal_gives_disjoint_edges(self):
-        spec = validate_network(
-            4, "boson", [(a, a, 1.0, "down") for a in range(1, 5)], "strict"
-        )
-        bip = to_bipartite(to_adjacency(spec))
-        assert {(e.particle, e.detector) for e in bip.edges} == {
-            (a, a) for a in range(1, 5)
-        }
-
-    def test_edge_multiset_preserved(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            spec = random_network(rng, int(rng.integers(2, 6)))
-            bip = to_bipartite(to_adjacency(spec))
-            original = {
-                (t.source, t.detector): (t.amplitude, t.color)
-                for t in spec.transitions
-            }
-            mapped = {
-                (e.particle, e.detector): (e.weight, e.color) for e in bip.edges
-            }
-            assert mapped == original
-
-
-class TestExchangeRows:
-    def test_beamsplitter_swap_matches_expected(self):
-        a1, b1, a2, b2 = BS_AMPS
-        adj = to_adjacency(validate_network(2, "boson", beamsplitter_edges(), "strict"))
-        swapped, sign = exchange_rows(adj, 1, 2, Statistics.BOSON)
-        assert sign == 1
-        assert np.allclose(swapped.weights, [[a2, b2], [a1, b1]])
-        assert swapped.colors[0, 0] is Color.DOWN
-        assert swapped.colors[1, 0] is Color.UP
-
-    def test_double_swap_is_identity_with_sign_product_one(self):
-        adj = to_adjacency(preset_tritter())
-        once, s1 = exchange_rows(adj, 1, 3, Statistics.FERMION)
-        twice, s2 = exchange_rows(once, 1, 3, Statistics.FERMION)
-        assert s1 * s2 == 1
-        assert np.array_equal(twice.weights, adj.weights)
-        assert all(
-            twice.colors[i, j] is adj.colors[i, j] for i in range(3) for j in range(3)
-        )
-
-    def test_fermion_swap_sign(self):
-        adj = to_adjacency(preset_tritter())
-        _, sign = exchange_rows(adj, 2, 3, Statistics.FERMION)
-        assert sign == -1
-
-    def test_out_of_range(self):
-        adj = to_adjacency(preset_tritter())
-        with pytest.raises(IndexOutOfRange):
-            exchange_rows(adj, 1, 4, Statistics.BOSON)
-
-
-class TestGeneralTransform:
-    def test_single_component_channel_reduces(self):
-        gt = validate_general_transform(1, [(1, 1, 0.6 + 0.8j, 0.0)])
-        spec = reduce_general_transform(gt)
-        (t,) = spec.transitions
-        assert t.amplitude == 0.6 + 0.8j
-        assert t.color is Color.UP
-
-    def test_beamsplitter_roundtrip(self):
-        a1, b1, a2, b2 = BS_AMPS
-        gt = validate_general_transform(
-            2,
-            [(1, 1, a1, 0.0), (1, 2, 0.0, b1), (2, 1, 0.0, a2), (2, 2, b2, 0.0)],
-        )
-        spec = reduce_general_transform(gt)
-        expected = validate_network(2, "boson", beamsplitter_edges(), "strict")
-        assert spec.transitions == expected.transitions
-        assert to_general_transform(spec) == gt
-
-    def test_superposed_channel_rejected(self):
-        h = 1 / math.sqrt(2)
-        gt = validate_general_transform(1, [(1, 1, h, h)])
-        with pytest.raises(SuperposedInternalState) as info:
-            reduce_general_transform(gt)
-        assert (info.value.source, info.value.detector) == (1, 1)
-
-    def test_rows_must_be_normalized(self):
-        with pytest.raises(RowNotNormalized):
-            validate_general_transform(1, [(1, 1, 0.5, 0.5)])
-
-
-class TestIsUnitary:
-    def test_tritter_matrix_is_unitary(self):
-        assert is_unitary(to_adjacency(preset_tritter()))
-
-    def test_identity_is_unitary(self):
-        spec = validate_network(
-            3, "boson", [(a, a, 1.0, "up") for a in (1, 2, 3)], "strict"
-        )
-        assert is_unitary(to_adjacency(spec))
-
-    def test_flat_rows_are_not_unitary(self):
-        h = 1 / math.sqrt(2)
-        spec = validate_network(
-            2,
-            "boson",
-            [(1, 1, h, "up"), (1, 2, h, "up"), (2, 1, h, "up"), (2, 2, h, "up")],
-            "strict",
-        )
-        adj = to_adjacency(spec)
-        # rows are normalized but not orthogonal
-        product = adj.weights @ adj.weights.conj().T
-        assert product[0, 1] == pytest.approx(1.0)
-        assert not is_unitary(adj)
-
-
 def test_beamsplitter_preset_drops_zero_edges():
     spec = preset_beamsplitter(1.0, 0.0, 1 / math.sqrt(2), 1 / math.sqrt(2))
     assert {(t.source, t.detector) for t in spec.transitions} == {(1, 1), (2, 1), (2, 2)}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: validate_network(1, "boson", [(1, 1, 1.0, "x")], "design"),
+        lambda: validate_network(1, "anyon", [(1, 1, 1.0, "up")], "design"),
+        lambda: validate_network(1, "boson", [(1, 1, 1.0, "up")], "loose"),
+        lambda: NoBunchState(2, {"ux": 1.0}),
+        lambda: design_w(3, form="tri"),
+        lambda: design_dicke2(4, preset="paper-n4", amplitudes={(1, 1): 1.0}),
+        lambda: design_ghz(3, amplitudes={(1, 3): 1.0}),
+        lambda: export_dot(
+            diagram_of_network(preset_tritter()), DotRenderOptions(view=View.BIPARTITE)
+        ),
+    ],
+    ids=[
+        "color",
+        "statistics",
+        "mode",
+        "ket",
+        "w-form",
+        "dicke-preset-and-amplitudes",
+        "override-on-absent-edge",
+        "dot-view-of-diagram",
+    ],
+)
+def test_bad_argument_is_invalid_argument(call):
+    # an LQNError, so callers can tell bad input from a bug; still a ValueError
+    with pytest.raises(InvalidArgument):
+        call()
