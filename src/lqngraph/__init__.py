@@ -43,11 +43,9 @@ from .graphs import (
 from .io import DotRenderOptions, View, export_dot, parse_network, serialize_network, serialize_state
 from .model import (
     Color,
-    ColoredAdjacency,
     NetworkSpec,
     NormalizationMode,
     Statistics,
-    to_adjacency,
     validate_network,
 )
 from .states import (

@@ -7,12 +7,13 @@ matching as an object: ``states`` sums the state inside it
 (``walk_prefixes``), and ``io`` stops it at the matching that a DOT
 export highlights. The structural view: merging particle ``a`` and
 detector ``X_a`` into one vertex ``w_a`` turns the bipartite network view
-into a digraph whose loops encode a chosen perfect matching. Every other
-perfect matching is then reachable by exchanging edges along pairwise
-vertex-disjoint elementary cycles. The retained subgraph of loops plus cycle
-edges (the "PM diagram") contains exactly the edges that participate in some
-matching, and its color/connectivity structure is what the entanglement
-criteria inspect.
+into a digraph whose loops encode a chosen perfect matching
+(``to_directed`` makes one edge per transition of the spec and never an
+n×n table). Every other perfect matching is then reachable by exchanging
+edges along pairwise vertex-disjoint elementary cycles. The retained
+subgraph of loops plus cycle edges (the "PM diagram") contains exactly the
+edges that participate in some matching, and its color/connectivity
+structure is what the entanglement criteria inspect.
 
 All vertices are 1-based to match the external index convention.
 """
@@ -23,13 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, TypeVar
 
 from .errors import NoPerfectMatching
-from .model import (
-    BipartiteEdge,
-    Color,
-    ColoredAdjacency,
-    NetworkSpec,
-    to_adjacency,
-)
+from .model import Color, NetworkSpec, Transition
 
 Cycle = tuple[int, ...]
 T = TypeVar("T")
@@ -68,14 +63,14 @@ class PMDiagram:
     original detector whose column was moved to slot ``v`` (vertex ``w_v``
     therefore stands for particle ``v`` and original detector
     ``relabeling[v-1]``). ``cycles`` are the elementary cycles of the
-    retained subgraph; ``removed`` lists the original-label bipartite edges
-    that participate in no perfect matching.
+    retained subgraph; ``removed`` lists the transitions, in original
+    labels, that participate in no perfect matching.
     """
 
     view: DirectedView
     relabeling: tuple[int, ...]
     cycles: tuple[Cycle, ...]
-    removed: tuple[BipartiteEdge, ...]
+    removed: tuple[Transition, ...]
 
     @property
     def n(self) -> int:
@@ -92,20 +87,19 @@ class PMDiagram:
         return tuple(sorted(pairs))
 
     def removed_bipartite_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted((e.particle, e.detector) for e in self.removed))
+        return tuple(sorted((t.source, t.detector) for t in self.removed))
 
 
-def to_directed(adj: ColoredAdjacency) -> DirectedView:
-    """Edge w_a → w_j for every nonzero adjacency entry (loops included)."""
-    edges = []
-    for a in range(adj.n):
-        for j in range(adj.n):
-            color = adj.colors[a, j]
-            if color is not None:
-                edges.append(
-                    DirectedEdge(a + 1, j + 1, complex(adj.weights[a, j]), color)
-                )
-    return DirectedView(adj.n, tuple(edges))
+def to_directed(spec: NetworkSpec) -> DirectedView:
+    """Edge w_a → w_j per transition a → X_j (loops included).
+
+    Edges are sorted by (tail, head); a spec holds one transition per pair.
+    """
+    transitions = sorted(spec.transitions, key=lambda t: (t.source, t.detector))
+    return DirectedView(
+        spec.n,
+        tuple(DirectedEdge(t.source, t.detector, t.amplitude, t.color) for t in transitions),
+    )
 
 
 def _matching_assignment(n: int, neighbors: list[list[int]]) -> tuple[int, ...] | None:
@@ -484,7 +478,7 @@ def pm_diagram(dir_view: DirectedView) -> PMDiagram:
 
     kept_edges = tuple(e for e in relabeled if (e.tail, e.head) in kept)
     removed = tuple(
-        BipartiteEdge(e.tail, relabeling[e.head - 1], e.weight, e.color)
+        Transition(e.tail, relabeling[e.head - 1], e.weight, e.color)
         for e in relabeled
         if (e.tail, e.head) not in kept
     )
@@ -492,30 +486,18 @@ def pm_diagram(dir_view: DirectedView) -> PMDiagram:
 
 
 def diagram_of_network(spec: NetworkSpec) -> PMDiagram:
-    """Convenience chain: spec → adjacency → digraph → PM diagram."""
-    return pm_diagram(to_directed(to_adjacency(spec)))
+    """Convenience chain: spec → digraph → PM diagram."""
+    return pm_diagram(to_directed(spec))
 
 
 def weak_components(diag: PMDiagram) -> tuple[tuple[int, ...], ...]:
-    """Vertex partition into connected components, ignoring direction."""
-    n = diag.n
-    parent = list(range(n + 1))
+    """Vertex partition into connected components, ignoring direction.
 
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in diag.view.edges:
-        ra, rb = find(e.tail), find(e.head)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    blocks: dict[int, list[int]] = {}
-    for v in range(1, n + 1):
-        blocks.setdefault(find(v), []).append(v)
-    return tuple(tuple(sorted(b)) for b in sorted(blocks.values()))
+    Every kept edge of a PM diagram is a loop or lies on a kept elementary
+    cycle, so the two ends of an edge share an SCC: the weak components
+    of a PM diagram are its strongly connected components.
+    """
+    return strongly_connected(diag)[1]
 
 
 def strongly_connected(diag: PMDiagram) -> tuple[bool, tuple[tuple[int, ...], ...]]:

@@ -34,7 +34,6 @@ from .model import (
     Color,
     NetworkSpec,
     polar_amplitude,
-    to_adjacency,
     validate_network,
 )
 from .states import NoBunchState
@@ -230,7 +229,7 @@ def export_dot(
     if opts.view is View.BIPARTITE:
         return _dot_bipartite(artifact, opts, marked)
     if opts.view is View.DIRECTED:
-        return _dot_directed(to_directed(to_adjacency(artifact)), opts, marked)
+        return _dot_directed(to_directed(artifact), opts, marked)
     diag = diagram_of_network(artifact)
     relabeled_marked = set()
     if marked:

@@ -4,22 +4,21 @@ An LQN sends N identical particles through a linear transformation to N
 detectors. Each allowed particle→detector path carries a complex amplitude
 and a two-valued internal state (up/down). The network is equivalently a
 simple bipartite graph (particles vs detectors) whose edges are colored and
-weighted, or a pair of N×N matrices: a complex weight matrix and a color
-matrix with identical sparsity.
+weighted. ``NetworkSpec.transitions`` is that edge list, and every graph
+view in ``graphs`` and ``io`` is built from it in O(edges).
 
 Indices are 1-based at every public surface (particle ``a``, detector
-``X_j``); the matrix representations are plain numpy arrays indexed from 0.
+``X_j``).
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
-
-import numpy as np
 
 from .errors import (
     DuplicateEdge,
@@ -80,30 +79,6 @@ class NetworkSpec:
 
     def transition_map(self) -> dict[tuple[int, int], Transition]:
         return {(t.source, t.detector): t for t in self.transitions}
-
-
-@dataclass(frozen=True)
-class ColoredAdjacency:
-    """Paired weight/color matrices with identical sparsity.
-
-    ``weights`` is an (n, n) complex array; ``colors`` an (n, n) object array
-    holding Color or None. Entry [a-1, j-1] describes the edge a → X_j.
-    """
-
-    weights: np.ndarray
-    colors: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
-
-@dataclass(frozen=True)
-class BipartiteEdge:
-    particle: int
-    detector: int
-    weight: complex
-    color: Color
 
 
 def _coerce_color(value) -> Color:
@@ -177,22 +152,15 @@ def validate_network(
     if normalization_mode is NormalizationMode.STRICT:
         sums = [0.0] * n
         for t in cooked:
-            sums[t.source - 1] += abs(t.amplitude) ** 2
+            try:
+                sums[t.source - 1] += abs(t.amplitude) ** 2
+            except OverflowError:  # |amplitude| above about 1.3e154
+                sums[t.source - 1] = math.inf
         for a, s in enumerate(sums, start=1):
             if abs(s - 1.0) > row_tol:
                 raise RowNotNormalized(a, s)
 
     return NetworkSpec(n, statistics, tuple(cooked), normalization_mode)
-
-
-def to_adjacency(spec: NetworkSpec) -> ColoredAdjacency:
-    """Insert amplitudes and colors into paired n×n matrices."""
-    weights = np.zeros((spec.n, spec.n), dtype=complex)
-    colors = np.full((spec.n, spec.n), None, dtype=object)
-    for t in spec.transitions:
-        weights[t.source - 1, t.detector - 1] = t.amplitude
-        colors[t.source - 1, t.detector - 1] = t.color
-    return ColoredAdjacency(weights, colors)
 
 
 def polar_amplitude(r: float, theta: float) -> complex:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from lqngraph.graphs import DirectedView, walk_matchings
 from lqngraph.model import Color, NetworkSpec, Statistics, validate_network
@@ -42,6 +43,37 @@ def random_network(
             color = "u" if rng.random() < 0.5 else "d"
             edges.append((a, j, complex(amp), color))
     return validate_network(n, statistics, edges, "strict")
+
+
+@st.composite
+def networks(draw, min_n=1, max_n=7, modes=("design",)):
+    """Networks of every density, boson or fermion, in one of ``modes``.
+
+    A strict-mode network gives each empty row one edge and scales every
+    row to unit norm.
+    """
+    n = draw(st.integers(min_n, max_n), label="n")
+    statistics = draw(st.sampled_from(["boson", "fermion"]))
+    mode = draw(st.sampled_from(modes))
+    density = draw(st.sampled_from([0.2, 0.45, 0.7, 0.9, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    edges = [
+        (a, j, complex(*rng.uniform(-1.5, 1.5, 2)), "ud"[rng.integers(0, 2)])
+        for a in range(1, n + 1)
+        for j in range(1, n + 1)
+        if rng.random() < density
+    ]
+    if mode == "strict":
+        rows = [0.0] * (n + 1)
+        for a, _, amp, _ in edges:
+            rows[a] += abs(amp) ** 2
+        for a in range(1, n + 1):
+            if not rows[a]:
+                edges.append((a, int(rng.integers(1, n + 1)), 1.0, "u"))
+                rows[a] = 1.0
+        edges = [(a, j, amp / rows[a] ** 0.5, c) for a, j, amp, c in edges]
+    return validate_network(n, statistics, edges, mode)
 
 
 def matchings(spec: NetworkSpec) -> list[tuple[tuple[int, ...], tuple[Color, ...]]]:

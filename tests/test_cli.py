@@ -419,3 +419,18 @@ class TestHardening:
         assert code == cli.EXIT_VALIDATION
         assert out == ""
         assert "LQN_TOL" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["compute"], ["analyze"], ["verify"], ["dot", "--view", "d"]],
+        ids=["compute", "analyze", "verify", "dot"],
+    )
+    def test_overflowing_strict_row_is_validation_error(self, capsys, tmp_path, argv):
+        # |amp|**2 overflows a float above about 1.3e154
+        edge = {"from": 1, "to": 1, "amp": {"re": 1e200, "im": 0}, "color": "up"}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 1, "statistics": "boson", "edges": [edge]}))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: row 1: squared amplitudes sum to inf, expected 1\n"

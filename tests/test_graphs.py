@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lqngraph.designers import design_cluster4, design_ghz, design_w, preset_tritter
 from lqngraph.entanglement import Verdict, build_report
@@ -20,7 +23,8 @@ from lqngraph.graphs import (
     walk_matchings,
     weak_components,
 )
-from lqngraph.model import Color, to_adjacency, validate_network
+from lqngraph.io import DotRenderOptions, View, export_dot
+from lqngraph.model import Color, NetworkSpec, validate_network
 
 from conftest import (
     N5_DEAD_EDGES,
@@ -28,13 +32,14 @@ from conftest import (
     brute_force_cycles,
     matchings,
     n5_network,
+    networks,
     random_network,
     random_network_with_pm,
 )
 
-
-def directed_of(spec):
-    return to_directed(to_adjacency(spec))
+PROPERTY = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
 
 
 def neighbors_of(spec):
@@ -57,6 +62,13 @@ def walk_of(spec):
     ]
 
 
+def diagram_or_none(spec):
+    try:
+        return diagram_of_network(spec)
+    except NoPerfectMatching:
+        return None
+
+
 def identity_network(n):
     return validate_network(
         n, "boson", [(a, a, 1.0, "up") for a in range(1, n + 1)], "strict"
@@ -71,13 +83,13 @@ def complete_digraph_network(n):
 
 class TestToDirected:
     def test_n5_has_fourteen_edges_with_loops(self):
-        view = directed_of(n5_network())
+        view = to_directed(n5_network())
         assert len(view.edges) == 14
         loops = {(e.tail, e.head) for e in view.edges if e.tail == e.head}
         assert loops == {(v, v) for v in range(1, 6)}
 
     def test_diagonal_gives_loops_only(self):
-        view = directed_of(identity_network(4))
+        view = to_directed(identity_network(4))
         assert {(e.tail, e.head) for e in view.edges} == {(v, v) for v in range(1, 5)}
 
     def test_two_mode_crossing_gives_two_loops_and_a_two_cycle(self):
@@ -88,11 +100,30 @@ class TestToDirected:
             [(1, 1, a1, "u"), (1, 2, b1, "u"), (2, 1, a2, "d"), (2, 2, b2, "d")],
             "strict",
         )
-        view = directed_of(spec)
+        view = to_directed(spec)
         pairs = {(e.tail, e.head) for e in view.edges}
         assert pairs == {(1, 1), (2, 2), (1, 2), (2, 1)}
         weights = {(e.tail, e.head): e.weight for e in view.edges}
         assert weights[(1, 2)] == b1 and weights[(2, 1)] == a2
+
+    @PROPERTY
+    @given(networks(modes=("strict", "design")), st.data())
+    def test_edges_are_the_row_major_scan(self, spec, data):
+        # whatever order the transitions come in, the edges are those of a
+        # row-major scan over every (particle, detector) pair
+        shuffled = data.draw(st.permutations(spec.transitions), label="transitions")
+        spec = NetworkSpec(spec.n, spec.statistics, tuple(shuffled), spec.normalization_mode)
+        by_pair = spec.transition_map()
+        want = [
+            DirectedEdge(a, j, by_pair[(a, j)].amplitude, by_pair[(a, j)].color)
+            for a in range(1, spec.n + 1)
+            for j in range(1, spec.n + 1)
+            if (a, j) in by_pair
+        ]
+        view = to_directed(spec)
+        assert view.n == spec.n
+        assert list(view.edges) == want
+        assert [repr(e.weight) for e in view.edges] == [repr(e.weight) for e in want]
 
 
 class TestInitialMatching:
@@ -120,41 +151,41 @@ class TestRelabelToLoops:
         spec = validate_network(
             2, "boson", [(1, 2, 1.0, "u"), (2, 1, 1.0, "d")], "strict"
         )
-        diag = pm_diagram(directed_of(spec))
+        diag = pm_diagram(to_directed(spec))
         assert diag.relabeling == (2, 1)
         assert {(e.tail, e.head) for e in diag.view.edges} == {(1, 1), (2, 2)}
 
     def test_diagonal_matching_leaves_n5_unchanged(self):
-        view = directed_of(n5_network())
+        view = to_directed(n5_network())
         diag = pm_diagram(view)
         assert diag.relabeling == (1, 2, 3, 4, 5)
         removed = {
-            DirectedEdge(e.particle, e.detector, e.weight, e.color) for e in diag.removed
+            DirectedEdge(t.source, t.detector, t.amplitude, t.color) for t in diag.removed
         }
         assert set(diag.view.edges) | removed == set(view.edges)
 
     def test_tritter_diagonal_is_usable(self):
         spec = preset_tritter()
-        diag = pm_diagram(directed_of(spec))
+        diag = pm_diagram(to_directed(spec))
         assert diag.relabeling == (1, 2, 3)
-        assert diag.view == directed_of(spec)
+        assert diag.view == to_directed(spec)
 
 
 class TestElementaryCycles:
     def test_n5_cycles_match_worked_example(self):
-        cycles = elementary_cycles(directed_of(n5_network()))
+        cycles = elementary_cycles(to_directed(n5_network()))
         assert set(cycles) == {(2, 5), (1, 4), (1, 4, 3)}
 
     def test_loops_only_yields_nothing(self):
-        assert elementary_cycles(directed_of(identity_network(5))) == []
+        assert elementary_cycles(to_directed(identity_network(5))) == []
 
     def test_cluster_network_has_three_cycles(self):
-        cycles = elementary_cycles(directed_of(design_cluster4()))
+        cycles = elementary_cycles(to_directed(design_cluster4()))
         assert set(cycles) == {(1, 2), (3, 4), (1, 2, 3, 4)}
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_complete_digraph_counts(self, n):
-        view = directed_of(complete_digraph_network(n))
+        view = to_directed(complete_digraph_network(n))
         cycles = elementary_cycles(view)
         expected = sum(
             math.comb(n, k) * math.factorial(k - 1) for k in range(2, n + 1)
@@ -166,11 +197,11 @@ class TestElementaryCycles:
         rng = np.random.default_rng(5)
         for _ in range(40):
             spec = random_network(rng, int(rng.integers(2, 7)), edge_prob=0.5)
-            view = directed_of(spec)
+            view = to_directed(spec)
             assert elementary_cycles(view) == brute_force_cycles(view)
 
     def test_canonical_form_and_order(self):
-        cycles = elementary_cycles(directed_of(complete_digraph_network(4)))
+        cycles = elementary_cycles(to_directed(complete_digraph_network(4)))
         assert all(c[0] == min(c) for c in cycles)
         assert cycles == sorted(cycles)
 
@@ -283,7 +314,7 @@ class TestPMDiagram:
         assert diag.relabeling == (1, 2, 3, 4, 5)
 
     def test_loops_only_diagram_is_itself(self):
-        view = directed_of(identity_network(3))
+        view = to_directed(identity_network(3))
         diag = pm_diagram(view)
         assert diag.view == view
         assert diag.cycles == ()
@@ -291,7 +322,7 @@ class TestPMDiagram:
 
     def test_tritter_diagram_keeps_every_edge(self):
         spec = preset_tritter()
-        diag = pm_diagram(directed_of(spec))
+        diag = pm_diagram(to_directed(spec))
         assert diag.removed == ()
         assert len(diag.view.edges) == 9
 
@@ -300,20 +331,23 @@ class TestPMDiagram:
             2, "boson", [(1, 1, 1.0, "u"), (2, 1, 1.0, "u")], "strict"
         )
         with pytest.raises(NoPerfectMatching):
-            pm_diagram(directed_of(spec))
+            pm_diagram(to_directed(spec))
 
-    def test_kept_edges_equal_union_over_matchings(self):
-        rng = np.random.default_rng(31)
-        for _ in range(30):
-            spec = random_network_with_pm(rng, int(rng.integers(2, 7)))
-            diag = diagram_of_network(spec)
-            union = set()
-            for assignment in assignments_of(spec):
-                union |= {(a, j) for a, j in enumerate(assignment, start=1)}
-            assert set(diag.kept_bipartite_pairs()) == union
-            removed = set(diag.removed_bipartite_pairs())
-            all_edges = {(t.source, t.detector) for t in spec.transitions}
-            assert removed == all_edges - union
+    @PROPERTY
+    @given(networks(modes=("strict", "design")))
+    def test_kept_edges_equal_union_over_matchings(self, spec):
+        union = set()
+        for assignment in assignments_of(spec):
+            union |= {(a, j) for a, j in enumerate(assignment, start=1)}
+        diag = diagram_or_none(spec)
+        if diag is None:
+            assert union == set()
+            return
+        assert set(diag.kept_bipartite_pairs()) == union
+        # removed edges are the spec's own transitions, in original labels
+        assert set(diag.removed) == {
+            t for t in spec.transitions if (t.source, t.detector) not in union
+        }
 
 
 class TestConnectivity:
@@ -345,6 +379,31 @@ class TestConnectivity:
         diag = diagram_of_network(design_w(5, form="star"))
         assert weak_components(diag) == ((1, 2, 3, 4, 5),)
 
+    @PROPERTY
+    @given(networks(modes=("strict", "design")))
+    def test_weak_components_are_undirected_reachability(self, spec):
+        diag = diagram_or_none(spec)
+        if diag is None:
+            return
+        linked = {v: set() for v in range(1, diag.n + 1)}
+        for e in diag.view.edges:
+            linked[e.tail].add(e.head)
+            linked[e.head].add(e.tail)
+        components, seen = [], set()
+        for root in range(1, diag.n + 1):
+            if root in seen:
+                continue
+            seen.add(root)
+            frontier, component = [root], []
+            while frontier:
+                v = frontier.pop()
+                component.append(v)
+                for w in linked[v] - seen:
+                    seen.add(w)
+                    frontier.append(w)
+            components.append(tuple(sorted(component)))
+        assert weak_components(diag) == tuple(components)
+
 
 class TestBeyondRecursionLimit:
     # n is above Python's default recursion limit of 1000, so each search
@@ -357,7 +416,7 @@ class TestBeyondRecursionLimit:
         assert report.theorem1.verdict is Verdict.MAY_BE_GENUINE
 
     def test_ghz_ring_has_its_single_cycle(self):
-        cycles = elementary_cycles(directed_of(design_ghz(self.N)))
+        cycles = elementary_cycles(to_directed(design_ghz(self.N)))
         assert cycles == [tuple(range(1, self.N + 1))]
 
     def test_shifted_chain_gets_its_matching(self):
@@ -371,3 +430,19 @@ class TestBeyondRecursionLimit:
         shifted = tuple(range(2, n + 1)) + (1,)
         assert _matching_assignment(n, neighbors_of(spec)) == shifted
         assert assignments_of(spec) == [shifted]
+
+
+def test_sparse_ring_builds_no_square_structure():
+    # a GHZ ring has 2n edges, so analyze, the PM diagram and the directed
+    # DOT view must stay within a few KB per edge; one n×n complex array
+    # alone would take 16 MB at n = 1024
+    spec = design_ghz(1024)
+    tracemalloc.start()
+    try:
+        build_report(spec)
+        diagram_of_network(spec)
+        export_dot(spec, DotRenderOptions(view=View.DIRECTED))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB for {len(spec.transitions)} edges"

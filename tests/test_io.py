@@ -6,9 +6,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from lqngraph.designers import preset_tritter
-from lqngraph.errors import DuplicateEdge, InvalidArgument, ParseError
+from lqngraph.errors import DuplicateEdge, InvalidArgument, LQNError, ParseError
 from lqngraph.graphs import diagram_of_network
 from lqngraph.io import (
     DotRenderOptions,
@@ -19,10 +21,84 @@ from lqngraph.io import (
     serialize_network,
     serialize_state,
 )
-from lqngraph.model import validate_network
+from lqngraph.model import NetworkSpec, validate_network
 from lqngraph.states import assemble_network_state, max_amplitude_difference, normalize
 
 from conftest import brute_force_assignments, n5_network, random_network_with_pm
+
+
+#: JSON scalars of every type, with floats that overflow when squared and
+#: ints too large for a float; ints stay short enough for json.dumps
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**400), 10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e200, -1e200, 1.7976931348623157e308, 5e-324]),
+    st.text(max_size=6),
+)
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+#: ``n`` is an int of at most 16 or not an int at all, since the strict
+#: row check allocates one float per detector
+N_VALUES = st.one_of(
+    st.integers(-2, 16),
+    JSON.filter(lambda v: not isinstance(v, int) or isinstance(v, bool)),
+)
+
+
+@st.composite
+def network_documents(draw):
+    """A network file's JSON with up to four keys dropped or set to any value.
+
+    The keys are drawn from the top level, an edge or an amplitude, so
+    every layer of the format gets broken.
+    """
+    n = draw(st.integers(1, 6), label="n")
+    edges = []
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n))
+    for a, j in draw(st.lists(pairs, max_size=5, unique=True)):
+        parts = ("re", "im") if draw(st.booleans()) else ("r", "theta")
+        amp = {k: draw(st.floats(-2, 2)) for k in parts}
+        color = draw(st.sampled_from(["up", "down"]))
+        edges.append({"from": a, "to": j, "amp": amp, "color": color})
+    doc = {
+        "version": 1,
+        "n": n,
+        "statistics": draw(st.sampled_from(["boson", "fermion"])),
+        "mode": draw(st.sampled_from(["strict", "design"])),
+        "edges": edges,
+    }
+    holders = [doc] + edges + [e["amp"] for e in edges]
+    for _ in range(draw(st.integers(0, 4), label="changes")):
+        holder = draw(st.sampled_from(holders))
+        key = draw(st.sampled_from(sorted(holder) or ["n"]))
+        if draw(st.booleans()):
+            holder.pop(key, None)
+        else:
+            holder[key] = draw(N_VALUES if holder is doc and key == "n" else JSON)
+    return doc if draw(st.integers(0, 9)) else draw(JSON)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(network_documents())
+@example(
+    {
+        "n": 1,
+        "statistics": "boson",
+        "edges": [{"from": 1, "to": 1, "amp": {"re": 1e200, "im": 0}, "color": "up"}],
+    }
+)
+def test_any_document_parses_or_raises_lqn_error(doc):
+    try:
+        spec = parse_network(json.dumps(doc))
+    except LQNError:
+        return
+    assert isinstance(spec, NetworkSpec)
 
 
 class TestParseNetwork:

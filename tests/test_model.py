@@ -1,4 +1,4 @@
-"""Core model: validation, adjacency mapping, library argument errors."""
+"""Core model: validation, the directed edge view, library argument errors."""
 
 import cmath
 import math
@@ -20,9 +20,9 @@ from lqngraph.errors import (
     RowNotNormalized,
     ZeroAmplitude,
 )
-from lqngraph.graphs import diagram_of_network
+from lqngraph.graphs import diagram_of_network, to_directed
 from lqngraph.io import DotRenderOptions, View, export_dot
-from lqngraph.model import Color, to_adjacency, validate_network
+from lqngraph.model import Color, validate_network
 from lqngraph.states import NoBunchState
 
 BS_AMPS = (0.6, 0.8j, 1 / math.sqrt(2), -1 / math.sqrt(2))
@@ -86,34 +86,47 @@ class TestValidateNetwork:
         assert design_dicke2(4, preset="paper-n4").n == 4
 
 
-class TestToAdjacency:
+def matrices_of(spec):
+    """Weight and color matrices read back from the directed view's edges."""
+    view = to_directed(spec)
+    weights = np.zeros((view.n, view.n), dtype=complex)
+    colors = np.full((view.n, view.n), None, dtype=object)
+    for e in view.edges:
+        weights[e.tail - 1, e.head - 1] = e.weight
+        colors[e.tail - 1, e.head - 1] = e.color
+    return weights, colors
+
+
+class TestDirectedEdges:
     def test_beamsplitter_matrices(self):
         a1, b1, a2, b2 = BS_AMPS
-        adj = to_adjacency(validate_network(2, "boson", beamsplitter_edges(), "strict"))
-        assert np.allclose(adj.weights, [[a1, b1], [a2, b2]])
-        assert adj.colors[0, 0] is Color.UP and adj.colors[0, 1] is Color.DOWN
-        assert adj.colors[1, 0] is Color.DOWN and adj.colors[1, 1] is Color.UP
+        weights, colors = matrices_of(
+            validate_network(2, "boson", beamsplitter_edges(), "strict")
+        )
+        assert np.allclose(weights, [[a1, b1], [a2, b2]])
+        assert colors[0, 0] is Color.UP and colors[0, 1] is Color.DOWN
+        assert colors[1, 0] is Color.DOWN and colors[1, 1] is Color.UP
 
     def test_identity_network_is_diagonal(self):
         spec = validate_network(
             3, "boson", [(a, a, 1.0, "up") for a in (1, 2, 3)], "strict"
         )
-        adj = to_adjacency(spec)
-        assert np.allclose(adj.weights, np.eye(3))
-        assert all(adj.colors[i, i] is Color.UP for i in range(3))
+        weights, colors = matrices_of(spec)
+        assert np.allclose(weights, np.eye(3))
+        assert all(colors[i, i] is Color.UP for i in range(3))
         assert all(
-            adj.colors[i, j] is None for i in range(3) for j in range(3) if i != j
+            colors[i, j] is None for i in range(3) for j in range(3) if i != j
         )
 
     def test_tritter_matrix(self):
         w = cmath.exp(2j * math.pi / 3)
         expected = np.array([[1, w, w**2], [w, 1, w**2], [1, 1, 1]]) / math.sqrt(3)
-        adj = to_adjacency(preset_tritter())
-        assert np.allclose(adj.weights, expected)
+        weights, colors = matrices_of(preset_tritter())
+        assert np.allclose(weights, expected)
         for j in range(3):
-            assert adj.colors[0, j] is Color.UP
-            assert adj.colors[1, j] is Color.UP
-            assert adj.colors[2, j] is Color.DOWN
+            assert colors[0, j] is Color.UP
+            assert colors[1, j] is Color.UP
+            assert colors[2, j] is Color.DOWN
 
 
 def test_beamsplitter_preset_drops_zero_edges():
@@ -150,3 +163,11 @@ def test_bad_argument_is_invalid_argument(call):
     # an LQNError, so callers can tell bad input from a bug; still a ValueError
     with pytest.raises(InvalidArgument):
         call()
+
+
+@pytest.mark.parametrize("amp", [1e200, complex(1e308, 1e308)])
+def test_strict_row_whose_square_overflows_is_not_normalized(amp):
+    with pytest.raises(RowNotNormalized) as info:
+        validate_network(2, "boson", [(1, 1, 1.0, "up"), (2, 2, amp, "up")], "strict")
+    assert info.value.row == 2
+    assert info.value.actual_sum == math.inf

@@ -20,24 +20,13 @@ from lqngraph.states import (
     oracle_state,
 )
 
-from conftest import brute_force_assignments, matchings, n5_network, random_network
-
-
-@st.composite
-def networks(draw, min_n=1, max_n=7):
-    """Design-mode networks of every density, boson or fermion."""
-    n = draw(st.integers(min_n, max_n), label="n")
-    statistics = draw(st.sampled_from(["boson", "fermion"]))
-    density = draw(st.sampled_from([0.2, 0.45, 0.7, 0.9, 1.0]))
-    seed = draw(st.integers(0, 2**32 - 1), label="seed")
-    rng = np.random.default_rng(seed)
-    edges = [
-        (a, j, complex(*rng.uniform(-1.5, 1.5, 2)), "ud"[rng.integers(0, 2)])
-        for a in range(1, n + 1)
-        for j in range(1, n + 1)
-        if rng.random() < density
-    ]
-    return validate_network(n, statistics, edges, "design")
+from conftest import (
+    brute_force_assignments,
+    matchings,
+    n5_network,
+    networks,
+    random_network,
+)
 
 
 def rounding_bound(spec):
