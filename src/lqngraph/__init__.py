@@ -35,10 +35,8 @@ from .graphs import (
     diagram_of_network,
     elementary_cycles,
     pm_diagram,
-    strongly_connected,
     to_directed,
     walk_matchings,
-    weak_components,
 )
 from .io import DotRenderOptions, View, export_dot, parse_network, serialize_network, serialize_state
 from .model import (

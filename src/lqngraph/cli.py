@@ -139,10 +139,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_pm_diagram(args) -> int:
     spec = _load(args.file)
-    diag = diagram_of_network(spec)
     if args.dot:
-        sys.stdout.write(io.export_dot(diag, io.DotRenderOptions(view=io.View.PM_DIAGRAM)))
+        sys.stdout.write(io.export_dot(spec, io.DotRenderOptions(view=io.View.PM_DIAGRAM)))
         return EXIT_OK
+    diag = diagram_of_network(spec)
     print("retained edges (particle, detector):")
     for a, j in diag.kept_bipartite_pairs():
         print(f"  ({a}, X{j})")

@@ -6,7 +6,9 @@ detector to a computational-basis state; a weakly disconnected diagram
 forces the state to factor across the component blocks; and genuine
 N-partite entanglement requires both incoming colors at every vertex and a
 strongly connected diagram (necessary conditions only: a structurally healthy
-diagram can still produce a separable state for special amplitudes).
+diagram can still produce a separable state for special amplitudes). The
+diagram's SCCs are its weak components, so lemma 2, theorem 1 and the
+numeric route all read the one partition ``PMDiagram.components``.
 
 The numerical route works on an assembled state directly: the Schmidt rank
 across a detector bipartition is 1 exactly when the state factors there,
@@ -25,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, TooLarge
-from .graphs import PMDiagram, diagram_of_network, strongly_connected, weak_components
+from .graphs import PMDiagram, diagram_of_network
 from .model import Color, NetworkSpec, NormalizationMode, Transition, validate_network
 from .states import NoBunchState, assemble_network_state, normalize
 
@@ -113,7 +115,7 @@ def lemma2_partition(diag: PMDiagram) -> Partition:
     across the blocks. Reported in original detector indices.
     """
     blocks = []
-    for comp in weak_components(diag):
+    for comp in diag.components:
         blocks.append(tuple(sorted(diag.detector_of_vertex(v) for v in comp)))
     return tuple(sorted(blocks))
 
@@ -128,7 +130,7 @@ def theorem1_check(diag: PMDiagram) -> Theorem1Report:
     color_ok = tuple(
         colors == {Color.UP, Color.DOWN} for colors in _incoming_colors(diag)
     )
-    strong, _ = strongly_connected(diag)
+    strong = len(diag.components) == 1
     verdict = (
         Verdict.MAY_BE_GENUINE
         if strong and all(color_ok)
@@ -270,7 +272,7 @@ def _partition_by_component(
     particles and detectors are renumbered 1..m in ascending order. The
     size limit applies per component and is checked before any assembly.
     """
-    components = weak_components(diag)
+    components = diag.components
     largest = max(len(c) for c in components)
     if largest > PARTITION_LIMIT:
         raise TooLarge(largest, PARTITION_LIMIT)

@@ -12,8 +12,10 @@ into a digraph whose loops encode a chosen perfect matching
 n×n table). Every other perfect matching is then reachable by exchanging
 edges along pairwise vertex-disjoint elementary cycles. The retained
 subgraph of loops plus cycle edges (the "PM diagram") contains exactly the
-edges that participate in some matching, and its color/connectivity
-structure is what the entanglement criteria inspect.
+edges that participate in some matching. ``pm_diagram`` finds its
+strongly connected components once and keeps them on the diagram; they
+are also its weak components. Those components and the edge colors are
+what the entanglement criteria inspect.
 
 All vertices are 1-based to match the external index convention.
 """
@@ -64,13 +66,18 @@ class PMDiagram:
     therefore stands for particle ``v`` and original detector
     ``relabeling[v-1]``). ``cycles`` are the elementary cycles of the
     retained subgraph; ``removed`` lists the transitions, in original
-    labels, that participate in no perfect matching.
+    labels, that participate in no perfect matching. ``components`` is the
+    strongly connected partition of ``view``: sorted vertex tuples in
+    ascending order. Every kept edge is a loop or lies on a kept cycle, so
+    the two ends of an edge share an SCC, and these are also the weak
+    components.
     """
 
     view: DirectedView
     relabeling: tuple[int, ...]
     cycles: tuple[Cycle, ...]
     removed: tuple[Transition, ...]
+    components: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
@@ -476,32 +483,17 @@ def pm_diagram(dir_view: DirectedView) -> PMDiagram:
         for k, v in enumerate(c):
             kept.add((v, c[(k + 1) % len(c)]))
 
-    kept_edges = tuple(e for e in relabeled if (e.tail, e.head) in kept)
+    kept_view = DirectedView(n, tuple(e for e in relabeled if (e.tail, e.head) in kept))
     removed = tuple(
         Transition(e.tail, relabeling[e.head - 1], e.weight, e.color)
         for e in relabeled
         if (e.tail, e.head) not in kept
     )
-    return PMDiagram(DirectedView(n, kept_edges), relabeling, cycles, removed)
+    components = tuple(sorted(tuple(c) for c in _tarjan_sccs(n, kept_view.successors())))
+    return PMDiagram(kept_view, relabeling, cycles, removed, components)
 
 
 def diagram_of_network(spec: NetworkSpec) -> PMDiagram:
     """Convenience chain: spec → digraph → PM diagram."""
     return pm_diagram(to_directed(spec))
 
-
-def weak_components(diag: PMDiagram) -> tuple[tuple[int, ...], ...]:
-    """Vertex partition into connected components, ignoring direction.
-
-    Every kept edge of a PM diagram is a loop or lies on a kept elementary
-    cycle, so the two ends of an edge share an SCC: the weak components
-    of a PM diagram are its strongly connected components.
-    """
-    return strongly_connected(diag)[1]
-
-
-def strongly_connected(diag: PMDiagram) -> tuple[bool, tuple[tuple[int, ...], ...]]:
-    """SCC decomposition; True iff one component spans every vertex."""
-    sccs = _tarjan_sccs(diag.n, diag.view.successors())
-    partition = tuple(tuple(c) for c in sorted(sccs))
-    return len(partition) == 1, partition

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidArgument, ParseError
-from .graphs import (
-    DirectedView,
-    PMDiagram,
-    diagram_of_network,
-    to_directed,
-    walk_matchings,
-)
+from .graphs import DirectedView, diagram_of_network, to_directed, walk_matchings
 from .model import (
     DEFAULT_TOL,
     Color,
@@ -205,32 +199,20 @@ def _matching_pairs(spec: NetworkSpec, index: int) -> set[tuple[int, int]]:
     raise InvalidArgument(f"matching index {index} out of range ({found} found)")
 
 
-def export_dot(
-    artifact: NetworkSpec | PMDiagram,
-    opts: DotRenderOptions = DotRenderOptions(),
-) -> str:
-    """Render an artifact as DOT text; deterministic edge order.
+def export_dot(spec: NetworkSpec, opts: DotRenderOptions = DotRenderOptions()) -> str:
+    """Render a network as DOT text; deterministic edge order.
 
-    A NetworkSpec is rendered in the view chosen by ``opts.view``, with
-    matching ``opts.highlight_pm`` (an index into the lexicographic
-    matching order) drawn bold when given. A PMDiagram renders only as
-    ``View.PM_DIAGRAM``.
+    The view is chosen by ``opts.view``, with matching ``opts.highlight_pm``
+    (an index into the lexicographic matching order) drawn bold when given.
     """
-    if isinstance(artifact, PMDiagram):
-        if opts.view is not View.PM_DIAGRAM:
-            raise InvalidArgument(f"diagram artifact cannot render view {opts.view.value}")
-        return _dot_directed(artifact.view, opts, set())
-    if not isinstance(artifact, NetworkSpec):
-        raise TypeError(f"cannot render {type(artifact).__name__}")
-
     marked: set = set()
     if opts.highlight_pm is not None:
-        marked = _matching_pairs(artifact, opts.highlight_pm)
+        marked = _matching_pairs(spec, opts.highlight_pm)
     if opts.view is View.BIPARTITE:
-        return _dot_bipartite(artifact, opts, marked)
+        return _dot_bipartite(spec, opts, marked)
     if opts.view is View.DIRECTED:
-        return _dot_directed(to_directed(artifact), opts, marked)
-    diag = diagram_of_network(artifact)
+        return _dot_directed(to_directed(spec), opts, marked)
+    diag = diagram_of_network(spec)
     relabeled_marked = set()
     if marked:
         slot_of = {d: v for v, d in enumerate(diag.relabeling, start=1)}

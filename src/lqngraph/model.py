@@ -14,6 +14,7 @@ Indices are 1-based at every public surface (particle ``a``, detector
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -150,14 +151,17 @@ def validate_network(
         cooked.append(Transition(a, j, amp, _coerce_color(color)))
 
     if normalization_mode is NormalizationMode.STRICT:
-        sums = [0.0] * n
+        sums: dict[int, float] = {}
         for t in cooked:
             try:
-                sums[t.source - 1] += abs(t.amplitude) ** 2
+                sums[t.source] = sums.get(t.source, 0.0) + abs(t.amplitude) ** 2
             except OverflowError:  # |amplitude| above about 1.3e154
-                sums[t.source - 1] = math.inf
-        for a, s in enumerate(sums, start=1):
-            if abs(s - 1.0) > row_tol:
+                sums[t.source] = math.inf
+        # every empty row sums to 0.0, so the first one stands for them all
+        first_empty = next(a for a in itertools.count(1) if a not in sums)
+        for a in sorted(sums.keys() | {first_empty}):
+            s = sums.get(a, 0.0)
+            if a <= n and abs(s - 1.0) > row_tol:
                 raise RowNotNormalized(a, s)
 
     return NetworkSpec(n, statistics, tuple(cooked), normalization_mode)

@@ -434,3 +434,12 @@ class TestHardening:
         assert code == cli.EXIT_VALIDATION
         assert out == ""
         assert err == "error: row 1: squared amplitudes sum to inf, expected 1\n"
+
+    def test_strict_file_with_huge_n_is_validation_error(self, capsys, tmp_path):
+        edge = {"from": 1, "to": 1, "amp": {"re": 1.0, "im": 0.0}, "color": "up"}
+        path = tmp_path / "huge-n.json"
+        path.write_text(json.dumps({"n": 10**20, "statistics": "boson", "edges": [edge]}))
+        code, out, err = run(capsys, "compute", str(path))
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: row 2: squared amplitudes sum to 0.0, expected 1\n"

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from lqngraph import graphs
 from lqngraph.designers import design_ghz, design_w
 from lqngraph.entanglement import (
     Bipartition,
@@ -28,6 +29,7 @@ from lqngraph.states import NoBunchState, assemble_network_state, normalize
 from conftest import (
     matchings,
     n5_network,
+    networks,
     random_network_with_pm,
     superposed_subsystem_network,
 )
@@ -137,6 +139,40 @@ class TestTheorem1:
                 assemble_network_state(generic_amplitudes(spec, rng))
             )
             assert len(finest_partition(state)) > 1
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(networks(min_n=2, modes=("strict", "design")), st.integers(0, 2**32 - 1))
+def test_structural_criteria_are_sound(spec, numeric_seed):
+    pms = matchings(spec)
+    assume(pms)
+    diag = diagram_of_network(spec)
+    # lemma 1: a pinned detector takes its color in every matching
+    for vertex, color in lemma1_separable_vertices(diag):
+        detector = diag.detector_of_vertex(vertex)
+        for assignment, colors in pms:
+            assert colors[assignment.index(detector)] is color
+    # lemma 2: the generic state factors at least across the diagram blocks
+    generic = generic_amplitudes(spec, np.random.default_rng(numeric_seed))
+    numeric = finest_partition(normalize(assemble_network_state(generic)))
+    blocks = [set(block) for block in lemma2_partition(diag)]
+    assert all(any(set(b) <= block for block in blocks) for b in numeric)
+    # theorem 1: a diagram failing its conditions gives no genuine entanglement
+    if theorem1_check(diag).verdict is Verdict.CANNOT_BE_GENUINE:
+        assert len(numeric) > 1
+
+
+def test_report_finds_the_diagram_components_once(monkeypatch):
+    calls = []
+
+    def counting(n, succ):
+        calls.append(n)
+        return tarjan(n, succ)
+
+    tarjan = graphs._tarjan_sccs
+    monkeypatch.setattr(graphs, "_tarjan_sccs", counting)
+    build_report(loops_only(3), numeric_seed=0)
+    assert calls == [3]
 
 
 class TestTheorem2:

@@ -1,0 +1,72 @@
+"""Structural CLI outputs pinned byte for byte against a recorded file.
+
+``fixtures/structural_golden.json`` holds stdout, stderr and exit code of
+each structural command on both fixtures and four designer networks. To
+rewrite it after an intended output change, run from the repo root:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import lqngraph.cli as cli
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = FIXTURES / "structural_golden.json"
+
+DESIGNS = {
+    "ghz5-udduu": ["ghz", "--n", "5", "--colors", "udduu"],
+    "w6-ring": ["w", "--n", "6", "--form", "ring"],
+    "cluster4": ["cluster4"],
+    "dicke5-paper": ["dicke", "--n", "5", "--preset", "paper-n5"],
+}
+
+COMMANDS = (
+    ["analyze"],
+    ["analyze", "--json"],
+    ["analyze", "--numeric", "3", "--json"],
+    ["pm-diagram"],
+    ["pm-diagram", "--dot"],
+    ["dot", "--view", "pm"],
+    ["dot", "--view", "pm", "--highlight", "0"],
+)
+
+
+def _run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.cli_main(argv)
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+def structural_outputs(workdir: Path) -> dict:
+    """{input name: {command: {stdout, stderr, exit}}} for every pair."""
+    inputs = {name: FIXTURES / name for name in ("n5_example.json", "tritter.json")}
+    for name, args in DESIGNS.items():
+        path = workdir / f"{name}.json"
+        assert _run(["design", *args, "--out", str(path)])["exit"] == 0
+        inputs[name] = path
+    return {
+        name: {
+            " ".join(command): _run([command[0], str(path), *command[1:]])
+            for command in COMMANDS
+        }
+        for name, path in inputs.items()
+    }
+
+
+def test_structural_commands_match_golden(tmp_path):
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert structural_outputs(tmp_path) == expected
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as workdir:
+        outputs = structural_outputs(Path(workdir))
+    GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    sys.stdout.write(f"wrote {GOLDEN}\n")

@@ -18,10 +18,8 @@ from lqngraph.graphs import (
     diagram_of_network,
     elementary_cycles,
     pm_diagram,
-    strongly_connected,
     to_directed,
     walk_matchings,
-    weak_components,
 )
 from lqngraph.io import DotRenderOptions, View, export_dot
 from lqngraph.model import Color, NetworkSpec, validate_network
@@ -353,31 +351,26 @@ class TestPMDiagram:
 class TestConnectivity:
     def test_n5_weak_components(self):
         diag = diagram_of_network(n5_network())
-        assert weak_components(diag) == ((1, 3, 4), (2, 5))
+        assert diag.components == ((1, 3, 4), (2, 5))
 
     def test_loops_only_gives_singletons(self):
         diag = diagram_of_network(identity_network(3))
-        assert weak_components(diag) == ((1,), (2,), (3,))
+        assert diag.components == ((1,), (2,), (3,))
 
     def test_ghz_diagram_is_one_component_and_strong(self):
         diag = diagram_of_network(design_ghz(4))
-        assert weak_components(diag) == ((1, 2, 3, 4),)
-        ok, partition = strongly_connected(diag)
-        assert ok and partition == ((1, 2, 3, 4),)
+        assert diag.components == ((1, 2, 3, 4),)
 
     def test_n5_is_not_strongly_connected(self):
-        ok, partition = strongly_connected(diagram_of_network(n5_network()))
-        assert not ok
-        assert len(partition) > 1
+        assert len(diagram_of_network(n5_network()).components) > 1
 
     def test_single_vertex_with_loop(self):
         diag = diagram_of_network(identity_network(1))
-        ok, partition = strongly_connected(diag)
-        assert ok and partition == ((1,),)
+        assert diag.components == ((1,),)
 
     def test_w_star_is_single_block(self):
         diag = diagram_of_network(design_w(5, form="star"))
-        assert weak_components(diag) == ((1, 2, 3, 4, 5),)
+        assert diag.components == ((1, 2, 3, 4, 5),)
 
     @PROPERTY
     @given(networks(modes=("strict", "design")))
@@ -402,7 +395,7 @@ class TestConnectivity:
                     seen.add(w)
                     frontier.append(w)
             components.append(tuple(sorted(component)))
-        assert weak_components(diag) == tuple(components)
+        assert diag.components == tuple(components)
 
 
 class TestBeyondRecursionLimit:

@@ -213,8 +213,7 @@ class TestDot:
         assert '"w2" -> "w2"' in dot
 
     def test_pm_diagram_has_eleven_edges(self):
-        diag = diagram_of_network(n5_network())
-        dot = export_dot(diag, DotRenderOptions(view=View.PM_DIAGRAM))
+        dot = export_dot(n5_network(), DotRenderOptions(view=View.PM_DIAGRAM))
         assert dot.count("->") == 11
 
     def test_bipartite_is_undirected_with_ranks(self):
@@ -251,11 +250,6 @@ class TestDot:
             DotRenderOptions(view=View.DIRECTED),
         )
         assert '"w1";' in dot and '"w2";' in dot
-
-    def test_view_mismatch_rejected(self):
-        diag = diagram_of_network(preset_tritter())
-        with pytest.raises(InvalidArgument):
-            export_dot(diag, DotRenderOptions(view=View.DIRECTED))
 
     def test_highlight_out_of_range(self):
         with pytest.raises(InvalidArgument):

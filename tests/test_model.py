@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lqngraph.designers import (
     design_dicke2,
@@ -20,8 +22,7 @@ from lqngraph.errors import (
     RowNotNormalized,
     ZeroAmplitude,
 )
-from lqngraph.graphs import diagram_of_network, to_directed
-from lqngraph.io import DotRenderOptions, View, export_dot
+from lqngraph.graphs import to_directed
 from lqngraph.model import Color, validate_network
 from lqngraph.states import NoBunchState
 
@@ -144,9 +145,6 @@ def test_beamsplitter_preset_drops_zero_edges():
         lambda: design_w(3, form="tri"),
         lambda: design_dicke2(4, preset="paper-n4", amplitudes={(1, 1): 1.0}),
         lambda: design_ghz(3, amplitudes={(1, 3): 1.0}),
-        lambda: export_dot(
-            diagram_of_network(preset_tritter()), DotRenderOptions(view=View.BIPARTITE)
-        ),
     ],
     ids=[
         "color",
@@ -156,7 +154,6 @@ def test_beamsplitter_preset_drops_zero_edges():
         "w-form",
         "dicke-preset-and-amplitudes",
         "override-on-absent-edge",
-        "dot-view-of-diagram",
     ],
 )
 def test_bad_argument_is_invalid_argument(call):
@@ -171,3 +168,35 @@ def test_strict_row_whose_square_overflows_is_not_normalized(amp):
         validate_network(2, "boson", [(1, 1, 1.0, "up"), (2, 2, amp, "up")], "strict")
     assert info.value.row == 2
     assert info.value.actual_sum == math.inf
+
+
+@pytest.mark.parametrize(
+    "transitions, row", [([], 1), ([(1, 1, 1.0, "up")], 2)], ids=["no-edges", "row-1-only"]
+)
+def test_strict_check_on_huge_n_stops_at_first_empty_row(transitions, row):
+    with pytest.raises(RowNotNormalized) as info:
+        validate_network(10**20, "boson", transitions, "strict")
+    assert info.value.row == row
+    assert info.value.actual_sum == 0.0
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 5), st.integers(1, 5), st.floats(0.1, 1.2)),
+        max_size=12,
+        unique_by=lambda e: e[:2],
+    ),
+    st.sampled_from([1e-9, 0.5, 1.0, 2.0]),
+)
+def test_strict_check_reports_the_lowest_failing_row(edges, row_tol):
+    sums = [0.0] * 5
+    for a, _, amp in edges:
+        sums[a - 1] += amp**2
+    failing = [a for a, s in enumerate(sums, start=1) if abs(s - 1.0) > row_tol]
+    transitions = [(a, j, amp, "up") for a, j, amp in edges]
+    if not failing:
+        assert validate_network(5, "boson", transitions, "strict", row_tol=row_tol).n == 5
+        return
+    with pytest.raises(RowNotNormalized) as info:
+        validate_network(5, "boson", transitions, "strict", row_tol=row_tol)
+    assert (info.value.row, info.value.actual_sum) == (failing[0], sums[failing[0] - 1])
