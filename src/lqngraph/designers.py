@@ -65,16 +65,12 @@ def _apply_overrides(edges: RawEdges, amplitudes: AmplitudeOverrides | None) -> 
     ]
 
 
-def design_ghz(
-    n: int,
-    colors: Iterable[Color | str] | str | None = None,
-    amplitudes: AmplitudeOverrides | None = None,
-) -> NetworkSpec:
+def design_ghz(n: int, colors: Iterable[Color | str] | str | None = None) -> NetworkSpec:
     """Loops plus one ring: exactly two matchings, giving |c> + |c⊕1>.
 
     The loop at vertex a carries color c_a; the ring edge a → a+1 (mod n)
-    carries the flip of c_{a+1}. Default amplitudes are 1/sqrt(2) on every
-    edge, which makes the output the balanced superposition.
+    carries the flip of c_{a+1}. Every edge has amplitude 1/sqrt(2), which
+    makes the output the balanced superposition.
     """
     if n < 2:
         raise BadLength(f"ring construction needs n >= 2, got {n}")
@@ -85,9 +81,7 @@ def design_ghz(
         succ = a % n + 1
         edges.append((a, a, amp, c[a - 1]))
         edges.append((a, succ, amp, c[succ - 1].flipped()))
-    edges = _apply_overrides(edges, amplitudes)
-    mode = NormalizationMode.STRICT if amplitudes is None else NormalizationMode.DESIGN
-    return validate_network(n, Statistics.BOSON, edges, mode)
+    return validate_network(n, Statistics.BOSON, edges, NormalizationMode.STRICT)
 
 
 def design_w(

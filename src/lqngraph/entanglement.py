@@ -90,8 +90,8 @@ class SeparabilityReport:
 
 def _incoming_colors(diag: PMDiagram) -> list[set[Color]]:
     incoming: list[set[Color]] = [set() for _ in range(diag.n)]
-    for e in diag.view.edges:
-        incoming[e.head - 1].add(e.color)
+    for t in diag.network.transitions:
+        incoming[t.detector - 1].add(t.color)
     return incoming
 
 
@@ -147,7 +147,7 @@ def theorem2_w_optimal_check(diag: PMDiagram) -> WOptimalityReport:
     loop counts as leaving its vertex).
     """
     red = sorted(
-        (e.tail, e.head) for e in diag.view.edges if e.color is Color.DOWN
+        (t.source, t.detector) for t in diag.network.transitions if t.color is Color.DOWN
     )
     sources = tuple(sorted({t for t, _ in red}))
     diagnostics = []
@@ -260,9 +260,7 @@ def generic_amplitudes(
     return validate_network(spec.n, spec.statistics, raw, "strict")
 
 
-def _partition_by_component(
-    spec: NetworkSpec, diag: PMDiagram, sv_tol: float
-) -> Partition:
+def _partition_by_component(spec: NetworkSpec, diag: PMDiagram) -> Partition:
     """Finest partition of the state of ``spec``, one diagram component at a time.
 
     An edge between two weak components lies in no perfect matching, so the
@@ -299,16 +297,12 @@ def _partition_by_component(
             len(dets), spec.statistics, tuple(transitions), NormalizationMode.DESIGN
         )
         state = normalize(assemble_network_state(sub))
-        for block in finest_partition(state, sv_tol):
+        for block in finest_partition(state):
             blocks.append(tuple(dets[d - 1] for d in block))
     return tuple(sorted(blocks))
 
 
-def build_report(
-    spec: NetworkSpec,
-    numeric_seed: int | None = None,
-    sv_tol: float = DEFAULT_SV_TOL,
-) -> SeparabilityReport:
+def build_report(spec: NetworkSpec, numeric_seed: int | None = None) -> SeparabilityReport:
     """Structural report for a network, optionally with a numeric partition.
 
     The numeric part redraws amplitudes generically from ``numeric_seed``
@@ -324,7 +318,7 @@ def build_report(
         if numeric_seed < 0:
             raise InvalidArgument(f"numeric seed must be >= 0, got {numeric_seed}")
         generic = generic_amplitudes(spec, np.random.default_rng(numeric_seed))
-        numeric = _partition_by_component(generic, diag, sv_tol)
+        numeric = _partition_by_component(generic, diag)
     return SeparabilityReport(
         tuple(lemma1_separable_vertices(diag)),
         lemma2_partition(diag),

@@ -1,79 +1,58 @@
-"""Perfect matchings of a network and the directed-graph view of them.
+"""Perfect matchings of a network and the PM diagram built from them.
 
 Matchings are enumerated by a depth-first search over particles in order
 (``walk_matchings``), with the last three placed from a table keyed by the
 detectors left free. It is the package's only enumeration, and it keeps no
 matching as an object: ``states`` sums the state inside it
 (``walk_prefixes``), and ``io`` stops it at the matching that a DOT
-export highlights. The structural view: merging particle ``a`` and
-detector ``X_a`` into one vertex ``w_a`` turns the bipartite network view
-into a digraph whose loops encode a chosen perfect matching
-(``to_directed`` makes one edge per transition of the spec and never an
-n×n table). Every other perfect matching is then reachable by exchanging
-edges along pairwise vertex-disjoint elementary cycles. The retained
-subgraph of loops plus cycle edges (the "PM diagram") contains exactly the
-edges that participate in some matching. ``pm_diagram`` finds its
-strongly connected components once and keeps them on the diagram; they
-are also its weak components. Those components and the edge colors are
-what the entanglement criteria inspect.
+export highlights. The structural picture: merging particle ``a`` and
+detector ``X_a`` into one vertex ``w_a`` turns each transition a → X_j
+into a digraph edge w_a → w_j, so a ``NetworkSpec`` is read as that
+digraph directly, with no second edge type. Relabeling the detectors so a
+chosen perfect matching becomes the loops, every other perfect matching
+is reachable by exchanging edges along pairwise vertex-disjoint
+elementary cycles. The retained subgraph of loops plus cycle edges (the
+"PM diagram") contains exactly the edges that participate in some
+matching; ``diagram_of_network`` keeps it as a ``NetworkSpec`` in the
+relabeled coordinates, finds its strongly connected components once and
+keeps them on the diagram; they are also its weak components. Those
+components and the edge colors are what the entanglement criteria
+inspect.
 
 All vertices are 1-based to match the external index convention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, TypeVar
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .errors import NoPerfectMatching
-from .model import Color, NetworkSpec, Transition
+from .model import NetworkSpec, NormalizationMode, Transition
 
 Cycle = tuple[int, ...]
 T = TypeVar("T")
 
 
 @dataclass(frozen=True)
-class DirectedEdge:
-    tail: int
-    head: int
-    weight: complex
-    color: Color
-
-
-@dataclass(frozen=True)
-class DirectedView:
-    """Digraph on vertices w_1..w_n; loops allowed."""
-
-    n: int
-    edges: tuple[DirectedEdge, ...]
-
-    def successors(self) -> list[list[int]]:
-        """Sorted non-loop out-neighbors per vertex (index 0 ↔ w_1)."""
-        out: list[set[int]] = [set() for _ in range(self.n)]
-        for e in self.edges:
-            if e.tail != e.head:
-                out[e.tail - 1].add(e.head)
-        return [sorted(s) for s in out]
-
-
-@dataclass(frozen=True)
 class PMDiagram:
     """Loop-labeled digraph retaining only loops and elementary-cycle edges.
 
-    ``view`` lives in relabeled coordinates where the reference matching is
-    the diagonal, so every vertex carries a loop. ``relabeling[v-1]`` is the
-    original detector whose column was moved to slot ``v`` (vertex ``w_v``
-    therefore stands for particle ``v`` and original detector
-    ``relabeling[v-1]``). ``cycles`` are the elementary cycles of the
-    retained subgraph; ``removed`` lists the transitions, in original
-    labels, that participate in no perfect matching. ``components`` is the
-    strongly connected partition of ``view``: sorted vertex tuples in
-    ascending order. Every kept edge is a loop or lies on a kept cycle, so
-    the two ends of an edge share an SCC, and these are also the weak
-    components.
+    ``network`` is the diagram as a design-mode ``NetworkSpec`` in
+    relabeled coordinates, where the reference matching is the diagonal,
+    so every vertex carries a loop: its transition a → X_v is the edge
+    w_a → w_v. ``relabeling[v-1]`` is the original detector whose column
+    was moved to slot ``v`` (vertex ``w_v`` therefore stands for particle
+    ``v`` and original detector ``relabeling[v-1]``). ``cycles`` are the
+    elementary cycles of the retained subgraph; ``removed`` lists the
+    transitions, in original labels, that participate in no perfect
+    matching. ``components`` is the strongly connected partition of
+    ``network``: sorted vertex tuples in ascending order. Every kept edge
+    is a loop or lies on a kept cycle, so the two ends of an edge share an
+    SCC, and these are also the weak components.
     """
 
-    view: DirectedView
+    network: NetworkSpec
     relabeling: tuple[int, ...]
     cycles: tuple[Cycle, ...]
     removed: tuple[Transition, ...]
@@ -81,7 +60,7 @@ class PMDiagram:
 
     @property
     def n(self) -> int:
-        return self.view.n
+        return self.network.n
 
     def detector_of_vertex(self, v: int) -> int:
         return self.relabeling[v - 1]
@@ -89,7 +68,7 @@ class PMDiagram:
     def kept_bipartite_pairs(self) -> tuple[tuple[int, int], ...]:
         """Maximally matchable edges as original (particle, detector) pairs."""
         pairs = {
-            (e.tail, self.relabeling[e.head - 1]) for e in self.view.edges
+            (t.source, self.relabeling[t.detector - 1]) for t in self.network.transitions
         }
         return tuple(sorted(pairs))
 
@@ -97,16 +76,25 @@ class PMDiagram:
         return tuple(sorted((t.source, t.detector) for t in self.removed))
 
 
-def to_directed(spec: NetworkSpec) -> DirectedView:
-    """Edge w_a → w_j per transition a → X_j (loops included).
+def _successors(spec: NetworkSpec) -> list[list[int]]:
+    """Sorted non-loop out-neighbors of each vertex (index 0 ↔ w_1)."""
+    out: list[list[int]] = [[] for _ in range(spec.n)]
+    for t in spec.transitions:
+        if t.source != t.detector:
+            out[t.source - 1].append(t.detector)
+    for succ in out:
+        succ.sort()
+    return out
 
-    Edges are sorted by (tail, head); a spec holds one transition per pair.
+
+def _misses_a_vertex(n: int, pairs: Sequence[Sequence[int]]) -> bool:
+    """Whether a particle or a detector is in none of the (a, j, ...) pairs.
+
+    Such a vertex rules out every perfect matching. The check takes
+    O(len(pairs)), so a network whose ``n`` is far above its edge count is
+    answered before any list with one entry per vertex is built.
     """
-    transitions = sorted(spec.transitions, key=lambda t: (t.source, t.detector))
-    return DirectedView(
-        spec.n,
-        tuple(DirectedEdge(t.source, t.detector, t.amplitude, t.color) for t in transitions),
-    )
+    return len({p[0] for p in pairs}) < n or len({p[1] for p in pairs}) < n
 
 
 def _matching_assignment(n: int, neighbors: list[list[int]]) -> tuple[int, ...] | None:
@@ -203,8 +191,10 @@ def _tarjan_sccs(n: int, succ: list[list[int]]) -> list[list[int]]:
     return sccs
 
 
-def elementary_cycles(dir_view: DirectedView) -> list[Cycle]:
-    """All elementary cycles of length >= 2; loops are excluded.
+def elementary_cycles(spec: NetworkSpec) -> list[Cycle]:
+    """All elementary cycles of length >= 2 of the digraph of ``spec``.
+
+    Each transition a → X_j is an edge w_a → w_j; loops are excluded.
 
     Johnson-style blocked search over sorted non-loop adjacency lists, with
     explicit stacks. For each start vertex s (ascending), only the strongly
@@ -212,8 +202,8 @@ def elementary_cycles(dir_view: DirectedView) -> list[Cycle]:
     cycle is reported exactly once, rooted at its smallest vertex. Output is
     sorted lexicographically.
     """
-    n = dir_view.n
-    succ_all = dir_view.successors()
+    n = spec.n
+    succ_all = _successors(spec)
     max_pred = [0] * (n + 1)
     for v, succ in enumerate(succ_all, start=1):
         for w in succ:
@@ -353,6 +343,9 @@ def walk_prefixes(
     its weight product and parity, and the completion rows of its free
     detectors, as ``_completion_rows`` describes.
     """
+    edges = list(edges)
+    if _misses_a_vertex(n, edges):
+        return
     options: list[list[tuple[int, int, complex, T]]] = [[] for _ in range(n)]
     for a, j, w, tag in edges:
         options[a - 1].append((1 << j, j, w, tag))
@@ -437,8 +430,9 @@ def walk_matchings(
     of the assignment permutation. Both lists are updated in place between
     matchings; copy them to keep them.
 
-    A network without a perfect matching is detected up front by one
-    augmenting-path search. A branch is pruned as soon as a free detector
+    A network without a perfect matching is detected up front, by an
+    O(edges) check that every particle and every detector has an edge and
+    then by one augmenting-path search. A branch is pruned as soon as a free detector
     has lost its last unassigned neighbor. The last ``TABLE_PARTICLES``
     particles are not searched: each placement of the others is completed
     from a table of rows keyed by its free detectors (``walk_prefixes``).
@@ -453,16 +447,21 @@ def walk_matchings(
             yield assignment, tags, ((prefix * w1) * w2) * w3, parity ^ odd
 
 
-def pm_diagram(dir_view: DirectedView) -> PMDiagram:
-    """Restrict a loop-labelable digraph to loops plus elementary-cycle edges.
+def diagram_of_network(spec: NetworkSpec) -> PMDiagram:
+    """Restrict the digraph of ``spec`` to loops plus elementary-cycle edges.
 
-    Raises NoPerfectMatching when the underlying network has no matching
-    (without one there is no loop labeling to define the diagram).
+    The transitions are taken in (particle, detector) order, so the base
+    matching, and with it the relabeling, does not depend on the order the
+    spec lists them in. Raises NoPerfectMatching when the network has no
+    matching (without one there is no loop labeling to define the diagram).
     """
-    n = dir_view.n
+    n = spec.n
+    transitions = sorted(spec.transitions, key=lambda t: (t.source, t.detector))
+    if _misses_a_vertex(n, [(t.source, t.detector) for t in transitions]):
+        raise NoPerfectMatching("network has no perfect matching")
     neighbors: list[list[int]] = [[] for _ in range(n)]
-    for e in dir_view.edges:
-        neighbors[e.tail - 1].append(e.head)
+    for t in transitions:
+        neighbors[t.source - 1].append(t.detector)
     relabeling = _matching_assignment(n, neighbors)
     if relabeling is None:
         raise NoPerfectMatching("network has no perfect matching")
@@ -472,28 +471,27 @@ def pm_diagram(dir_view: DirectedView) -> PMDiagram:
     slot_of = [0] * (n + 1)
     for a, j in enumerate(relabeling, start=1):
         slot_of[j] = a
-    relabeled = tuple(
-        DirectedEdge(e.tail, slot_of[e.head], e.weight, e.color)
-        for e in dir_view.edges
+    relabeled = NetworkSpec(
+        n,
+        spec.statistics,
+        tuple(Transition(t.source, slot_of[t.detector], t.amplitude, t.color) for t in transitions),
+        NormalizationMode.DESIGN,
     )
-    cycles = tuple(elementary_cycles(DirectedView(n, relabeled)))
+    cycles = tuple(elementary_cycles(relabeled))
 
     kept: set[tuple[int, int]] = {(v, v) for v in range(1, n + 1)}
     for c in cycles:
         for k, v in enumerate(c):
             kept.add((v, c[(k + 1) % len(c)]))
 
-    kept_view = DirectedView(n, tuple(e for e in relabeled if (e.tail, e.head) in kept))
-    removed = tuple(
-        Transition(e.tail, relabeling[e.head - 1], e.weight, e.color)
-        for e in relabeled
-        if (e.tail, e.head) not in kept
+    network = replace(
+        relabeled,
+        transitions=tuple(t for t in relabeled.transitions if (t.source, t.detector) in kept),
     )
-    components = tuple(sorted(tuple(c) for c in _tarjan_sccs(n, kept_view.successors())))
-    return PMDiagram(kept_view, relabeling, cycles, removed, components)
-
-
-def diagram_of_network(spec: NetworkSpec) -> PMDiagram:
-    """Convenience chain: spec → digraph → PM diagram."""
-    return pm_diagram(to_directed(spec))
-
+    removed = tuple(
+        t
+        for t, r in zip(transitions, relabeled.transitions)
+        if (r.source, r.detector) not in kept
+    )
+    components = tuple(sorted(tuple(c) for c in _tarjan_sccs(n, _successors(network))))
+    return PMDiagram(network, relabeling, cycles, removed, components)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidArgument, ParseError
-from .graphs import DirectedView, diagram_of_network, to_directed, walk_matchings
+from .graphs import diagram_of_network, walk_matchings
 from .model import (
     DEFAULT_TOL,
     Color,
@@ -174,13 +174,14 @@ def _dot_bipartite(spec: NetworkSpec, opts: DotRenderOptions, marked: set) -> st
     return "\n".join(lines) + "\n"
 
 
-def _dot_directed(view: DirectedView, opts: DotRenderOptions, marked: set) -> str:
+def _dot_directed(spec: NetworkSpec, opts: DotRenderOptions, marked: set) -> str:
+    """The digraph on w_1..w_n with one edge w_a → w_j per transition a → X_j."""
     lines = ["digraph network {"]
-    for v in range(1, view.n + 1):
+    for v in range(1, spec.n + 1):
         lines.append(f'  "w{v}";')
-    for e in sorted(view.edges, key=lambda e: (e.tail, e.head)):
-        attrs = _edge_attrs(e.color, e.weight, opts, (e.tail, e.head) in marked)
-        lines.append(f'  "w{e.tail}" -> "w{e.head}" [{attrs}];')
+    for t in sorted(spec.transitions, key=lambda t: (t.source, t.detector)):
+        attrs = _edge_attrs(t.color, t.amplitude, opts, (t.source, t.detector) in marked)
+        lines.append(f'  "w{t.source}" -> "w{t.detector}" [{attrs}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -211,10 +212,10 @@ def export_dot(spec: NetworkSpec, opts: DotRenderOptions = DotRenderOptions()) -
     if opts.view is View.BIPARTITE:
         return _dot_bipartite(spec, opts, marked)
     if opts.view is View.DIRECTED:
-        return _dot_directed(to_directed(spec), opts, marked)
+        return _dot_directed(spec, opts, marked)
     diag = diagram_of_network(spec)
     relabeled_marked = set()
     if marked:
         slot_of = {d: v for v, d in enumerate(diag.relabeling, start=1)}
         relabeled_marked = {(a, slot_of[j]) for a, j in marked}
-    return _dot_directed(diag.view, opts, relabeled_marked)
+    return _dot_directed(diag.network, opts, relabeled_marked)

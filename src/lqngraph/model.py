@@ -4,8 +4,10 @@ An LQN sends N identical particles through a linear transformation to N
 detectors. Each allowed particle→detector path carries a complex amplitude
 and a two-valued internal state (up/down). The network is equivalently a
 simple bipartite graph (particles vs detectors) whose edges are colored and
-weighted. ``NetworkSpec.transitions`` is that edge list, and every graph
-view in ``graphs`` and ``io`` is built from it in O(edges).
+weighted. ``NetworkSpec.transitions`` is that edge list. Merging particle
+``a`` with detector ``X_a`` reads the same list as a digraph with one edge
+w_a → w_j per transition, so ``graphs`` and ``io`` work on the spec itself,
+and the PM diagram is a ``NetworkSpec`` too: no other edge type exists.
 
 Indices are 1-based at every public surface (particle ``a``, detector
 ``X_j``).

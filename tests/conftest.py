@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from lqngraph.graphs import DirectedView, walk_matchings
+from lqngraph.graphs import walk_matchings
 from lqngraph.model import Color, NetworkSpec, Statistics, validate_network
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -160,12 +160,13 @@ def superposed_subsystem_network() -> NetworkSpec:
     return validate_network(3, Statistics.BOSON, edges, "strict")
 
 
-def brute_force_cycles(view: DirectedView) -> list[tuple[int, ...]]:
-    """All elementary cycles (length >= 2) by scanning vertex orderings."""
-    edges = {(e.tail, e.head) for e in view.edges}
+def brute_force_cycles(spec: NetworkSpec) -> list[tuple[int, ...]]:
+    """All elementary cycles (length >= 2) of the digraph w_a → w_j per
+    transition a → X_j, by scanning vertex orderings."""
+    edges = {(t.source, t.detector) for t in spec.transitions}
     found = set()
-    vertices = range(1, view.n + 1)
-    for k in range(2, view.n + 1):
+    vertices = range(1, spec.n + 1)
+    for k in range(2, spec.n + 1):
         for subset in itertools.combinations(vertices, k):
             first = subset[0]
             for rest in itertools.permutations(subset[1:]):

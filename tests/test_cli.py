@@ -258,6 +258,18 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", str(fixtures_dir / "tritter.json"))
         assert code == cli.EXIT_MISMATCH
 
+    def test_oracle_limit_is_checked_before_assembly(self, capsys, tmp_path, monkeypatch):
+        assembled = []
+        monkeypatch.setattr(cli.states, "assemble_network_state", assembled.append)
+        n = cli.states.ORACLE_LIMIT + 1
+        path = tmp_path / "ghz.json"
+        path.write_text(serialize_network(design_ghz(n)))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err == f"error: n={n} exceeds the exhaustive-enumeration limit 10\n"
+        assert assembled == []
+
 
 class TestDot:
     def test_views(self, capsys, fixtures_dir):
@@ -443,3 +455,26 @@ class TestHardening:
         assert code == cli.EXIT_VALIDATION
         assert out == ""
         assert err == "error: row 2: squared amplitudes sum to 0.0, expected 1\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compute"], "state has zero norm (no matchings or exact cancellation)"),
+            (["analyze", "--numeric"], "network has no perfect matching"),
+            (["pm-diagram"], "network has no perfect matching"),
+            (["verify"], f"n={10**12} exceeds the exhaustive-enumeration limit 10"),
+            (["dot", "--view", "pm"], "network has no perfect matching"),
+        ],
+        ids=["compute", "analyze", "pm-diagram", "verify", "dot-pm"],
+    )
+    def test_design_file_with_huge_n_has_no_matching(self, capsys, tmp_path, argv, message):
+        # detectors 2..n have no edge, which an O(edges) scan finds before
+        # any list with one entry per vertex is built
+        edge = {"from": 1, "to": 1, "amp": {"re": 1.0, "im": 0.0}, "color": "up"}
+        doc = {"n": 10**12, "statistics": "boson", "mode": "design", "edges": [edge]}
+        path = tmp_path / "huge-n.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err == f"error: {message}\n"

@@ -21,7 +21,7 @@ from lqngraph.entanglement import (
     theorem2_w_optimal_check,
 )
 from lqngraph.errors import BadLength, InvalidArgument, NoPresetForN, RowNotNormalized
-from lqngraph.graphs import diagram_of_network, elementary_cycles, to_directed
+from lqngraph.graphs import diagram_of_network, elementary_cycles
 from lqngraph.io import parse_network, serialize_network
 from lqngraph.model import Color, Statistics
 from lqngraph.states import assemble_network_state, max_amplitude_difference, normalize
@@ -227,7 +227,7 @@ class TestCluster4:
         assert max_error_up_to_phase(state, target) <= 1e-10
 
     def test_three_elementary_cycles(self):
-        cycles = elementary_cycles(to_directed(design_cluster4()))
+        cycles = elementary_cycles(design_cluster4())
         assert set(cycles) == {(1, 2), (3, 4), (1, 2, 3, 4)}
 
     def test_passes_necessary_conditions(self):

@@ -1,8 +1,9 @@
 """Structural CLI outputs pinned byte for byte against a recorded file.
 
 ``fixtures/structural_golden.json`` holds stdout, stderr and exit code of
-each structural command on both fixtures and four designer networks. To
-rewrite it after an intended output change, run from the repo root:
+each structural command, and of ``compute`` and ``verify``, on both
+fixtures and four designer networks. To rewrite it after an intended
+output change, run from the repo root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -34,6 +35,11 @@ COMMANDS = (
     ["pm-diagram", "--dot"],
     ["dot", "--view", "pm"],
     ["dot", "--view", "pm", "--highlight", "0"],
+    ["dot", "--view", "d"],
+    ["dot", "--view", "d", "--weights"],
+    ["dot", "--view", "bb", "--highlight", "0"],
+    ["compute", "--json"],
+    ["verify"],
 )
 
 

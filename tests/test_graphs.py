@@ -13,12 +13,10 @@ from lqngraph.designers import design_cluster4, design_ghz, design_w, preset_tri
 from lqngraph.entanglement import Verdict, build_report
 from lqngraph.errors import NoPerfectMatching
 from lqngraph.graphs import (
-    DirectedEdge,
     _matching_assignment,
+    _successors,
     diagram_of_network,
     elementary_cycles,
-    pm_diagram,
-    to_directed,
     walk_matchings,
 )
 from lqngraph.io import DotRenderOptions, View, export_dot
@@ -73,6 +71,21 @@ def identity_network(n):
     )
 
 
+def no_matching_networks():
+    """Two networks without a perfect matching: in the first, detector X2
+    has no edge; in the second, every vertex has one, but particles 1 and 2
+    both reach X1 alone."""
+    return [
+        validate_network(2, "boson", [(1, 1, 1.0, "u"), (2, 1, 1.0, "u")], "strict"),
+        validate_network(
+            3,
+            "boson",
+            [(1, 1, 1.0, "u"), (2, 1, 1.0, "u"), (3, 2, 1.0, "u"), (3, 3, 1.0, "d")],
+            "design",
+        ),
+    ]
+
+
 def complete_digraph_network(n):
     amp = 1 / math.sqrt(n)
     edges = [(a, j, amp, "up") for a in range(1, n + 1) for j in range(1, n + 1)]
@@ -80,15 +93,17 @@ def complete_digraph_network(n):
 
 
 class TestToDirected:
+    """A spec is its own digraph: edge w_a → w_j per transition a → X_j."""
+
     def test_n5_has_fourteen_edges_with_loops(self):
-        view = to_directed(n5_network())
-        assert len(view.edges) == 14
-        loops = {(e.tail, e.head) for e in view.edges if e.tail == e.head}
+        spec = n5_network()
+        assert len(spec.transitions) == 14
+        loops = {(t.source, t.detector) for t in spec.transitions if t.source == t.detector}
         assert loops == {(v, v) for v in range(1, 6)}
+        assert _successors(spec) == [[4], [1, 3, 4, 5], [1], [1, 3], [2]]
 
     def test_diagonal_gives_loops_only(self):
-        view = to_directed(identity_network(4))
-        assert {(e.tail, e.head) for e in view.edges} == {(v, v) for v in range(1, 5)}
+        assert _successors(identity_network(4)) == [[], [], [], []]
 
     def test_two_mode_crossing_gives_two_loops_and_a_two_cycle(self):
         a1, b1, a2, b2 = 0.6, 0.8, 0.8, 0.6
@@ -98,30 +113,10 @@ class TestToDirected:
             [(1, 1, a1, "u"), (1, 2, b1, "u"), (2, 1, a2, "d"), (2, 2, b2, "d")],
             "strict",
         )
-        view = to_directed(spec)
-        pairs = {(e.tail, e.head) for e in view.edges}
-        assert pairs == {(1, 1), (2, 2), (1, 2), (2, 1)}
-        weights = {(e.tail, e.head): e.weight for e in view.edges}
+        assert _successors(spec) == [[2], [1]]
+        assert elementary_cycles(spec) == [(1, 2)]
+        weights = {pair: t.amplitude for pair, t in spec.transition_map().items()}
         assert weights[(1, 2)] == b1 and weights[(2, 1)] == a2
-
-    @PROPERTY
-    @given(networks(modes=("strict", "design")), st.data())
-    def test_edges_are_the_row_major_scan(self, spec, data):
-        # whatever order the transitions come in, the edges are those of a
-        # row-major scan over every (particle, detector) pair
-        shuffled = data.draw(st.permutations(spec.transitions), label="transitions")
-        spec = NetworkSpec(spec.n, spec.statistics, tuple(shuffled), spec.normalization_mode)
-        by_pair = spec.transition_map()
-        want = [
-            DirectedEdge(a, j, by_pair[(a, j)].amplitude, by_pair[(a, j)].color)
-            for a in range(1, spec.n + 1)
-            for j in range(1, spec.n + 1)
-            if (a, j) in by_pair
-        ]
-        view = to_directed(spec)
-        assert view.n == spec.n
-        assert list(view.edges) == want
-        assert [repr(e.weight) for e in view.edges] == [repr(e.weight) for e in want]
 
 
 class TestInitialMatching:
@@ -143,63 +138,59 @@ class TestInitialMatching:
 
 
 class TestRelabelToLoops:
-    """``pm_diagram`` moves the base matching onto the diagonal."""
+    """``diagram_of_network`` moves the base matching onto the diagonal."""
 
     def test_swap_only_network_gets_loops(self):
         spec = validate_network(
             2, "boson", [(1, 2, 1.0, "u"), (2, 1, 1.0, "d")], "strict"
         )
-        diag = pm_diagram(to_directed(spec))
+        diag = diagram_of_network(spec)
         assert diag.relabeling == (2, 1)
-        assert {(e.tail, e.head) for e in diag.view.edges} == {(1, 1), (2, 2)}
+        assert {(t.source, t.detector) for t in diag.network.transitions} == {(1, 1), (2, 2)}
 
     def test_diagonal_matching_leaves_n5_unchanged(self):
-        view = to_directed(n5_network())
-        diag = pm_diagram(view)
+        spec = n5_network()
+        diag = diagram_of_network(spec)
         assert diag.relabeling == (1, 2, 3, 4, 5)
-        removed = {
-            DirectedEdge(t.source, t.detector, t.amplitude, t.color) for t in diag.removed
-        }
-        assert set(diag.view.edges) | removed == set(view.edges)
+        assert set(diag.network.transitions) | set(diag.removed) == set(spec.transitions)
 
     def test_tritter_diagonal_is_usable(self):
         spec = preset_tritter()
-        diag = pm_diagram(to_directed(spec))
+        diag = diagram_of_network(spec)
         assert diag.relabeling == (1, 2, 3)
-        assert diag.view == to_directed(spec)
+        assert diag.network.transitions == spec.transitions
 
 
 class TestElementaryCycles:
     def test_n5_cycles_match_worked_example(self):
-        cycles = elementary_cycles(to_directed(n5_network()))
+        cycles = elementary_cycles(n5_network())
         assert set(cycles) == {(2, 5), (1, 4), (1, 4, 3)}
 
     def test_loops_only_yields_nothing(self):
-        assert elementary_cycles(to_directed(identity_network(5))) == []
+        assert elementary_cycles(identity_network(5)) == []
 
     def test_cluster_network_has_three_cycles(self):
-        cycles = elementary_cycles(to_directed(design_cluster4()))
+        cycles = elementary_cycles(design_cluster4())
         assert set(cycles) == {(1, 2), (3, 4), (1, 2, 3, 4)}
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_complete_digraph_counts(self, n):
-        view = to_directed(complete_digraph_network(n))
-        cycles = elementary_cycles(view)
+        spec = complete_digraph_network(n)
+        cycles = elementary_cycles(spec)
         expected = sum(
             math.comb(n, k) * math.factorial(k - 1) for k in range(2, n + 1)
         )
         assert len(cycles) == expected
-        assert cycles == brute_force_cycles(view)
+        assert cycles == brute_force_cycles(spec)
 
     def test_random_digraphs_match_brute_force(self):
         rng = np.random.default_rng(5)
         for _ in range(40):
             spec = random_network(rng, int(rng.integers(2, 7)), edge_prob=0.5)
-            view = to_directed(spec)
-            assert elementary_cycles(view) == brute_force_cycles(view)
+            assert elementary_cycles(spec) == brute_force_cycles(spec)
 
     def test_canonical_form_and_order(self):
-        cycles = elementary_cycles(to_directed(complete_digraph_network(4)))
+        cycles = elementary_cycles(complete_digraph_network(4))
         assert all(c[0] == min(c) for c in cycles)
         assert cycles == sorted(cycles)
 
@@ -234,10 +225,8 @@ class TestEnumeratePMs:
         )
 
     def test_no_matching_gives_empty_list(self):
-        spec = validate_network(
-            2, "boson", [(1, 1, 1.0, "u"), (2, 1, 1.0, "u")], "strict"
-        )
-        assert matchings(spec) == []
+        for spec in no_matching_networks():
+            assert matchings(spec) == []
 
     def test_matches_brute_force_up_to_n7(self):
         rng = np.random.default_rng(17)
@@ -308,28 +297,44 @@ class TestPMDiagram:
     def test_n5_removes_exactly_the_dead_row2_edges(self):
         diag = diagram_of_network(n5_network())
         assert set(diag.removed_bipartite_pairs()) == N5_DEAD_EDGES
-        assert len(diag.view.edges) == 11
+        assert len(diag.network.transitions) == 11
         assert diag.relabeling == (1, 2, 3, 4, 5)
 
     def test_loops_only_diagram_is_itself(self):
-        view = to_directed(identity_network(3))
-        diag = pm_diagram(view)
-        assert diag.view == view
+        spec = identity_network(3)
+        diag = diagram_of_network(spec)
+        assert diag.network.transitions == spec.transitions
         assert diag.cycles == ()
         assert diag.removed == ()
 
     def test_tritter_diagram_keeps_every_edge(self):
         spec = preset_tritter()
-        diag = pm_diagram(to_directed(spec))
+        diag = diagram_of_network(spec)
         assert diag.removed == ()
-        assert len(diag.view.edges) == 9
+        assert len(diag.network.transitions) == 9
 
     def test_no_matching_raises(self):
-        spec = validate_network(
-            2, "boson", [(1, 1, 1.0, "u"), (2, 1, 1.0, "u")], "strict"
+        for spec in no_matching_networks():
+            with pytest.raises(NoPerfectMatching):
+                diagram_of_network(spec)
+
+    @PROPERTY
+    @given(networks(modes=("strict", "design")), st.data())
+    def test_diagram_ignores_transition_order(self, spec, data):
+        # the base matching, and with it the relabeling, depends only on
+        # the set of transitions, not on the order the spec lists them in
+        diag = diagram_or_none(spec)
+        shuffled = data.draw(st.permutations(spec.transitions), label="transitions")
+        other = diagram_or_none(
+            NetworkSpec(spec.n, spec.statistics, tuple(shuffled), spec.normalization_mode)
         )
-        with pytest.raises(NoPerfectMatching):
-            pm_diagram(to_directed(spec))
+        if diag is None:
+            assert other is None
+            return
+        assert other.relabeling == diag.relabeling
+        assert other.kept_bipartite_pairs() == diag.kept_bipartite_pairs()
+        assert other.removed_bipartite_pairs() == diag.removed_bipartite_pairs()
+        assert other.components == diag.components
 
     @PROPERTY
     @given(networks(modes=("strict", "design")))
@@ -379,9 +384,9 @@ class TestConnectivity:
         if diag is None:
             return
         linked = {v: set() for v in range(1, diag.n + 1)}
-        for e in diag.view.edges:
-            linked[e.tail].add(e.head)
-            linked[e.head].add(e.tail)
+        for t in diag.network.transitions:
+            linked[t.source].add(t.detector)
+            linked[t.detector].add(t.source)
         components, seen = [], set()
         for root in range(1, diag.n + 1):
             if root in seen:
@@ -409,7 +414,7 @@ class TestBeyondRecursionLimit:
         assert report.theorem1.verdict is Verdict.MAY_BE_GENUINE
 
     def test_ghz_ring_has_its_single_cycle(self):
-        cycles = elementary_cycles(to_directed(design_ghz(self.N)))
+        cycles = elementary_cycles(design_ghz(self.N))
         assert cycles == [tuple(range(1, self.N + 1))]
 
     def test_shifted_chain_gets_its_matching(self):
