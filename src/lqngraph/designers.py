@@ -24,6 +24,7 @@ from .model import (
     NetworkSpec,
     NormalizationMode,
     Statistics,
+    _index,
     validate_network,
 )
 
@@ -72,6 +73,7 @@ def design_ghz(n: int, colors: Iterable[Color | str] | str | None = None) -> Net
     carries the flip of c_{a+1}. Every edge has amplitude 1/sqrt(2), which
     makes the output the balanced superposition.
     """
+    n = _index(n, "n")
     if n < 2:
         raise BadLength(f"ring construction needs n >= 2, got {n}")
     c = color_vector(colors, n)
@@ -100,6 +102,7 @@ def design_w(
     With the default all-up colors the loop at the hub is red and the state
     is the standard uniform-magnitude W state.
     """
+    n = _index(n, "n")
     if n < 3:
         raise BadLength(f"W construction needs n >= 3, got {n}")
     if form not in ("star", "ring"):
@@ -163,6 +166,7 @@ def design_dicke2(
     (n=5, hub rows normalized only). Without a preset, amplitudes default
     to balanced row magnitudes, or to explicit per-edge overrides.
     """
+    n = _index(n, "n")
     if n < 4:
         raise BadLength(f"two-excitation construction needs n >= 4, got {n}")
     hub_amp = 1 / math.sqrt(n - 1)

@@ -21,18 +21,19 @@ the component states.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, TooLarge
+from .errors import DimensionMismatch, InvalidArgument, TooLarge, ZeroState
 from .graphs import PMDiagram, diagram_of_network
-from .model import Color, NetworkSpec, NormalizationMode, Transition, validate_network
+from .model import Color, NetworkSpec, NormalizationMode, Transition
 from .states import NoBunchState, assemble_network_state, normalize
 
 PARTITION_LIMIT = 10
-DEFAULT_SV_TOL = 1e-8
+#: singular values at or below this fraction of the largest count as zero
+SV_TOL = 1e-8
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -171,49 +172,45 @@ def _amplitude_tensor(state: NoBunchState) -> np.ndarray:
     return tensor
 
 
-def _rank_across(
-    tensor: np.ndarray, axes: tuple[int, ...], tol: float, want_factors: bool
-):
+def _rank_across(tensor: np.ndarray, axes: tuple[int, ...]):
+    """``(rank, left, right)`` across ``axes``: the leading factors, whose
+    outer product is the tensor when the rank is 1."""
     m = tensor.ndim
     rest = tuple(i for i in range(m) if i not in axes)
     mat = np.transpose(tensor, axes + rest).reshape(2 ** len(axes), 2 ** len(rest))
-    if want_factors:
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    else:
-        s = np.linalg.svd(mat, compute_uv=False)
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
     top = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > tol * top)) if top > 0 else 0
-    if not want_factors:
-        return rank
+    rank = int(np.sum(s > SV_TOL * top)) if top > 0 else 0
     left = (u[:, 0] * s[0]).reshape((2,) * len(axes))
     right = vh[0, :].reshape((2,) * len(rest))
     return rank, left, right
 
 
-def schmidt_rank(
-    state: NoBunchState, cut: Bipartition, tol: float = DEFAULT_SV_TOL
-) -> int:
+def schmidt_rank(state: NoBunchState, cut: Bipartition) -> int:
     """Rank of the amplitude matricization across the cut.
 
-    Singular values are counted above ``tol`` times the largest one; rank 1
-    means the state is a product across the cut.
+    Singular values are counted above ``SV_TOL`` times the largest one;
+    rank 1 means the state is a product across the cut.
     """
     if cut.n != state.n:
         raise DimensionMismatch(f"cut over {cut.n} detectors, state has {state.n}")
     axes = tuple(d - 1 for d in sorted(cut.subset))
-    return _rank_across(_amplitude_tensor(state), axes, tol, want_factors=False)
+    return _rank_across(_amplitude_tensor(state), axes)[0]
 
 
-def finest_partition(state: NoBunchState, tol: float = DEFAULT_SV_TOL) -> Partition:
+def finest_partition(state: NoBunchState) -> Partition:
     """Finest detector partition across which the pure state factorizes.
 
     Recursively splits along any rank-1 bipartition, smallest subset first;
     pure-state factorizations are unique, so the search order does not
     affect the result. A single full-size block means the state is
-    genuinely entangled.
+    genuinely entangled. The zero state has no partition: it raises
+    ZeroState.
     """
     if state.n > PARTITION_LIMIT:
         raise TooLarge(state.n, PARTITION_LIMIT)
+    if not any(state.amplitudes.values()):
+        raise ZeroState("state has zero norm (no kets to partition)")
 
     blocks: list[tuple[int, ...]] = []
 
@@ -223,7 +220,7 @@ def finest_partition(state: NoBunchState, tol: float = DEFAULT_SV_TOL) -> Partit
             for axes in itertools.combinations(range(m), size):
                 if 2 * size == m and 0 not in axes:
                     continue
-                rank, left, right = _rank_across(tensor, axes, tol, want_factors=True)
+                rank, left, right = _rank_across(tensor, axes)
                 if rank == 1:
                     inside = tuple(detectors[i] for i in axes)
                     outside = tuple(
@@ -241,23 +238,27 @@ def finest_partition(state: NoBunchState, tol: float = DEFAULT_SV_TOL) -> Partit
 def generic_amplitudes(
     spec: NetworkSpec, rng: np.random.Generator
 ) -> NetworkSpec:
-    """Redraw amplitudes generically, keeping sparsity, colors, statistics.
+    """Redraw amplitudes generically, keeping everything else of ``spec``.
 
-    Magnitudes land in [0.3, 1] with uniform phases and rows are then
-    normalized, which avoids both accidental cancellations and accidental
-    product structure beyond what the topology forces.
+    Per transition, in spec order, a magnitude in [0.3, 1] and then a
+    uniform phase are drawn, and each row is then normalized, which avoids
+    both accidental cancellations and accidental product structure beyond
+    what the topology forces. The drawn values are nonzero and finite, so
+    the spec's validation still holds and is not run again.
     """
-    raw = []
+    drawn = []
     for t in spec.transitions:
         mag = rng.uniform(0.3, 1.0)
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        raw.append([t.source, t.detector, mag * np.exp(1j * phase), t.color])
+        drawn.append(mag * np.exp(1j * phase))
     row_norm = [0.0] * spec.n
-    for a, _, amp, _ in raw:
-        row_norm[a - 1] += abs(amp) ** 2
-    for entry in raw:
-        entry[2] /= row_norm[entry[0] - 1] ** 0.5
-    return validate_network(spec.n, spec.statistics, raw, "strict")
+    for t, amp in zip(spec.transitions, drawn):
+        row_norm[t.source - 1] += abs(amp) ** 2
+    transitions = tuple(
+        replace(t, amplitude=complex(amp / row_norm[t.source - 1] ** 0.5))
+        for t, amp in zip(spec.transitions, drawn)
+    )
+    return replace(spec, transitions=transitions)
 
 
 def _partition_by_component(spec: NetworkSpec, diag: PMDiagram) -> Partition:

@@ -5,19 +5,22 @@ Matchings are enumerated by a depth-first search over particles in order
 detectors left free. It is the package's only enumeration, and it keeps no
 matching as an object: ``states`` sums the state inside it
 (``walk_prefixes``), and ``io`` stops it at the matching that a DOT
-export highlights. The structural picture: merging particle ``a`` and
-detector ``X_a`` into one vertex ``w_a`` turns each transition a → X_j
-into a digraph edge w_a → w_j, so a ``NetworkSpec`` is read as that
-digraph directly, with no second edge type. Relabeling the detectors so a
-chosen perfect matching becomes the loops, every other perfect matching
-is reachable by exchanging edges along pairwise vertex-disjoint
-elementary cycles. The retained subgraph of loops plus cycle edges (the
-"PM diagram") contains exactly the edges that participate in some
-matching; ``diagram_of_network`` keeps it as a ``NetworkSpec`` in the
-relabeled coordinates, finds its strongly connected components once and
-keeps them on the diagram; they are also its weak components. Those
-components and the edge colors are what the entanglement criteria
-inspect.
+export highlights. The walk reads the ``NetworkSpec`` itself and hands
+back each matching's ket as color characters. It and the PM diagram take
+their reference perfect matching, or the answer that there is none, from
+one check (``_base_matching``). The structural picture: merging particle
+``a`` and detector ``X_a`` into one vertex ``w_a`` turns each transition
+a → X_j into a digraph edge w_a → w_j, so a ``NetworkSpec`` is read as
+that digraph directly, with no second edge type. Relabeling the
+detectors so a chosen perfect matching becomes the loops, every other
+perfect matching is reachable by exchanging edges along pairwise
+vertex-disjoint elementary cycles. The retained subgraph of loops plus
+cycle edges (the "PM diagram") contains exactly the edges that
+participate in some matching; ``diagram_of_network`` keeps it as a
+``NetworkSpec`` in the relabeled coordinates, finds its strongly
+connected components once and keeps them on the diagram; they are also
+its weak components. Those components and the edge colors are what the
+entanglement criteria inspect.
 
 All vertices are 1-based to match the external index convention.
 """
@@ -25,13 +28,12 @@ All vertices are 1-based to match the external index convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterator
 
 from .errors import NoPerfectMatching
 from .model import NetworkSpec, NormalizationMode, Transition
 
 Cycle = tuple[int, ...]
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -87,16 +89,6 @@ def _successors(spec: NetworkSpec) -> list[list[int]]:
     return out
 
 
-def _misses_a_vertex(n: int, pairs: Sequence[Sequence[int]]) -> bool:
-    """Whether a particle or a detector is in none of the (a, j, ...) pairs.
-
-    Such a vertex rules out every perfect matching. The check takes
-    O(len(pairs)), so a network whose ``n`` is far above its edge count is
-    answered before any list with one entry per vertex is built.
-    """
-    return len({p[0] for p in pairs}) < n or len({p[1] for p in pairs}) < n
-
-
 def _matching_assignment(n: int, neighbors: list[list[int]]) -> tuple[int, ...] | None:
     """Augmenting-path matching; deterministic in neighbor order.
 
@@ -143,6 +135,26 @@ def _matching_assignment(n: int, neighbors: list[list[int]]) -> tuple[int, ...] 
     for j in range(1, n + 1):
         assignment[owner[j] - 1] = j
     return tuple(assignment)
+
+
+def _base_matching(spec: NetworkSpec) -> tuple[int, ...] | None:
+    """The reference perfect matching of ``spec`` (detector per particle), or None.
+
+    A vertex without a transition is found first, in O(edges), so a huge
+    ``n`` is answered before any per-vertex list is built. The neighbor
+    lists are sorted, so the matching ignores the order of the transitions.
+    """
+    n = spec.n
+    particles = {t.source for t in spec.transitions}
+    detectors = {t.detector for t in spec.transitions}
+    if len(particles) < n or len(detectors) < n:
+        return None
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for t in spec.transitions:
+        neighbors[t.source - 1].append(t.detector)
+    for row in neighbors:
+        row.sort()
+    return _matching_assignment(n, neighbors)
 
 
 def _tarjan_sccs(n: int, succ: list[list[int]]) -> list[list[int]]:
@@ -286,11 +298,11 @@ def _pair_rows(n: int, options: list, last: dict, free: int) -> list:
     repeat of their first placement.
     """
     rows = []
-    for bit, j, w, tag in options[n - 2]:
+    for bit, j, w, color in options[n - 2]:
         if free & bit and free ^ bit in last:
-            _, k, v, tag_k = last[free ^ bit]
+            _, k, v, color_k = last[free ^ bit]
             odd = (n - j - (free >> (j + 1)).bit_count() + n - k) & 1
-            rows.append((_ONE, w, v, j - 1, tag, j - 1, tag, k - 1, tag_k, (j, k), odd))
+            rows.append((_ONE, w, v, j - 1, color, j - 1, color, k - 1, color_k, (j, k), odd))
     return rows
 
 
@@ -301,11 +313,11 @@ def _completion_rows(
 
     ``free`` is the bitmask a walk prefix left free, and the rows place the
     last ``TABLE_PARTICLES`` particles (all n when n is smaller) on it in
-    lexicographic order. A row is ``(w1, w2, w3, i1, t1, i2, t2, i3, t3,
-    detectors, odd)``: the weights, the tag index (detector - 1) and tag
-    of each placement, the detectors in particle order, and the parity
-    bit. Rows of fewer particles lead with weight 1 and repeat their first
-    placement, which changes neither the product nor the tags.
+    lexicographic order. A row is ``(w1, w2, w3, i1, c1, i2, c2, i3, c3,
+    detectors, odd)``: the weights, the ket index (detector - 1) and color
+    character of each placement, the detectors in particle order, and the
+    parity bit. Rows of fewer particles lead with weight 1 and repeat their
+    first placement, which changes neither the product nor the ket.
 
     Each of the first particle's choices is extended by the two-particle
     rows of the set it leaves, kept in ``pairs`` for the rest of the walk.
@@ -314,45 +326,43 @@ def _completion_rows(
     depends on the free set alone.
     """
     if n == 1:  # the up-front matching check found the one edge
-        _, _, w, tag = last[free]
-        return [(_ONE, _ONE, w, 0, tag, 0, tag, 0, tag, (1,), 0)]
+        _, _, w, color = last[free]
+        return [(_ONE, _ONE, w, 0, color, 0, color, 0, color, (1,), 0)]
     if n == 2:
         return _pair_rows(n, options, last, free)
     rows = []
-    for bit, j, w, tag in options[n - 3]:
+    for bit, j, w, color in options[n - 3]:
         if free & bit:
             rest = free ^ bit
             odd = (n - j - (free >> (j + 1)).bit_count()) & 1
             pair_rows = pairs.get(rest)
             if pair_rows is None:
                 pair_rows = pairs[rest] = _pair_rows(n, options, last, rest)
-            for _, w2, w3, _, _, i2, t2, i3, t3, (j2, j3), odd23 in pair_rows:
-                rows.append((w, w2, w3, j - 1, tag, i2, t2, i3, t3, (j, j2, j3), odd ^ odd23))
+            for _, w2, w3, _, _, i2, c2, i3, c3, (j2, j3), odd23 in pair_rows:
+                rows.append((w, w2, w3, j - 1, color, i2, c2, i3, c3, (j, j2, j3), odd ^ odd23))
     return rows
 
 
 def walk_prefixes(
-    n: int, edges: Iterable[tuple[int, int, complex, T]]
-) -> Iterator[tuple[list[int], list[T], complex, int, list]]:
+    spec: NetworkSpec,
+) -> Iterator[tuple[list[int], list[str], complex, int, list]]:
     """The matching walk down to its completion table (see ``walk_matchings``).
 
     Particles 1..n-K, K = ``TABLE_PARTICLES`` (all of them when n <= K),
     are placed by depth-first search. Per placement of them that the last
-    K particles can complete this yields ``(assignment, tags, prefix,
+    K particles can complete this yields ``(assignment, ket, prefix,
     parity, rows)``: the placement so far (both lists updated in place),
     its weight product and parity, and the completion rows of its free
     detectors, as ``_completion_rows`` describes.
     """
-    edges = list(edges)
-    if _misses_a_vertex(n, edges):
+    if _base_matching(spec) is None:
         return
-    options: list[list[tuple[int, int, complex, T]]] = [[] for _ in range(n)]
-    for a, j, w, tag in edges:
-        options[a - 1].append((1 << j, j, w, tag))
+    n = spec.n
+    options: list[list[tuple[int, int, complex, str]]] = [[] for _ in range(n)]
+    for t in spec.transitions:
+        options[t.source - 1].append((1 << t.detector, t.detector, t.amplitude, t.color.value))
     for opts in options:
         opts.sort(key=lambda o: o[1])
-    if _matching_assignment(n, [[o[1] for o in opts] for opts in options]) is None:
-        return
 
     # due[a-1]: detectors whose last neighbor is particle a, so a must take
     # any of them still free
@@ -372,7 +382,7 @@ def walk_prefixes(
     table: dict[int, list] = {}
     pairs: dict[int, list] = {}
     assignment = [0] * n
-    tags: list = [None] * n
+    ket = [""] * n
     # prefix[a], parity[a]: weight product and permutation parity of the
     # placements of particles 1..a
     prefix = [_ONE] * n
@@ -388,7 +398,7 @@ def walk_prefixes(
             if rows is None:
                 rows = table[free] = _completion_rows(n, options, last, pairs, free)
             if rows:
-                yield assignment, tags, prefix[a], parity[a], rows
+                yield assignment, ket, prefix[a], parity[a], rows
             a -= 1
             continue
         if held[a]:
@@ -399,7 +409,7 @@ def walk_prefixes(
                 a -= 1
                 continue
             untried[a] = iter((by_bit[a][pending],) if pending else options[a])
-        for bit, j, w, tag in untried[a]:
+        for bit, j, w, color in untried[a]:
             if not used & bit:
                 break
         else:
@@ -408,64 +418,55 @@ def walk_prefixes(
             continue
         held[a] = bit
         assignment[a] = j
-        tags[j - 1] = tag
+        ket[j - 1] = color
         prefix[a + 1] = prefix[a] * w
         parity[a + 1] = parity[a] ^ ((used >> j).bit_count() & 1)
         used |= bit
         a += 1
 
 
-def walk_matchings(
-    n: int, edges: Iterable[tuple[int, int, complex, T]]
-) -> Iterator[tuple[list[int], list[T], complex, int]]:
-    """Every perfect matching, by depth-first search over particles 1..n.
+def walk_matchings(spec: NetworkSpec) -> Iterator[tuple[list[int], list[str], complex, int]]:
+    """Every perfect matching of ``spec``, by depth-first search over particles 1..n.
 
-    ``edges`` holds ``(particle, detector, weight, tag)`` in any order.
     Each particle tries its free detectors in ascending order, so matchings
-    come out in lexicographic order of assignment. Per matching this yields
-    ``(assignment, tags, weight, odd)``: ``assignment[a-1]`` is particle
-    a's detector, ``tags[j-1]`` the tag of the edge reaching detector j,
-    ``weight`` the product of the edge weights multiplied left to right in
-    particle order from ``complex(1.0)``, and ``odd`` the parity (0 or 1)
-    of the assignment permutation. Both lists are updated in place between
-    matchings; copy them to keep them.
+    come out in lexicographic order of assignment, whatever the order of
+    ``spec.transitions``. Per matching this yields ``(assignment, ket,
+    weight, odd)``: ``assignment[a-1]`` is particle a's detector,
+    ``ket[j-1]`` the color character (``'u'`` or ``'d'``) of the edge
+    reaching detector j, ``weight`` the product of the edge amplitudes
+    multiplied left to right in particle order from ``complex(1.0)``, and
+    ``odd`` the parity (0 or 1) of the assignment permutation. Both lists
+    are updated in place between matchings; copy them to keep them.
 
-    A network without a perfect matching is detected up front, by an
-    O(edges) check that every particle and every detector has an edge and
-    then by one augmenting-path search. A branch is pruned as soon as a free detector
-    has lost its last unassigned neighbor. The last ``TABLE_PARTICLES``
+    A network without a perfect matching is detected up front by
+    ``_base_matching``. A branch is pruned as soon as a free detector has
+    lost its last unassigned neighbor. The last ``TABLE_PARTICLES``
     particles are not searched: each placement of the others is completed
     from a table of rows keyed by its free detectors (``walk_prefixes``).
     """
-    depth = max(n - TABLE_PARTICLES, 0)
-    for assignment, tags, prefix, parity, rows in walk_prefixes(n, edges):
-        for w1, w2, w3, i1, t1, i2, t2, i3, t3, detectors, odd in rows:
-            tags[i1] = t1
-            tags[i2] = t2
-            tags[i3] = t3
+    depth = max(spec.n - TABLE_PARTICLES, 0)
+    for assignment, ket, prefix, parity, rows in walk_prefixes(spec):
+        for w1, w2, w3, i1, c1, i2, c2, i3, c3, detectors, odd in rows:
+            ket[i1] = c1
+            ket[i2] = c2
+            ket[i3] = c3
             assignment[depth:] = detectors
-            yield assignment, tags, ((prefix * w1) * w2) * w3, parity ^ odd
+            yield assignment, ket, ((prefix * w1) * w2) * w3, parity ^ odd
 
 
 def diagram_of_network(spec: NetworkSpec) -> PMDiagram:
     """Restrict the digraph of ``spec`` to loops plus elementary-cycle edges.
 
-    The transitions are taken in (particle, detector) order, so the base
-    matching, and with it the relabeling, does not depend on the order the
-    spec lists them in. Raises NoPerfectMatching when the network has no
+    The base matching, and with it the relabeling, comes from
+    ``_base_matching``, so it does not depend on the order the spec lists
+    its transitions in. Raises NoPerfectMatching when the network has no
     matching (without one there is no loop labeling to define the diagram).
     """
-    n = spec.n
-    transitions = sorted(spec.transitions, key=lambda t: (t.source, t.detector))
-    if _misses_a_vertex(n, [(t.source, t.detector) for t in transitions]):
-        raise NoPerfectMatching("network has no perfect matching")
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for t in transitions:
-        neighbors[t.source - 1].append(t.detector)
-    relabeling = _matching_assignment(n, neighbors)
+    relabeling = _base_matching(spec)
     if relabeling is None:
         raise NoPerfectMatching("network has no perfect matching")
 
+    n = spec.n
     # permute detector labels so the base matching becomes the diagonal:
     # detector relabeling[v-1] moves to slot v
     slot_of = [0] * (n + 1)
@@ -474,7 +475,10 @@ def diagram_of_network(spec: NetworkSpec) -> PMDiagram:
     relabeled = NetworkSpec(
         n,
         spec.statistics,
-        tuple(Transition(t.source, slot_of[t.detector], t.amplitude, t.color) for t in transitions),
+        tuple(
+            Transition(t.source, slot_of[t.detector], t.amplitude, t.color)
+            for t in spec.transitions
+        ),
         NormalizationMode.DESIGN,
     )
     cycles = tuple(elementary_cycles(relabeled))
@@ -490,7 +494,7 @@ def diagram_of_network(spec: NetworkSpec) -> PMDiagram:
     )
     removed = tuple(
         t
-        for t, r in zip(transitions, relabeled.transitions)
+        for t, r in zip(spec.transitions, relabeled.transitions)
         if (r.source, r.detector) not in kept
     )
     components = tuple(sorted(tuple(c) for c in _tarjan_sccs(n, _successors(network))))

@@ -192,9 +192,8 @@ def _matching_pairs(spec: NetworkSpec, index: int) -> set[tuple[int, int]]:
     The walk stops at that matching; only an index outside the matchings
     walks to the end, counting them for the error.
     """
-    edges = ((t.source, t.detector, t.amplitude, None) for t in spec.transitions)
     found = 0
-    for found, (assignment, _, _, _) in enumerate(walk_matchings(spec.n, edges), start=1):
+    for found, (assignment, _, _, _) in enumerate(walk_matchings(spec), start=1):
         if found == index + 1:
             return set(enumerate(assignment, start=1))
     raise InvalidArgument(f"matching index {index} out of range ({found} found)")

@@ -5,7 +5,8 @@ detectors' internal states form an N-character string over {u, d} (position
 j-1 holds detector X_j). Each perfect matching contributes the product of
 its edge weights to the string determined by its edge colors; matchings
 landing on the same string add coherently. ``assemble_network_state`` sums
-them during the matching walk itself (``graphs.walk_prefixes``), the only
+them during the matching walk itself (``graphs.walk_prefixes``, which takes
+the ``NetworkSpec`` and hands back each ket as color characters), the only
 route from a network to its state; ``oracle_state`` is the independent
 n! reference it is checked against.
 
@@ -17,6 +18,7 @@ plus/minus pair of the two-particle beam-splitter state.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import sys
@@ -42,7 +44,8 @@ class NoBunchState:
 
     ``postselect_probability`` is populated by normalize(); for a state
     assembled from a unitary strict-mode network it equals the probability
-    of the no-bunching post-selection succeeding.
+    of the no-bunching post-selection succeeding. A NaN or infinite
+    amplitude (an overflowed matching weight) raises NonFiniteValue.
     """
 
     n: int
@@ -51,9 +54,11 @@ class NoBunchState:
     postselect_probability: float | None = None
 
     def __post_init__(self):
-        for ket in self.amplitudes:
+        for ket, amp in self.amplitudes.items():
             if len(ket) != self.n or not set(ket) <= {"u", "d"}:
                 raise InvalidArgument(f"bad ket {ket!r} for n={self.n}")
+            if not cmath.isfinite(amp):
+                raise NonFiniteValue(f"ket {ket!r} has amplitude {amp!r}")
 
     def amplitude(self, ket: str) -> complex:
         return self.amplitudes.get(ket, 0j)
@@ -91,13 +96,12 @@ def assemble_network_state(spec: NetworkSpec) -> NoBunchState:
     the two agree bit for bit. Exactly cancelled strings are dropped.
     """
     fermion = spec.statistics is Statistics.FERMION
-    edges = ((t.source, t.detector, t.amplitude, t.color.value) for t in spec.transitions)
     amplitudes: dict[str, complex] = {}
-    for _, ket, prefix, parity, rows in walk_prefixes(spec.n, edges):
-        for w1, w2, w3, i1, t1, i2, t2, i3, t3, _, odd in rows:
-            ket[i1] = t1
-            ket[i2] = t2
-            ket[i3] = t3
+    for _, ket, prefix, parity, rows in walk_prefixes(spec):
+        for w1, w2, w3, i1, c1, i2, c2, i3, c3, _, odd in rows:
+            ket[i1] = c1
+            ket[i2] = c2
+            ket[i3] = c3
             key = "".join(ket)
             amplitudes[key] = amplitudes.get(key, 0j) + (
                 -1 if fermion and parity ^ odd else 1
@@ -141,10 +145,10 @@ def normalize(state: NoBunchState) -> NoBunchState:
 
     Raises ZeroState when no ket survived assembly, i.e. no matching exists
     or all contributions cancelled exactly, and NonFiniteValue when the
-    squared norm to be recorded is not finite (an amplitude or the sum of
-    squares overflowed). A squared norm below the normal float range (a
-    large network's weight underflows) is taken over amplitudes divided by
-    their largest component first.
+    squared norm to be recorded is not finite (a finite amplitude whose
+    square, or the sum of squares, overflowed). A squared norm below the
+    normal float range (a large network's weight underflows) is taken over
+    amplitudes divided by their largest component first.
     """
     if not any(state.amplitudes.values()):
         raise ZeroState("state has zero norm (no matchings or exact cancellation)")

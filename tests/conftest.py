@@ -78,10 +78,9 @@ def networks(draw, min_n=1, max_n=7, modes=("design",)):
 
 def matchings(spec: NetworkSpec) -> list[tuple[tuple[int, ...], tuple[Color, ...]]]:
     """(assignment, colors by particle) of every perfect matching, lexicographic."""
-    edges = ((t.source, t.detector, t.amplitude, t.color) for t in spec.transitions)
     return [
-        (tuple(assignment), tuple(tags[j - 1] for j in assignment))
-        for assignment, tags, _, _ in walk_matchings(spec.n, edges)
+        (tuple(assignment), tuple(Color(ket[j - 1]) for j in assignment))
+        for assignment, ket, _, _ in walk_matchings(spec)
     ]
 
 
@@ -90,8 +89,7 @@ def random_network_with_pm(
 ) -> NetworkSpec:
     while True:
         spec = random_network(rng, n, statistics)
-        edges = ((t.source, t.detector, t.amplitude, None) for t in spec.transitions)
-        if next(walk_matchings(n, edges), None) is not None:
+        if next(walk_matchings(spec), None) is not None:
             return spec
 
 

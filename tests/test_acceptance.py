@@ -256,7 +256,7 @@ def test_criterion_9_structural_soundness_sweep():
             for r in range(1, len(blocks)):
                 for chosen in itertools.combinations(blocks, r):
                     subset = frozenset(d for block in chosen for d in block)
-                    if schmidt_rank(state, Bipartition(subset, n), tol=1e-8) != 1:
+                    if schmidt_rank(state, Bipartition(subset, n)) != 1:
                         lemma2_failures += 1
 
         report = theorem1_check(diag)

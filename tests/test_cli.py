@@ -270,6 +270,27 @@ class TestVerify:
         assert err == f"error: n={n} exceeds the exhaustive-enumeration limit 10\n"
         assert assembled == []
 
+    @pytest.mark.parametrize("command", ["verify", "compute"])
+    def test_overflowed_weight_is_validation_error(self, capsys, tmp_path, command):
+        # each matching weight 1e200 * 1e200 overflows on both engines, so
+        # there is no finite state to print or to compare
+        doc = {
+            "n": 2,
+            "statistics": "boson",
+            "mode": "design",
+            "edges": [
+                {"from": a, "to": j, "amp": {"re": 1e200, "im": 0.0}, "color": "up"}
+                for a in (1, 2)
+                for j in (1, 2)
+            ],
+        }
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(path))
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: ket 'uu' has amplitude (inf+nanj)\n"
+
 
 class TestDot:
     def test_views(self, capsys, fixtures_dir):

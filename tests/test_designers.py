@@ -20,7 +20,13 @@ from lqngraph.entanglement import (
     theorem1_check,
     theorem2_w_optimal_check,
 )
-from lqngraph.errors import BadLength, InvalidArgument, NoPresetForN, RowNotNormalized
+from lqngraph.errors import (
+    BadLength,
+    IndexOutOfRange,
+    InvalidArgument,
+    NoPresetForN,
+    RowNotNormalized,
+)
 from lqngraph.graphs import diagram_of_network, elementary_cycles
 from lqngraph.io import parse_network, serialize_network
 from lqngraph.model import Color, Statistics
@@ -310,3 +316,13 @@ def test_designer_serialization_roundtrip(factory):
         assemble_network_state(spec), assemble_network_state(again)
     )
     assert diff == 0.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: design_ghz(2.5), lambda: design_w(4.0), lambda: design_dicke2(4.0)],
+    ids=["ghz", "w", "dicke"],
+)
+def test_non_integer_n_is_index_out_of_range(call):
+    with pytest.raises(IndexOutOfRange):
+        call()

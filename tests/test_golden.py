@@ -2,8 +2,8 @@
 
 ``fixtures/structural_golden.json`` holds stdout, stderr and exit code of
 each structural command, and of ``compute`` and ``verify``, on both
-fixtures and four designer networks. To rewrite it after an intended
-output change, run from the repo root:
+fixtures, the n5 fixture read as fermions, and four designer networks.
+To rewrite it after an intended output change, run from the repo root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -37,6 +37,7 @@ COMMANDS = (
     ["dot", "--view", "pm", "--highlight", "0"],
     ["dot", "--view", "d"],
     ["dot", "--view", "d", "--weights"],
+    ["dot", "--view", "d", "--highlight", "0"],
     ["dot", "--view", "bb", "--highlight", "0"],
     ["compute", "--json"],
     ["verify"],
@@ -53,6 +54,9 @@ def _run(argv: list[str]) -> dict:
 def structural_outputs(workdir: Path) -> dict:
     """{input name: {command: {stdout, stderr, exit}}} for every pair."""
     inputs = {name: FIXTURES / name for name in ("n5_example.json", "tritter.json")}
+    doc = json.loads(inputs["n5_example.json"].read_text(encoding="utf-8"))
+    inputs["n5-fermion"] = workdir / "n5-fermion.json"
+    inputs["n5-fermion"].write_text(json.dumps({**doc, "statistics": "fermion"}), encoding="utf-8")
     for name, args in DESIGNS.items():
         path = workdir / f"{name}.json"
         assert _run(["design", *args, "--out", str(path)])["exit"] == 0
@@ -66,9 +70,25 @@ def structural_outputs(workdir: Path) -> dict:
     }
 
 
+def first_difference(actual: dict, expected: dict) -> tuple[str, str] | None:
+    """The first (input, command) pair, in sorted order, whose run differs."""
+    for name in sorted(actual.keys() | expected.keys()):
+        got, want = actual.get(name, {}), expected.get(name, {})
+        for command in sorted(got.keys() | want.keys()):
+            if got.get(command) != want.get(command):
+                return name, command
+    return None
+
+
 def test_structural_commands_match_golden(tmp_path):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert structural_outputs(tmp_path) == expected
+    actual = structural_outputs(tmp_path)
+    differing = first_difference(actual, expected)
+    if differing is not None:
+        name, command = differing
+        got = actual.get(name, {}).get(command)
+        want = expected.get(name, {}).get(command)
+        assert got == want, f"first differing run: {command!r} on {name!r}"
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from lqngraph.designers import design_cluster4, design_ghz, design_w, preset_tri
 from lqngraph.entanglement import Verdict, build_report
 from lqngraph.errors import NoPerfectMatching
 from lqngraph.graphs import (
-    _matching_assignment,
+    _base_matching,
     _successors,
     diagram_of_network,
     elementary_cycles,
@@ -38,24 +38,23 @@ PROPERTY = settings(
 )
 
 
-def neighbors_of(spec):
-    neighbors = [[] for _ in range(spec.n)]
-    for t in spec.transitions:
-        neighbors[t.source - 1].append(t.detector)
-    return neighbors
-
-
 def assignments_of(spec):
     return [assignment for assignment, _ in matchings(spec)]
 
 
 def walk_of(spec):
-    """(assignment, transitions by particle, weight, parity) per matching."""
-    edges = ((t.source, t.detector, t.amplitude, t) for t in spec.transitions)
-    return [
-        (tuple(assignment), tuple(tags[j - 1] for j in assignment), weight, odd)
-        for assignment, tags, weight, odd in walk_matchings(spec.n, edges)
-    ]
+    """(assignment, transitions by particle, weight, parity) per matching.
+
+    The transitions are looked up by (particle, detector); the ket the walk
+    yields must hold the color of the transition reaching each detector.
+    """
+    by_pair = spec.transition_map()
+    out = []
+    for assignment, ket, weight, odd in walk_matchings(spec):
+        used = tuple(by_pair[a, j] for a, j in enumerate(assignment, start=1))
+        assert ket == [t.color.value for t in sorted(used, key=lambda t: t.detector)]
+        out.append((tuple(assignment), used, weight, odd))
+    return out
 
 
 def diagram_or_none(spec):
@@ -123,17 +122,17 @@ class TestInitialMatching:
     """The base matching that the PM diagram relabels to loops."""
 
     def test_n5_finds_the_diagonal(self):
-        assert _matching_assignment(5, neighbors_of(n5_network())) == (1, 2, 3, 4, 5)
+        assert _base_matching(n5_network()) == (1, 2, 3, 4, 5)
 
     def test_pigeonhole_failure_returns_none(self):
         spec = validate_network(
             2, "boson", [(1, 1, 1.0, "u"), (2, 1, 1.0, "u")], "strict"
         )
-        assert _matching_assignment(2, neighbors_of(spec)) is None
+        assert _base_matching(spec) is None
 
     def test_identity_network(self):
         spec = identity_network(3)
-        assert _matching_assignment(3, neighbors_of(spec)) == (1, 2, 3)
+        assert _base_matching(spec) == (1, 2, 3)
         assert matchings(spec) == [((1, 2, 3), (Color.UP,) * 3)]
 
 
@@ -241,23 +240,21 @@ class TestEnumeratePMs:
         # count taken straight from the brute-force assignment
         spec = random_network_with_pm(np.random.default_rng(31 + n), n)
         weight_of = {(t.source, t.detector): t.amplitude for t in spec.transitions}
-        color_of = {(t.source, t.detector): t.color for t in spec.transitions}
+        color_of = {(t.source, t.detector): t.color.value for t in spec.transitions}
         got = [
-            (tuple(assignment), list(tags), weight, odd)
-            for assignment, tags, weight, odd in walk_matchings(
-                n, ((t.source, t.detector, t.amplitude, t.color) for t in spec.transitions)
-            )
+            (tuple(assignment), list(ket), weight, odd)
+            for assignment, ket, weight, odd in walk_matchings(spec)
         ]
         want = []
         for perm in brute_force_assignments(spec):
             weight = complex(1.0)
             for a, j in enumerate(perm, start=1):
                 weight *= weight_of[(a, j)]
-            tags = [None] * n
+            ket = [""] * n
             for a, j in enumerate(perm, start=1):
-                tags[j - 1] = color_of[(a, j)]
+                ket[j - 1] = color_of[(a, j)]
             inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
-            want.append((perm, tags, weight, inversions % 2))
+            want.append((perm, ket, weight, inversions % 2))
         assert got == want
         assert [repr(g[2]) for g in got] == [repr(w[2]) for w in want]
 
@@ -426,7 +423,7 @@ class TestBeyondRecursionLimit:
         edges.append((n, 1, 1.0, "d"))
         spec = validate_network(n, "boson", edges, "design")
         shifted = tuple(range(2, n + 1)) + (1,)
-        assert _matching_assignment(n, neighbors_of(spec)) == shifted
+        assert _base_matching(spec) == shifted
         assert assignments_of(spec) == [shifted]
 
 

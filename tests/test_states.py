@@ -195,6 +195,16 @@ class TestNormalize:
             normalize(assemble_network_state(overflowed))
 
 
+@pytest.mark.parametrize(
+    "amp", [math.nan, math.inf, complex(-math.inf, 0.0), complex(0.0, math.nan)]
+)
+def test_non_finite_amplitude_is_rejected(amp):
+    # every state is checked on construction, so the numeric route never
+    # sees a NaN (numpy's SVD would raise LinAlgError on one)
+    with pytest.raises(NonFiniteValue):
+        NoBunchState(2, {"ud": amp})
+
+
 class TestInvariances:
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(networks(min_n=2, max_n=6), st.data())
