@@ -190,10 +190,13 @@ def schmidt_rank(state: NoBunchState, cut: Bipartition) -> int:
     """Rank of the amplitude matricization across the cut.
 
     Singular values are counted above ``SV_TOL`` times the largest one;
-    rank 1 means the state is a product across the cut.
+    rank 1 means the state is a product across the cut. The zero state has
+    no rank: it raises ZeroState.
     """
     if cut.n != state.n:
         raise DimensionMismatch(f"cut over {cut.n} detectors, state has {state.n}")
+    if not any(state.amplitudes.values()):
+        raise ZeroState("state has zero norm (no Schmidt rank)")
     axes = tuple(d - 1 for d in sorted(cut.subset))
     return _rank_across(_amplitude_tensor(state), axes)[0]
 

@@ -5,8 +5,10 @@ Matchings are enumerated by a depth-first search over particles in order
 detectors left free. It is the package's only enumeration, and it keeps no
 matching as an object: ``states`` sums the state inside it
 (``walk_prefixes``), and ``io`` stops it at the matching that a DOT
-export highlights. The walk reads the ``NetworkSpec`` itself and hands
-back each matching's ket as color characters. It and the PM diagram take
+export highlights. The walk reads the ``NetworkSpec`` itself and carries
+each ket as an integer code of down bits (bit j set when detector X_j
+receives a down edge), which ``walk_matchings`` spells out as color
+characters (``ket_of_code``). The walk and the PM diagram take
 their reference perfect matching, or the answer that there is none, from
 one check (``_base_matching``). The structural picture: merging particle
 ``a`` and detector ``X_a`` into one vertex ``w_a`` turns each transition
@@ -31,7 +33,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .errors import NoPerfectMatching
-from .model import NetworkSpec, NormalizationMode, Transition
+from .model import Color, NetworkSpec, NormalizationMode, Transition
 
 Cycle = tuple[int, ...]
 
@@ -290,19 +292,29 @@ TABLE_PARTICLES = 3
 
 _ONE = complex(1.0)
 
+_UD = str.maketrans("01", "ud")
+
+
+def ket_of_code(code: int, n: int) -> str:
+    """The ket string of a down-bit code: 'd' at detector j where bit j is set.
+
+    Bit j of ``code`` is detector X_j's bit in the walk's free-detector
+    masks; bit 0 is never set.
+    """
+    return format(code >> 1, f"0{n}b")[::-1].translate(_UD)
+
 
 def _pair_rows(n: int, options: list, last: dict, free: int) -> list:
     """Rows for particles n-1 and n taking the two detectors in ``free``.
 
-    They have the layout of ``_completion_rows``, led by weight 1 and a
-    repeat of their first placement.
+    They have the layout of ``_completion_rows``, led by weight 1.
     """
     rows = []
-    for bit, j, w, color in options[n - 2]:
+    for bit, j, w, down in options[n - 2]:
         if free & bit and free ^ bit in last:
-            _, k, v, color_k = last[free ^ bit]
+            _, k, v, down_k = last[free ^ bit]
             odd = (n - j - (free >> (j + 1)).bit_count() + n - k) & 1
-            rows.append((_ONE, w, v, j - 1, color, j - 1, color, k - 1, color_k, (j, k), odd))
+            rows.append((_ONE, w, v, (j, k), odd, down | down_k))
     return rows
 
 
@@ -313,11 +325,11 @@ def _completion_rows(
 
     ``free`` is the bitmask a walk prefix left free, and the rows place the
     last ``TABLE_PARTICLES`` particles (all n when n is smaller) on it in
-    lexicographic order. A row is ``(w1, w2, w3, i1, c1, i2, c2, i3, c3,
-    detectors, odd)``: the weights, the ket index (detector - 1) and color
-    character of each placement, the detectors in particle order, and the
-    parity bit. Rows of fewer particles lead with weight 1 and repeat their
-    first placement, which changes neither the product nor the ket.
+    lexicographic order. A row is ``(w1, w2, w3, detectors, odd, down)``:
+    the weights of the placements, their detectors in particle order, the
+    parity bit, and the down bits of the detectors they reach by a down
+    edge (see ``walk_prefixes``). Rows of fewer particles lead with weight
+    1, which does not change the product.
 
     Each of the first particle's choices is extended by the two-particle
     rows of the set it leaves, kept in ``pairs`` for the rest of the walk.
@@ -326,41 +338,46 @@ def _completion_rows(
     depends on the free set alone.
     """
     if n == 1:  # the up-front matching check found the one edge
-        _, _, w, color = last[free]
-        return [(_ONE, _ONE, w, 0, color, 0, color, 0, color, (1,), 0)]
+        _, _, w, down = last[free]
+        return [(_ONE, _ONE, w, (1,), 0, down)]
     if n == 2:
         return _pair_rows(n, options, last, free)
     rows = []
-    for bit, j, w, color in options[n - 3]:
+    for bit, j, w, down in options[n - 3]:
         if free & bit:
             rest = free ^ bit
             odd = (n - j - (free >> (j + 1)).bit_count()) & 1
             pair_rows = pairs.get(rest)
             if pair_rows is None:
                 pair_rows = pairs[rest] = _pair_rows(n, options, last, rest)
-            for _, w2, w3, _, _, i2, c2, i3, c3, (j2, j3), odd23 in pair_rows:
-                rows.append((w, w2, w3, j - 1, color, i2, c2, i3, c3, (j, j2, j3), odd ^ odd23))
+            for _, w2, w3, (j2, j3), odd23, down23 in pair_rows:
+                rows.append((w, w2, w3, (j, j2, j3), odd ^ odd23, down | down23))
     return rows
 
 
-def walk_prefixes(
-    spec: NetworkSpec,
-) -> Iterator[tuple[list[int], list[str], complex, int, list]]:
+def walk_prefixes(spec: NetworkSpec) -> Iterator[tuple[list[int], int, complex, int, list]]:
     """The matching walk down to its completion table (see ``walk_matchings``).
 
     Particles 1..n-K, K = ``TABLE_PARTICLES`` (all of them when n <= K),
     are placed by depth-first search. Per placement of them that the last
-    K particles can complete this yields ``(assignment, ket, prefix,
-    parity, rows)``: the placement so far (both lists updated in place),
-    its weight product and parity, and the completion rows of its free
-    detectors, as ``_completion_rows`` describes.
+    K particles can complete this yields ``(assignment, code, prefix,
+    parity, rows)``: the placement so far (a list updated in place), its
+    ket code, weight product and parity, and the completion rows of its
+    free detectors, as ``_completion_rows`` describes. A ket code has bit
+    j (the detector's bit in the free masks) set when detector X_j
+    receives a down edge; a matching's ket is ``ket_of_code(code | down,
+    n)`` with the ``down`` of its row.
     """
     if _base_matching(spec) is None:
         return
     n = spec.n
-    options: list[list[tuple[int, int, complex, str]]] = [[] for _ in range(n)]
+    # (detector bit, detector, weight, detector bit if the edge is down else 0)
+    options: list[list[tuple[int, int, complex, int]]] = [[] for _ in range(n)]
     for t in spec.transitions:
-        options[t.source - 1].append((1 << t.detector, t.detector, t.amplitude, t.color.value))
+        bit = 1 << t.detector
+        options[t.source - 1].append(
+            (bit, t.detector, t.amplitude, bit if t.color is Color.DOWN else 0)
+        )
     for opts in options:
         opts.sort(key=lambda o: o[1])
 
@@ -382,11 +399,15 @@ def walk_prefixes(
     table: dict[int, list] = {}
     pairs: dict[int, list] = {}
     assignment = [0] * n
-    ket = [""] * n
     # prefix[a], parity[a]: weight product and permutation parity of the
     # placements of particles 1..a
     prefix = [_ONE] * n
     parity = [0] * n
+    # down bits of the detectors as last placed, a free detector's stale;
+    # a bit flips only when its detector's color changes, since an OR or a
+    # copy per placement costs O(n) on a large network
+    code = 0
+    down_of = [0] * (n + 1)
     held = [0] * n  # detector bit held by each particle, 0 = none
     untried = [iter(())] * n
     used = 0
@@ -398,7 +419,7 @@ def walk_prefixes(
             if rows is None:
                 rows = table[free] = _completion_rows(n, options, last, pairs, free)
             if rows:
-                yield assignment, ket, prefix[a], parity[a], rows
+                yield assignment, code & used, prefix[a], parity[a], rows
             a -= 1
             continue
         if held[a]:
@@ -409,7 +430,7 @@ def walk_prefixes(
                 a -= 1
                 continue
             untried[a] = iter((by_bit[a][pending],) if pending else options[a])
-        for bit, j, w, color in untried[a]:
+        for bit, j, w, down in untried[a]:
             if not used & bit:
                 break
         else:
@@ -418,7 +439,9 @@ def walk_prefixes(
             continue
         held[a] = bit
         assignment[a] = j
-        ket[j - 1] = color
+        if down_of[j] != down:
+            code ^= bit
+            down_of[j] = down
         prefix[a + 1] = prefix[a] * w
         parity[a + 1] = parity[a] ^ ((used >> j).bit_count() & 1)
         used |= bit
@@ -435,8 +458,9 @@ def walk_matchings(spec: NetworkSpec) -> Iterator[tuple[list[int], list[str], co
     ``ket[j-1]`` the color character (``'u'`` or ``'d'``) of the edge
     reaching detector j, ``weight`` the product of the edge amplitudes
     multiplied left to right in particle order from ``complex(1.0)``, and
-    ``odd`` the parity (0 or 1) of the assignment permutation. Both lists
-    are updated in place between matchings; copy them to keep them.
+    ``odd`` the parity (0 or 1) of the assignment permutation.
+    ``assignment`` is updated in place between matchings; copy it to keep
+    it. ``ket`` is a new list per matching.
 
     A network without a perfect matching is detected up front by
     ``_base_matching``. A branch is pruned as soon as a free detector has
@@ -444,13 +468,12 @@ def walk_matchings(spec: NetworkSpec) -> Iterator[tuple[list[int], list[str], co
     particles are not searched: each placement of the others is completed
     from a table of rows keyed by its free detectors (``walk_prefixes``).
     """
-    depth = max(spec.n - TABLE_PARTICLES, 0)
-    for assignment, ket, prefix, parity, rows in walk_prefixes(spec):
-        for w1, w2, w3, i1, c1, i2, c2, i3, c3, detectors, odd in rows:
-            ket[i1] = c1
-            ket[i2] = c2
-            ket[i3] = c3
+    n = spec.n
+    depth = max(n - TABLE_PARTICLES, 0)
+    for assignment, code, prefix, parity, rows in walk_prefixes(spec):
+        for w1, w2, w3, detectors, odd, down in rows:
             assignment[depth:] = detectors
+            ket = list(ket_of_code(code | down, n))
             yield assignment, ket, ((prefix * w1) * w2) * w3, parity ^ odd
 
 

@@ -112,16 +112,31 @@ def serialize_network(spec: NetworkSpec) -> str:
 
 
 def serialize_state(state: NoBunchState) -> str:
-    doc = {
-        "n": state.n,
-        "normalized": state.normalized,
-        "postselect_probability": state.postselect_probability,
-        "terms": [
-            {"ket": ket, "amp": {"re": amp.real, "im": amp.imag}}
-            for ket, amp in state.sorted_terms()
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """JSON form of a state, as ``json.dumps(doc, indent=2)`` writes it.
+
+    The document is ``{"n", "normalized", "postselect_probability",
+    "terms": [{"ket", "amp": {"re", "im"}}]}``. The terms are written
+    directly rather than through the pure-Python indenting encoder: each
+    part of an amplitude as the ``repr`` of a float, which is how ``json``
+    writes a finite float (a state's amplitudes are finite; an int part is
+    written as a float too). The output is built by one join, so no second
+    copy of it is made.
+    """
+    head = (
+        f'{{\n  "n": {state.n},\n  "normalized": {json.dumps(state.normalized)},\n'
+        f'  "postselect_probability": {json.dumps(state.postselect_probability)},\n'
+        '  "terms": ['
+    )
+    terms = [
+        f'\n    {{\n      "ket": "{ket}",\n      "amp": {{\n'
+        f'        "re": {float(amp.real)!r},\n        "im": {float(amp.imag)!r}\n      }}\n    }}'
+        for ket, amp in state.sorted_terms()
+    ]
+    if not terms:
+        return head + "]\n}\n"
+    terms[0] = head + terms[0]
+    terms[-1] += "\n  ]\n}\n"
+    return ",".join(terms)
 
 
 class View(Enum):

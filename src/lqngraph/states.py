@@ -6,9 +6,10 @@ j-1 holds detector X_j). Each perfect matching contributes the product of
 its edge weights to the string determined by its edge colors; matchings
 landing on the same string add coherently. ``assemble_network_state`` sums
 them during the matching walk itself (``graphs.walk_prefixes``, which takes
-the ``NetworkSpec`` and hands back each ket as color characters), the only
-route from a network to its state; ``oracle_state`` is the independent
-n! reference it is checked against.
+the ``NetworkSpec`` and hands back each ket as an integer of down bits,
+bit j set when detector X_j receives a down edge), the only route from a
+network to its state; ``oracle_state`` is the independent n! reference it
+is checked against.
 
 Sign convention for fermions: output creation operators are ordered by
 detector index, so a matching with assignment permutation σ picks up the
@@ -32,7 +33,7 @@ from .errors import (
     TooLarge,
     ZeroState,
 )
-from .graphs import walk_prefixes
+from .graphs import ket_of_code, walk_prefixes
 from .model import Color, NetworkSpec, Statistics
 
 ORACLE_LIMIT = 10
@@ -45,7 +46,9 @@ class NoBunchState:
     ``postselect_probability`` is populated by normalize(); for a state
     assembled from a unitary strict-mode network it equals the probability
     of the no-bunching post-selection succeeding. A NaN or infinite
-    amplitude (an overflowed matching weight) raises NonFiniteValue.
+    amplitude (an overflowed matching weight) raises NonFiniteValue; an
+    ``n`` that is not an integer, a ket that is not n characters u/d, or
+    an amplitude that is not a number raises InvalidArgument.
     """
 
     n: int
@@ -54,11 +57,18 @@ class NoBunchState:
     postselect_probability: float | None = None
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise InvalidArgument(f"n must be an integer, got {self.n!r}")
         for ket, amp in self.amplitudes.items():
             if len(ket) != self.n or not set(ket) <= {"u", "d"}:
                 raise InvalidArgument(f"bad ket {ket!r} for n={self.n}")
-            if not cmath.isfinite(amp):
-                raise NonFiniteValue(f"ket {ket!r} has amplitude {amp!r}")
+            try:
+                if not cmath.isfinite(amp):
+                    raise NonFiniteValue(f"ket {ket!r} has amplitude {amp!r}")
+            except TypeError:
+                raise InvalidArgument(
+                    f"ket {ket!r} has amplitude {amp!r}, not a number"
+                ) from None
 
     def amplitude(self, ket: str) -> complex:
         return self.amplitudes.get(ket, 0j)
@@ -93,21 +103,22 @@ def assemble_network_state(spec: NetworkSpec) -> NoBunchState:
     it, which spares a generator step per matching. Matchings come in
     lexicographic order with the edge weights multiplied left to right in
     particle order, exactly as ``oracle_state`` sums its permutations, so
-    the two agree bit for bit. Exactly cancelled strings are dropped.
+    the two agree bit for bit. The sum is keyed by the walk's integer ket
+    code; each distinct ket becomes a string once, at the end, in the
+    order first seen, which is the oracle's order and the order
+    ``normalize`` sums the norm in. Exactly cancelled strings are dropped.
     """
     fermion = spec.statistics is Statistics.FERMION
-    amplitudes: dict[str, complex] = {}
-    for _, ket, prefix, parity, rows in walk_prefixes(spec):
-        for w1, w2, w3, i1, c1, i2, c2, i3, c3, _, odd in rows:
-            ket[i1] = c1
-            ket[i2] = c2
-            ket[i3] = c3
-            key = "".join(ket)
-            amplitudes[key] = amplitudes.get(key, 0j) + (
+    sums: dict[int, complex] = {}
+    for _, code, prefix, parity, rows in walk_prefixes(spec):
+        for w1, w2, w3, _, odd, down in rows:
+            key = code | down
+            sums[key] = sums.get(key, 0j) + (
                 -1 if fermion and parity ^ odd else 1
             ) * (((prefix * w1) * w2) * w3)
-    amplitudes = {k: v for k, v in amplitudes.items() if v != 0}
-    return NoBunchState(spec.n, amplitudes)
+    n = spec.n
+    amplitudes = {ket_of_code(k, n): v for k, v in sums.items() if v != 0}
+    return NoBunchState(n, amplitudes)
 
 
 def oracle_state(spec: NetworkSpec) -> NoBunchState:

@@ -226,6 +226,12 @@ class TestSchmidtRank:
         with pytest.raises(DimensionMismatch):
             schmidt_rank(BELL, cut(3, 1))
 
+    @pytest.mark.parametrize("amplitudes", [{}, {"uud": 0j}])
+    def test_zero_state_has_no_rank(self, amplitudes):
+        # rank 0 would read as "not a product" to a caller testing rank == 1
+        with pytest.raises(ZeroState):
+            schmidt_rank(NoBunchState(3, amplitudes), cut(3, 1))
+
 
 class TestFinestPartition:
     def test_n5_generic_three_blocks(self):

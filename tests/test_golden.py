@@ -1,8 +1,10 @@
 """Structural CLI outputs pinned byte for byte against a recorded file.
 
 ``fixtures/structural_golden.json`` holds stdout, stderr and exit code of
-each structural command, and of ``compute`` and ``verify``, on both
-fixtures, the n5 fixture read as fermions, and four designer networks.
+each structural command, and of ``compute`` and ``verify``, on the
+n5 and tritter fixtures, the n5 fixture read as fermions, two dense
+fixtures (a Haar n=6 boson and an n=7 fermion network with all n² edges
+and mixed colors) and four designer networks.
 To rewrite it after an intended output change, run from the repo root:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -39,6 +41,7 @@ COMMANDS = (
     ["dot", "--view", "d", "--weights"],
     ["dot", "--view", "d", "--highlight", "0"],
     ["dot", "--view", "bb", "--highlight", "0"],
+    ["compute"],
     ["compute", "--json"],
     ["verify"],
 )
@@ -53,7 +56,10 @@ def _run(argv: list[str]) -> dict:
 
 def structural_outputs(workdir: Path) -> dict:
     """{input name: {command: {stdout, stderr, exit}}} for every pair."""
-    inputs = {name: FIXTURES / name for name in ("n5_example.json", "tritter.json")}
+    inputs = {
+        name: FIXTURES / name
+        for name in ("n5_example.json", "tritter.json", "dense6_boson.json", "dense7_fermion.json")
+    }
     doc = json.loads(inputs["n5_example.json"].read_text(encoding="utf-8"))
     inputs["n5-fermion"] = workdir / "n5-fermion.json"
     inputs["n5-fermion"].write_text(json.dumps({**doc, "statistics": "fermion"}), encoding="utf-8")

@@ -22,7 +22,12 @@ from lqngraph.io import (
     serialize_state,
 )
 from lqngraph.model import NetworkSpec, validate_network
-from lqngraph.states import assemble_network_state, max_amplitude_difference, normalize
+from lqngraph.states import (
+    NoBunchState,
+    assemble_network_state,
+    max_amplitude_difference,
+    normalize,
+)
 
 from conftest import brute_force_assignments, n5_network, random_network_with_pm
 
@@ -189,7 +194,50 @@ class TestParseNetwork:
             parse_network(json.dumps(doc))
 
 
+def json_state(state: NoBunchState) -> str:
+    """Reference serializer: the state document through ``json.dumps``."""
+    doc = {
+        "n": state.n,
+        "normalized": state.normalized,
+        "postselect_probability": state.postselect_probability,
+        "terms": [
+            {"ket": ket, "amp": {"re": amp.real, "im": amp.imag}}
+            for ket, amp in state.sorted_terms()
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+#: float parts of amplitudes: any finite float, the extremes of the float
+#: range, signed zero and integer-valued floats
+AMP_PARTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -2.0]),
+    st.integers(-(2**60), 2**60).map(float),
+)
+
+
+@st.composite
+def states(draw):
+    n = draw(st.integers(1, 12))
+    kets = draw(st.lists(st.text("ud", min_size=n, max_size=n), max_size=8, unique=True))
+    # numpy's complex, whose parts repr as np.float64(...), is written the same
+    kind = draw(st.sampled_from([complex, np.complex128]))
+    amplitudes = {ket: kind(draw(AMP_PARTS), draw(AMP_PARTS)) for ket in kets}
+    return NoBunchState(
+        n,
+        amplitudes,
+        normalized=draw(st.booleans()),
+        postselect_probability=draw(st.none() | st.floats()),
+    )
+
+
 class TestSerializeState:
+    @settings(max_examples=300)
+    @given(states())
+    def test_matches_json_dumps(self, state):
+        assert serialize_state(state) == json_state(state)
+
     def test_terms_sorted_by_ket(self):
         state = normalize(assemble_network_state(preset_tritter()))
         doc = json.loads(serialize_state(state))

@@ -139,6 +139,8 @@ def test_beamsplitter_preset_drops_zero_edges():
         lambda: validate_network(1, "anyon", [(1, 1, 1.0, "up")], "design"),
         lambda: validate_network(1, "boson", [(1, 1, 1.0, "up")], "loose"),
         lambda: NoBunchState(2, {"ux": 1.0}),
+        lambda: NoBunchState(2.5, {}),
+        lambda: NoBunchState(2, {"ud": "x"}),
         lambda: design_w(3, form="tri"),
         lambda: design_dicke2(4, preset="paper-n4", amplitudes={(1, 1): 1.0}),
         lambda: design_dicke2(4, amplitudes={(1, 2): 1.0}),
@@ -148,6 +150,8 @@ def test_beamsplitter_preset_drops_zero_edges():
         "statistics",
         "mode",
         "ket",
+        "state-n-float",
+        "amplitude-not-a-number",
         "w-form",
         "dicke-preset-and-amplitudes",
         "override-on-absent-edge",

@@ -37,15 +37,19 @@ def rounding_bound(spec):
     return 1e-12 * max(1.0, math.prod(rows))
 
 
+def ket_reprs(state):
+    """Kets in insertion order with their amplitudes' reprs.
+
+    ``normalize`` sums the norm in insertion order, and repr tells -0.0
+    from 0.0, so this pins what a dict ``==`` lets through.
+    """
+    return [(k, repr(v)) for k, v in state.amplitudes.items()]
+
+
 def assert_engine_is_bit_exact(spec):
     # Both sum the matchings in lexicographic order, multiplying edge
-    # weights particle by particle, so not even the last bit may differ;
-    # repr also tells -0.0 from 0.0, which == does not.
-    engine = assemble_network_state(spec).amplitudes
-    oracle = oracle_state(spec).amplitudes
-    assert list(engine) == list(oracle)
-    assert engine == oracle
-    assert [repr(engine[k]) for k in engine] == [repr(oracle[k]) for k in oracle]
+    # weights particle by particle, so not even the last bit may differ.
+    assert ket_reprs(assemble_network_state(spec)) == ket_reprs(oracle_state(spec))
     assert [assignment for assignment, _ in matchings(spec)] == sorted(
         brute_force_assignments(spec)
     )
@@ -144,7 +148,15 @@ class TestOracle:
         assert len(spec.transitions) == 64
         engine = assemble_network_state(spec)
         assert len(engine.amplitudes) > 1
-        assert engine.amplitudes == oracle_state(spec).amplitudes
+        assert ket_reprs(engine) == ket_reprs(oracle_state(spec))
+
+    def test_complete_boson_n7_is_bit_exact_with_oracle(self):
+        rng = np.random.default_rng(59)
+        spec = random_network(rng, 7, Statistics.BOSON, edge_prob=1.0)
+        assert len(spec.transitions) == 49
+        engine = assemble_network_state(spec)
+        assert len(engine.amplitudes) > 1
+        assert ket_reprs(engine) == ket_reprs(oracle_state(spec))
 
     def test_size_guard(self):
         spec = validate_network(
