@@ -13,22 +13,28 @@ numeric route all read the one partition ``PMDiagram.components``.
 The numerical route works on an assembled state directly: the Schmidt rank
 across a detector bipartition is 1 exactly when the state factors there,
 and recursively splitting along rank-1 cuts yields the finest product
-partition, unique for pure states. ``build_report`` applies it to one weak
-component of the PM diagram at a time, since the state is the product of
-the component states.
+partition, unique for pure states. The amplitudes are held as a flat
+vector indexed by the ket's down bits; the matrices of every cut of one
+size are gathered from it by one cached fancy index and tested in one
+stacked SVD call. That call runs the same LAPACK routine on each matrix of
+the stack, so it gives the factors one call per matrix would.
+``build_report`` applies it to one weak component of the PM diagram at a
+time, since the state is the product of the component states, on
+amplitudes redrawn generically from a seed.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, TooLarge, ZeroState
 from .graphs import PMDiagram, diagram_of_network
-from .model import Color, NetworkSpec, NormalizationMode, Transition
+from .model import Color, NetworkSpec, NormalizationMode, Transition, _index
 from .states import NoBunchState, assemble_network_state, normalize
 
 PARTITION_LIMIT = 10
@@ -163,34 +169,67 @@ def theorem2_w_optimal_check(diag: PMDiagram) -> WOptimalityReport:
     return WOptimalityReport(ok, len(red), sources, tuple(diagnostics))
 
 
-def _amplitude_tensor(state: NoBunchState) -> np.ndarray:
-    """Amplitudes as a (2,)*n tensor; axis j-1 = detector X_j, 0=up, 1=down."""
-    tensor = np.zeros((2,) * state.n, dtype=complex)
+_KET_BITS = str.maketrans("ud", "01")
+
+
+def _amplitude_vector(state: NoBunchState) -> np.ndarray:
+    """Amplitudes as a flat (2,)*n tensor: detector X_j is axis j-1, with
+    0=up and 1=down, so the ket's u/d string read as bits is its index."""
+    vector = np.zeros(2**state.n, dtype=complex)
     for ket, amp in state.amplitudes.items():
-        idx = tuple(0 if ch == "u" else 1 for ch in ket)
-        tensor[idx] = amp
-    return tensor
+        vector[int(ket.translate(_KET_BITS), 2)] = amp
+    return vector
 
 
-def _rank_across(tensor: np.ndarray, axes: tuple[int, ...]):
-    """``(rank, left, right)`` across ``axes``: the leading factors, whose
-    outer product is the tensor when the rank is 1."""
-    m = tensor.ndim
-    rest = tuple(i for i in range(m) if i not in axes)
-    mat = np.transpose(tensor, axes + rest).reshape(2 ** len(axes), 2 ** len(rest))
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    top = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > SV_TOL * top)) if top > 0 else 0
-    left = (u[:, 0] * s[0]).reshape((2,) * len(axes))
-    right = vh[0, :].reshape((2,) * len(rest))
-    return rank, left, right
+def _cut_index(m: int, cuts: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Gather index of a stack of cut matrices over a flat (2,)*m tensor.
+
+    Cut ``c`` keeps the axes ``cuts[c]`` as rows and the other axes, in
+    order, as columns: ``vector[index]`` is the ``(len(cuts), rows,
+    columns)`` stack of matricizations. Every cut has the same size.
+    """
+    flat = np.arange(2**m).reshape((2,) * m)
+    return np.stack([
+        np.transpose(flat, axes + tuple(i for i in range(m) if i not in axes))
+        .reshape(2 ** len(axes), -1)
+        for axes in cuts
+    ])
+
+
+@functools.cache
+def _search_cuts(m: int, size: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The cuts of ``size`` axes out of ``m`` that ``finest_partition``
+    tries, in its order, with their gather index. A half cut and its
+    complement are the same cut, so only the one holding axis 0 is kept.
+    The index is shared by every call, so it is read-only."""
+    cuts = tuple(
+        axes
+        for axes in itertools.combinations(range(m), size)
+        if 2 * size < m or 0 in axes
+    )
+    index = _cut_index(m, cuts)
+    index.flags.writeable = False
+    return cuts, index
+
+
+def _cut_svd(vector: np.ndarray, index: np.ndarray):
+    """``(ranks, u, s, vh)`` of every cut matrix of ``index``, from one SVD.
+
+    A rank counts the singular values above ``SV_TOL`` times the cut's
+    largest one, so a zero matrix has rank 0. For a rank-1 cut ``c`` the
+    outer product of ``u[c, :, 0] * s[c, 0]`` and ``vh[c, 0]`` is its matrix.
+    """
+    u, s, vh = np.linalg.svd(vector[index], full_matrices=False)
+    ranks = np.count_nonzero(s > SV_TOL * s[:, :1], axis=1)
+    return ranks, u, s, vh
 
 
 def schmidt_rank(state: NoBunchState, cut: Bipartition) -> int:
     """Rank of the amplitude matricization across the cut.
 
     Singular values are counted above ``SV_TOL`` times the largest one;
-    rank 1 means the state is a product across the cut. The zero state has
+    rank 1 means the state is a product across the cut. It is the one-cut
+    case of the stacked test ``finest_partition`` runs. The zero state has
     no rank: it raises ZeroState.
     """
     if cut.n != state.n:
@@ -198,17 +237,20 @@ def schmidt_rank(state: NoBunchState, cut: Bipartition) -> int:
     if not any(state.amplitudes.values()):
         raise ZeroState("state has zero norm (no Schmidt rank)")
     axes = tuple(d - 1 for d in sorted(cut.subset))
-    return _rank_across(_amplitude_tensor(state), axes)[0]
+    ranks = _cut_svd(_amplitude_vector(state), _cut_index(state.n, (axes,)))[0]
+    return int(ranks[0])
 
 
 def finest_partition(state: NoBunchState) -> Partition:
     """Finest detector partition across which the pure state factorizes.
 
-    Recursively splits along any rank-1 bipartition, smallest subset first;
-    pure-state factorizations are unique, so the search order does not
-    affect the result. A single full-size block means the state is
-    genuinely entangled. The zero state has no partition: it raises
-    ZeroState.
+    Recursively splits along a rank-1 bipartition, smallest subset first:
+    every cut of one size is tested in one stacked SVD call, and the first
+    rank-1 cut in ``itertools.combinations`` order is taken. Pure-state
+    factorizations are unique, so the search order does not affect the
+    result. A single full-size block means the state is genuinely
+    entangled; that takes one SVD call per cut size, ``m // 2`` calls for
+    ``m`` detectors. The zero state has no partition: it raises ZeroState.
     """
     if state.n > PARTITION_LIMIT:
         raise TooLarge(state.n, PARTITION_LIMIT)
@@ -217,24 +259,23 @@ def finest_partition(state: NoBunchState) -> Partition:
 
     blocks: list[tuple[int, ...]] = []
 
-    def split(detectors: tuple[int, ...], tensor: np.ndarray) -> None:
+    def split(detectors: tuple[int, ...], vector: np.ndarray) -> None:
         m = len(detectors)
         for size in range(1, m // 2 + 1):
-            for axes in itertools.combinations(range(m), size):
-                if 2 * size == m and 0 not in axes:
-                    continue
-                rank, left, right = _rank_across(tensor, axes)
-                if rank == 1:
-                    inside = tuple(detectors[i] for i in axes)
-                    outside = tuple(
-                        detectors[i] for i in range(m) if i not in axes
-                    )
-                    split(inside, left)
-                    split(outside, right)
-                    return
+            cuts, index = _search_cuts(m, size)
+            ranks, u, s, vh = _cut_svd(vector, index)
+            hits = np.flatnonzero(ranks == 1)
+            if hits.size:
+                c = hits[0]
+                axes = cuts[c]
+                inside = tuple(detectors[i] for i in axes)
+                outside = tuple(detectors[i] for i in range(m) if i not in axes)
+                split(inside, u[c, :, 0] * s[c, 0])
+                split(outside, vh[c, 0])
+                return
         blocks.append(detectors)
 
-    split(tuple(range(1, state.n + 1)), _amplitude_tensor(state))
+    split(tuple(range(1, state.n + 1)), _amplitude_vector(state))
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
@@ -244,24 +285,25 @@ def generic_amplitudes(
     """Redraw amplitudes generically, keeping everything else of ``spec``.
 
     Per transition, in spec order, a magnitude in [0.3, 1] and then a
-    uniform phase are drawn, and each row is then normalized, which avoids
-    both accidental cancellations and accidental product structure beyond
-    what the topology forces. The drawn values are nonzero and finite, so
-    the spec's validation still holds and is not run again.
+    uniform phase are drawn, all in one ``rng.uniform`` call, and each row
+    is then normalized, which avoids both accidental cancellations and
+    accidental product structure beyond what the topology forces. The
+    drawn values are nonzero and finite, so the spec's validation still
+    holds and is not run again.
     """
-    drawn = []
-    for t in spec.transitions:
-        mag = rng.uniform(0.3, 1.0)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        drawn.append(mag * np.exp(1j * phase))
+    transitions = spec.transitions
+    mags, phases = rng.uniform([0.3, 0.0], [1.0, 2.0 * np.pi], (len(transitions), 2)).T
+    drawn = mags * np.exp(1j * phases)
     row_norm = [0.0] * spec.n
-    for t, amp in zip(spec.transitions, drawn):
+    for t, amp in zip(transitions, drawn):
         row_norm[t.source - 1] += abs(amp) ** 2
     transitions = tuple(
-        replace(t, amplitude=complex(amp / row_norm[t.source - 1] ** 0.5))
-        for t, amp in zip(spec.transitions, drawn)
+        Transition(
+            t.source, t.detector, complex(amp / row_norm[t.source - 1] ** 0.5), t.color
+        )
+        for t, amp in zip(transitions, drawn)
     )
-    return replace(spec, transitions=transitions)
+    return NetworkSpec(spec.n, spec.statistics, transitions, spec.normalization_mode)
 
 
 def _partition_by_component(spec: NetworkSpec, diag: PMDiagram) -> Partition:
@@ -314,14 +356,17 @@ def build_report(spec: NetworkSpec, numeric_seed: int | None = None) -> Separabi
     coincidences) and computes the finest product partition of the
     resulting state, assembling and splitting each weak component of the
     PM diagram on its own. ``PARTITION_LIMIT`` bounds each component, not
-    the whole network.
+    the whole network. A seed that is not an integer (floats, bools and
+    numeric strings included) raises IndexOutOfRange, as a non-integer
+    ``n`` does in ``validate_network``; a negative one raises InvalidArgument.
     """
     diag = diagram_of_network(spec)
     numeric = None
     if numeric_seed is not None:
-        if numeric_seed < 0:
-            raise InvalidArgument(f"numeric seed must be >= 0, got {numeric_seed}")
-        generic = generic_amplitudes(spec, np.random.default_rng(numeric_seed))
+        seed = _index(numeric_seed, "numeric seed")
+        if seed < 0:
+            raise InvalidArgument(f"numeric seed must be >= 0, got {seed}")
+        generic = generic_amplitudes(spec, np.random.default_rng(seed))
         numeric = _partition_by_component(generic, diag)
     return SeparabilityReport(
         tuple(lemma1_separable_vertices(diag)),

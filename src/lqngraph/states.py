@@ -47,8 +47,9 @@ class NoBunchState:
     assembled from a unitary strict-mode network it equals the probability
     of the no-bunching post-selection succeeding. A NaN or infinite
     amplitude (an overflowed matching weight) raises NonFiniteValue; an
-    ``n`` that is not an integer, a ket that is not n characters u/d, or
-    an amplitude that is not a number raises InvalidArgument.
+    ``n`` that is not an integer of at least 1, a ket that is not a string
+    of n characters u/d, or an amplitude that is not a number raises
+    InvalidArgument.
     """
 
     n: int
@@ -59,8 +60,10 @@ class NoBunchState:
     def __post_init__(self):
         if isinstance(self.n, bool) or not isinstance(self.n, int):
             raise InvalidArgument(f"n must be an integer, got {self.n!r}")
+        if self.n < 1:
+            raise InvalidArgument(f"n must be >= 1, got {self.n}")
         for ket, amp in self.amplitudes.items():
-            if len(ket) != self.n or not set(ket) <= {"u", "d"}:
+            if not isinstance(ket, str) or len(ket) != self.n or not set(ket) <= {"u", "d"}:
                 raise InvalidArgument(f"bad ket {ket!r} for n={self.n}")
             try:
                 if not cmath.isfinite(amp):

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from lqngraph.entanglement import SV_TOL
 from lqngraph.graphs import walk_matchings
 from lqngraph.model import Color, NetworkSpec, Statistics, validate_network
+from lqngraph.states import NoBunchState
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -174,3 +176,106 @@ def brute_force_cycles(spec: NetworkSpec) -> list[tuple[int, ...]]:
                 ):
                     found.add(cycle)
     return sorted(found)
+
+
+def _reference_tensor(state: NoBunchState) -> np.ndarray:
+    """Amplitudes as a (2,)*n tensor; axis j-1 = detector X_j, 0=up, 1=down."""
+    tensor = np.zeros((2,) * state.n, dtype=complex)
+    for ket, amp in state.amplitudes.items():
+        tensor[tuple(0 if ch == "u" else 1 for ch in ket)] = amp
+    return tensor
+
+
+def _reference_rank_across(tensor: np.ndarray, axes: tuple[int, ...]):
+    """``(rank, left, right)`` across ``axes`` from one SVD of one matrix:
+    the leading factors, whose outer product is the tensor at rank 1."""
+    m = tensor.ndim
+    rest = tuple(i for i in range(m) if i not in axes)
+    mat = np.transpose(tensor, axes + rest).reshape(2 ** len(axes), 2 ** len(rest))
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    top = s[0]
+    rank = int(np.sum(s > SV_TOL * top)) if top > 0 else 0
+    left = (u[:, 0] * s[0]).reshape((2,) * len(axes))
+    right = vh[0, :].reshape((2,) * len(rest))
+    return rank, left, right
+
+
+def reference_schmidt_rank(state: NoBunchState, subset) -> int:
+    """Schmidt rank across the detectors ``subset`` (1-based), one SVD."""
+    axes = tuple(d - 1 for d in sorted(subset))
+    return _reference_rank_across(_reference_tensor(state), axes)[0]
+
+
+def reference_finest_partition(state: NoBunchState) -> tuple[tuple[int, ...], ...]:
+    """Finest product partition by a sequential search, one SVD per cut.
+
+    Cuts are tried smallest first in ``itertools.combinations`` order,
+    half cuts only with axis 0, and the state splits on the first rank-1
+    cut into the factors that cut's SVD gives.
+    """
+    blocks = []
+
+    def split(detectors, tensor):
+        m = len(detectors)
+        for size in range(1, m // 2 + 1):
+            for axes in itertools.combinations(range(m), size):
+                if 2 * size == m and 0 not in axes:
+                    continue
+                rank, left, right = _reference_rank_across(tensor, axes)
+                if rank == 1:
+                    split(tuple(detectors[i] for i in axes), left)
+                    split(tuple(detectors[i] for i in range(m) if i not in axes), right)
+                    return
+        blocks.append(detectors)
+
+    split(tuple(range(1, state.n + 1)), _reference_tensor(state))
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
+@st.composite
+def planted_product_states(draw, max_n=8):
+    """``(state, planted partition)``: a tensor product of planted factors.
+
+    The detectors 1..n are split into random blocks. A block is a
+    single-detector factor (a basis state or a generic one), an exact
+    product of generic single-detector states, or, from two detectors
+    up, a generic factor: magnitudes in [0.3, 1] and uniform phases on
+    every ket, which is entangled across each of its cuts. The planted
+    partition is the finest one: a product factor counts as singletons.
+    """
+    n = draw(st.integers(1, max_n), label="n")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    order = [int(d) for d in rng.permutation(np.arange(1, n + 1))]
+    blocks, factors, planted = [], [], []
+    while order:
+        size = draw(st.integers(1, min(4, len(order))), label="block size")
+        block, order = order[:size], order[size:]
+        kind = draw(st.sampled_from(["generic", "product", "basis"]), label="kind")
+        if size == 1 and kind == "basis":
+            factor = np.zeros(2, dtype=complex)
+            factor[int(rng.integers(0, 2))] = 1.0
+        elif size == 1 or kind == "generic":
+            factor = rng.uniform(0.3, 1.0, 2**size) * np.exp(2j * np.pi * rng.random(2**size))
+        else:
+            factor = np.ones(1, dtype=complex)
+            for _ in block:
+                one = rng.uniform(0.3, 1.0, 2) * np.exp(2j * np.pi * rng.random(2))
+                factor = np.kron(factor, one)
+        blocks.extend(block)
+        factors.append(factor)
+        if size == 1 or kind == "generic":
+            planted.append(tuple(sorted(block)))
+        else:
+            planted.extend((d,) for d in block)
+    vector = np.ones(1, dtype=complex)
+    for factor in factors:
+        vector = np.kron(vector, factor)
+    # axis i of the product tensor is detector blocks[i]; put X_1..X_n in order
+    tensor = np.transpose(vector.reshape((2,) * n), np.argsort(blocks))
+    amplitudes = {
+        "".join("ud"[b] for b in idx): complex(tensor[idx])
+        for idx in itertools.product((0, 1), repeat=n)
+        if tensor[idx] != 0
+    }
+    return NoBunchState(n, amplitudes), tuple(sorted(planted))

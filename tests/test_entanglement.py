@@ -1,5 +1,6 @@
 """Structural criteria, Schmidt ranks, finest partitions."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from lqngraph import graphs
-from lqngraph.designers import design_ghz, design_w
+from lqngraph.designers import design_cluster4, design_dicke2, design_ghz, design_w
 from lqngraph.entanglement import (
     Bipartition,
     Verdict,
@@ -22,7 +23,13 @@ from lqngraph.entanglement import (
     theorem1_check,
     theorem2_w_optimal_check,
 )
-from lqngraph.errors import DimensionMismatch, InvalidArgument, TooLarge, ZeroState
+from lqngraph.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    InvalidArgument,
+    TooLarge,
+    ZeroState,
+)
 from lqngraph.graphs import diagram_of_network
 from lqngraph.model import Color, NormalizationMode, validate_network
 from lqngraph.states import NoBunchState, assemble_network_state, normalize
@@ -31,7 +38,10 @@ from conftest import (
     matchings,
     n5_network,
     networks,
+    planted_product_states,
     random_network_with_pm,
+    reference_finest_partition,
+    reference_schmidt_rank,
     superposed_subsystem_network,
 )
 
@@ -271,6 +281,38 @@ class TestFinestPartition:
         with pytest.raises(ZeroState):
             finest_partition(NoBunchState(3, amplitudes))
 
+    @settings(max_examples=150, deadline=None)
+    @given(planted_product_states())
+    def test_stacked_search_equals_sequential_reference(self, planted):
+        state, partition = planted
+        assert finest_partition(state) == reference_finest_partition(state) == partition
+        detectors = range(1, state.n + 1)
+        for size in range(1, state.n):
+            for subset in itertools.combinations(detectors, size):
+                assert schmidt_rank(state, cut(state.n, *subset)) == reference_schmidt_rank(
+                    state, subset
+                )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [design_dicke2(5), design_cluster4(), design_ghz(4), design_w(7, "ring")],
+        ids=["dicke2-n5", "cluster4", "ghz4", "w7-ring"],
+    )
+    def test_one_svd_call_per_cut_size(self, monkeypatch, spec):
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        svd = np.linalg.svd
+        state = normalize(
+            assemble_network_state(generic_amplitudes(spec, np.random.default_rng(5)))
+        )
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert finest_partition(state) == (tuple(range(1, spec.n + 1)),)
+        assert len(calls) == spec.n // 2
+
 
 class TestReport:
     def test_n5_report_structural_and_numeric(self):
@@ -287,6 +329,12 @@ class TestReport:
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidArgument):
             build_report(n5_network(), numeric_seed=-1)
+
+    @pytest.mark.parametrize("seed", [2.5, "3", True], ids=["float", "str", "bool"])
+    def test_non_integer_seed_rejected(self, seed):
+        # read as model._index reads n: no silent bool, no bare TypeError
+        with pytest.raises(IndexOutOfRange):
+            build_report(n5_network(), numeric_seed=seed)
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(

@@ -4,7 +4,10 @@
 each structural command, and of ``compute`` and ``verify``, on the
 n5 and tritter fixtures, the n5 fixture read as fermions, two dense
 fixtures (a Haar n=6 boson and an n=7 fermion network with all n² edges
-and mixed colors) and four designer networks.
+and mixed colors), two block unions (dicke2:5 + ghz:2 as bosons and
+cluster4 + W star n=3 as fermions, each with one forward cross edge, so
+``analyze --numeric`` splits components of size 3 to 5) and four designer
+networks.
 To rewrite it after an intended output change, run from the repo root:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -58,7 +61,14 @@ def structural_outputs(workdir: Path) -> dict:
     """{input name: {command: {stdout, stderr, exit}}} for every pair."""
     inputs = {
         name: FIXTURES / name
-        for name in ("n5_example.json", "tritter.json", "dense6_boson.json", "dense7_fermion.json")
+        for name in (
+            "n5_example.json",
+            "tritter.json",
+            "dense6_boson.json",
+            "dense7_fermion.json",
+            "blocks7_dicke2_ghz_boson.json",
+            "blocks7_cluster4_wstar_fermion.json",
+        )
     }
     doc = json.loads(inputs["n5_example.json"].read_text(encoding="utf-8"))
     inputs["n5-fermion"] = workdir / "n5-fermion.json"

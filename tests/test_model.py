@@ -141,6 +141,9 @@ def test_beamsplitter_preset_drops_zero_edges():
         lambda: NoBunchState(2, {"ux": 1.0}),
         lambda: NoBunchState(2.5, {}),
         lambda: NoBunchState(2, {"ud": "x"}),
+        lambda: NoBunchState(2, {5: 1.0}),
+        lambda: NoBunchState(-1, {}),
+        lambda: NoBunchState(0, {"": 1.0}),
         lambda: design_w(3, form="tri"),
         lambda: design_dicke2(4, preset="paper-n4", amplitudes={(1, 1): 1.0}),
         lambda: design_dicke2(4, amplitudes={(1, 2): 1.0}),
@@ -152,6 +155,9 @@ def test_beamsplitter_preset_drops_zero_edges():
         "ket",
         "state-n-float",
         "amplitude-not-a-number",
+        "ket-not-a-string",
+        "state-n-negative",
+        "state-n-zero",
         "w-form",
         "dicke-preset-and-amplitudes",
         "override-on-absent-edge",
