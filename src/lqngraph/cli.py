@@ -157,8 +157,16 @@ def _cmd_pm_diagram(args) -> int:
 
 
 def _parse_complex(text: str) -> complex:
+    """A complex literal whose imaginary unit may be a trailing ``i``.
+
+    Only the last character is read as the unit, so ``inf`` and ``nan``
+    parse as Python spells them and are rejected by validation instead.
+    """
+    literal = text.strip()
+    if literal.endswith("i"):
+        literal = literal[:-1] + "j"
     try:
-        return complex(text.replace("i", "j"))
+        return complex(literal)
     except ValueError as exc:
         raise _UsageError(f"not a complex number: {text!r}") from exc
 

@@ -21,6 +21,11 @@ the stack, so it gives the factors one call per matrix would.
 ``build_report`` applies it to one weak component of the PM diagram at a
 time, since the state is the product of the component states, on
 amplitudes redrawn generically from a seed.
+
+Only that numeric route needs linear algebra, so numpy is imported inside
+the functions that call it: ``finest_partition``, ``schmidt_rank``,
+``generic_amplitudes`` and ``build_report`` with a numeric seed. The
+structural route and every other part of the package run without it.
 """
 
 from __future__ import annotations
@@ -29,13 +34,15 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch, InvalidArgument, TooLarge, ZeroState
 from .graphs import PMDiagram, diagram_of_network
 from .model import Color, NetworkSpec, NormalizationMode, Transition, _index
 from .states import NoBunchState, assemble_network_state, normalize
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PARTITION_LIMIT = 10
 #: singular values at or below this fraction of the largest count as zero
@@ -172,9 +179,17 @@ def theorem2_w_optimal_check(diag: PMDiagram) -> WOptimalityReport:
 _KET_BITS = str.maketrans("ud", "01")
 
 
+def _check_partition_size(m: int, subject: str = "n") -> None:
+    """Raise TooLarge if ``m`` detectors exceed ``PARTITION_LIMIT``."""
+    if m > PARTITION_LIMIT:
+        raise TooLarge(m, PARTITION_LIMIT, "partition-search", subject)
+
+
 def _amplitude_vector(state: NoBunchState) -> np.ndarray:
     """Amplitudes as a flat (2,)*n tensor: detector X_j is axis j-1, with
     0=up and 1=down, so the ket's u/d string read as bits is its index."""
+    import numpy as np
+
     vector = np.zeros(2**state.n, dtype=complex)
     for ket, amp in state.amplitudes.items():
         vector[int(ket.translate(_KET_BITS), 2)] = amp
@@ -188,6 +203,8 @@ def _cut_index(m: int, cuts: tuple[tuple[int, ...], ...]) -> np.ndarray:
     order, as columns: ``vector[index]`` is the ``(len(cuts), rows,
     columns)`` stack of matricizations. Every cut has the same size.
     """
+    import numpy as np
+
     flat = np.arange(2**m).reshape((2,) * m)
     return np.stack([
         np.transpose(flat, axes + tuple(i for i in range(m) if i not in axes))
@@ -219,6 +236,8 @@ def _cut_svd(vector: np.ndarray, index: np.ndarray):
     largest one, so a zero matrix has rank 0. For a rank-1 cut ``c`` the
     outer product of ``u[c, :, 0] * s[c, 0]`` and ``vh[c, 0]`` is its matrix.
     """
+    import numpy as np
+
     u, s, vh = np.linalg.svd(vector[index], full_matrices=False)
     ranks = np.count_nonzero(s > SV_TOL * s[:, :1], axis=1)
     return ranks, u, s, vh
@@ -229,11 +248,13 @@ def schmidt_rank(state: NoBunchState, cut: Bipartition) -> int:
 
     Singular values are counted above ``SV_TOL`` times the largest one;
     rank 1 means the state is a product across the cut. It is the one-cut
-    case of the stacked test ``finest_partition`` runs. The zero state has
-    no rank: it raises ZeroState.
+    case of the stacked test ``finest_partition`` runs, under the same
+    ``PARTITION_LIMIT`` on the state's size. The zero state has no rank: it
+    raises ZeroState.
     """
     if cut.n != state.n:
         raise DimensionMismatch(f"cut over {cut.n} detectors, state has {state.n}")
+    _check_partition_size(state.n)
     if not any(state.amplitudes.values()):
         raise ZeroState("state has zero norm (no Schmidt rank)")
     axes = tuple(d - 1 for d in sorted(cut.subset))
@@ -252,8 +273,7 @@ def finest_partition(state: NoBunchState) -> Partition:
     entangled; that takes one SVD call per cut size, ``m // 2`` calls for
     ``m`` detectors. The zero state has no partition: it raises ZeroState.
     """
-    if state.n > PARTITION_LIMIT:
-        raise TooLarge(state.n, PARTITION_LIMIT)
+    _check_partition_size(state.n)
     if not any(state.amplitudes.values()):
         raise ZeroState("state has zero norm (no kets to partition)")
 
@@ -264,7 +284,7 @@ def finest_partition(state: NoBunchState) -> Partition:
         for size in range(1, m // 2 + 1):
             cuts, index = _search_cuts(m, size)
             ranks, u, s, vh = _cut_svd(vector, index)
-            hits = np.flatnonzero(ranks == 1)
+            hits = (ranks == 1).nonzero()[0]
             if hits.size:
                 c = hits[0]
                 axes = cuts[c]
@@ -291,6 +311,8 @@ def generic_amplitudes(
     drawn values are nonzero and finite, so the spec's validation still
     holds and is not run again.
     """
+    import numpy as np
+
     transitions = spec.transitions
     mags, phases = rng.uniform([0.3, 0.0], [1.0, 2.0 * np.pi], (len(transitions), 2)).T
     drawn = mags * np.exp(1j * phases)
@@ -313,13 +335,9 @@ def _partition_by_component(spec: NetworkSpec, diag: PMDiagram) -> Partition:
     state is, up to sign, the tensor product of the component states, and
     its finest partition is the union of theirs. Vertex ``v`` stands for
     particle ``v`` and detector ``diag.relabeling[v-1]``; each component's
-    particles and detectors are renumbered 1..m in ascending order. The
-    size limit applies per component and is checked before any assembly.
+    particles and detectors are renumbered 1..m in ascending order.
     """
     components = diag.components
-    largest = max(len(c) for c in components)
-    if largest > PARTITION_LIMIT:
-        raise TooLarge(largest, PARTITION_LIMIT)
     # (component index, local label) of every particle and every detector
     particle_at = [(0, 0)] * (diag.n + 1)
     detector_at = [(0, 0)] * (diag.n + 1)
@@ -356,9 +374,10 @@ def build_report(spec: NetworkSpec, numeric_seed: int | None = None) -> Separabi
     coincidences) and computes the finest product partition of the
     resulting state, assembling and splitting each weak component of the
     PM diagram on its own. ``PARTITION_LIMIT`` bounds each component, not
-    the whole network. A seed that is not an integer (floats, bools and
-    numeric strings included) raises IndexOutOfRange, as a non-integer
-    ``n`` does in ``validate_network``; a negative one raises InvalidArgument.
+    the whole network, and is checked before the draw. A seed that is not
+    an integer (floats, bools and numeric strings included) raises
+    IndexOutOfRange, as a non-integer ``n`` does in ``validate_network``; a
+    negative one raises InvalidArgument.
     """
     diag = diagram_of_network(spec)
     numeric = None
@@ -366,6 +385,9 @@ def build_report(spec: NetworkSpec, numeric_seed: int | None = None) -> Separabi
         seed = _index(numeric_seed, "numeric seed")
         if seed < 0:
             raise InvalidArgument(f"numeric seed must be >= 0, got {seed}")
+        _check_partition_size(max(len(c) for c in diag.components), "component size n")
+        import numpy as np
+
         generic = generic_amplitudes(spec, np.random.default_rng(seed))
         numeric = _partition_by_component(generic, diag)
     return SeparabilityReport(

@@ -43,10 +43,19 @@ class ZeroState(LQNError):
 
 
 class TooLarge(LQNError):
-    def __init__(self, n: int, limit: int):
+    """A size ``n`` above the limit named ``limit_name``; ``subject`` names
+    what has that size in the message."""
+
+    def __init__(
+        self,
+        n: int,
+        limit: int,
+        limit_name: str = "exhaustive-enumeration",
+        subject: str = "n",
+    ):
         self.n = n
         self.limit = limit
-        super().__init__(f"n={n} exceeds the exhaustive-enumeration limit {limit}")
+        super().__init__(f"{subject}={n} exceeds the {limit_name} limit {limit}")
 
 
 class DimensionMismatch(LQNError):

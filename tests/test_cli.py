@@ -2,10 +2,14 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lqngraph
 import lqngraph.cli as cli
 from lqngraph.designers import design_ghz, design_w
 from lqngraph.io import parse_network, serialize_network
@@ -182,6 +186,17 @@ class TestAnalyze:
         assert out == ""
         assert "n=12 exceeds" in err
 
+    def test_component_limit_is_checked_before_the_draw(self, capsys, tmp_path, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(cli.entanglement, "generic_amplitudes", drawn.append)
+        path = tmp_path / "ghz11.json"
+        path.write_text(serialize_network(design_ghz(11)))
+        code, out, err = run(capsys, "analyze", str(path), "--numeric", "1")
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: component size n=11 exceeds the partition-search limit 10\n"
+        assert drawn == []
+
 
 class TestPMDiagram:
     def test_removed_edges_listed(self, capsys, fixtures_dir):
@@ -236,6 +251,36 @@ class TestDesign:
         assert code == 0
         spec = parse_network(out)
         assert len(spec.transitions) == 3
+
+    @pytest.mark.parametrize("amp", ["inf", "Infinity", "infi", "1+infi", " -inf", "nan"])
+    def test_non_finite_amp_is_validation_error(self, capsys, amp):
+        code, out, err = run(capsys, "design", "beamsplitter", "--amps", "0.6", "0.8", amp, "0")
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: transition (2, 1) has amplitude ")
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("1+2i", 1 + 2j),
+            ("i", 1j),
+            ("-i", -1j),
+            ("-0.5i", -0.5j),
+            ("1e-3i", 0.001j),
+            (" 0.8i ", 0.8j),
+            ("0.7071067811865476", 0.7071067811865476),
+            ("-2", -2),
+            ("1+2j", 1 + 2j),
+        ],
+    )
+    def test_complex_literals(self, text, value):
+        assert cli._parse_complex(text) == value
+
+    @pytest.mark.parametrize("text", ["", "1+2I", "2i+1", "i1", " one "])
+    def test_bad_complex_literal_is_usage_error(self, capsys, text):
+        code, out, err = run(capsys, "design", "beamsplitter", "--amps", "1", "0", "0", text)
+        assert code == cli.EXIT_USAGE
+        assert err == f"usage error: not a complex number: {text!r}\n"
 
     def test_preset_for_wrong_n_is_validation_error(self, capsys):
         code, _, err = run(capsys, "design", "dicke", "--n", "6", "--preset", "paper-n4")
@@ -499,3 +544,54 @@ class TestHardening:
         assert code == cli.EXIT_VALIDATION
         assert out == ""
         assert err == f"error: {message}\n"
+
+
+# Runs each argv list of argv[2] through cli_main in this fresh interpreter
+# and prints, per run, its exit code, stdout, stderr and whether numpy has
+# been imported by then.
+_COLD_START = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import lqngraph
+from lqngraph.cli import cli_main
+runs = [["import", 0, "", "", "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    runs.append([" ".join(argv), code, out.getvalue(), err.getvalue(), "numpy" in sys.modules])
+print(json.dumps(runs))
+"""
+
+
+class TestColdStart:
+    def test_numpy_is_imported_only_for_the_numeric_partition(
+        self, capsys, fixtures_dir, tmp_path
+    ):
+        # a fresh interpreter: this one imported numpy with the test modules
+        n5 = str(fixtures_dir / "n5_example.json")
+        ghz11 = tmp_path / "ghz11.json"
+        ghz11.write_text(serialize_network(design_ghz(11)))
+        structural = [
+            ["compute", n5, "--json"],
+            ["verify", n5],
+            ["analyze", n5, "--json"],
+            ["pm-diagram", n5],
+            ["dot", n5, "--view", "pm", "--highlight", "0"],
+            ["design", "ghz", "--n", "4"],
+            ["analyze", str(ghz11), "--numeric", "1"],
+        ]
+        numeric = ["analyze", n5, "--numeric", "3", "--json"]
+        src = str(Path(lqngraph.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_START, src, json.dumps([*structural, numeric])],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs = json.loads(proc.stdout)
+        assert [(r[0], r[4]) for r in runs[:-1]] == [
+            (name, False) for name in ["import", *map(" ".join, structural)]
+        ]
+        assert [r[1] for r in runs[1:-1]] == [0] * 6 + [cli.EXIT_VALIDATION]
+        assert runs[-1][4] is True
+        assert runs[-1][1:4] == list(run(capsys, *numeric))

@@ -236,6 +236,14 @@ class TestSchmidtRank:
         with pytest.raises(DimensionMismatch):
             schmidt_rank(BELL, cut(3, 1))
 
+    def test_size_guard_before_the_amplitude_vector(self):
+        # the 2**40 amplitudes of this two-ket state are never allocated
+        n = 40
+        ghz = normalize(NoBunchState(n, {"u" * n: 1.0, "d" * n: 1.0}))
+        with pytest.raises(TooLarge) as info:
+            schmidt_rank(ghz, cut(n, 1))
+        assert str(info.value) == "n=40 exceeds the partition-search limit 10"
+
     @pytest.mark.parametrize("amplitudes", [{}, {"uud": 0j}])
     def test_zero_state_has_no_rank(self, amplitudes):
         # rank 0 would read as "not a product" to a caller testing rank == 1
@@ -273,8 +281,9 @@ class TestFinestPartition:
 
     def test_size_guard(self):
         state = NoBunchState(11, {"u" * 11: 1.0}, normalized=True)
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge) as info:
             finest_partition(state)
+        assert str(info.value) == "n=11 exceeds the partition-search limit 10"
 
     @pytest.mark.parametrize("amplitudes", [{}, {"uud": 0j}])
     def test_zero_state_has_no_partition(self, amplitudes):
