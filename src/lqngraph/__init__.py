@@ -29,7 +29,7 @@ from .entanglement import (
     theorem2_w_optimal_check,
 )
 from .errors import LQNError
-from .graphs import PMDiagram, diagram_of_network, elementary_cycles, walk_matchings
+from .graphs import PMDiagram, diagram_of_network, walk_matchings
 from .io import DotRenderOptions, View, export_dot, parse_network, serialize_network, serialize_state
 from .model import (
     Color,

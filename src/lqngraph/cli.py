@@ -9,6 +9,7 @@ normalization tolerance (1e-9) used when reading network files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -288,9 +289,26 @@ def _parser() -> _Parser:
     return parser
 
 
+def _amps_as_values(argv: list[str]) -> list[str]:
+    """``argv`` with a space before each negative literal given to ``--amps``.
+
+    argparse takes a word that starts with ``-`` and is not a plain negative
+    decimal (``-0.5i``, ``-1+2i``, ``-inf``) for a flag; ``_parse_complex``
+    strips the space. ``--amps`` may be abbreviated, as argparse allows.
+    """
+    argv = list(argv)
+    for k in [k for k, word in enumerate(argv) if len(word) > 2 and "--amps".startswith(word)]:
+        for m in range(k + 1, min(k + 5, len(argv))):
+            if argv[m].startswith("-"):
+                with contextlib.suppress(_UsageError):  # not a literal: left as it is
+                    _parse_complex(argv[m])
+                    argv[m] = " " + argv[m]
+    return argv
+
+
 def cli_main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_amps_as_values(sys.argv[1:] if argv is None else argv))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,11 +18,11 @@ detectors so a chosen perfect matching becomes the loops, every other
 perfect matching is reachable by exchanging edges along pairwise
 vertex-disjoint elementary cycles. The retained subgraph of loops plus
 cycle edges (the "PM diagram") contains exactly the edges that
-participate in some matching; ``diagram_of_network`` keeps it as a
-``NetworkSpec`` in the relabeled coordinates, finds its strongly
-connected components once and keeps them on the diagram; they are also
-its weak components. Those components and the edge colors are what the
-entanglement criteria inspect.
+participate in some matching: those whose two ends share a strongly
+connected component. ``diagram_of_network`` keeps it as a ``NetworkSpec``
+in the relabeled coordinates, with the SCCs, found in one pass; they are
+also its weak components. Those components and the edge colors are what
+the entanglement criteria inspect.
 
 All vertices are 1-based to match the external index convention.
 """
@@ -30,35 +30,31 @@ All vertices are 1-based to match the external index convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Iterator
 
 from .errors import NoPerfectMatching
 from .model import Color, NetworkSpec, NormalizationMode, Transition
 
-Cycle = tuple[int, ...]
-
 
 @dataclass(frozen=True)
 class PMDiagram:
-    """Loop-labeled digraph retaining only loops and elementary-cycle edges.
+    """Loop-labeled digraph retaining only loops and edges inside an SCC.
 
     ``network`` is the diagram as a design-mode ``NetworkSpec`` in
     relabeled coordinates, where the reference matching is the diagonal,
     so every vertex carries a loop: its transition a → X_v is the edge
     w_a → w_v. ``relabeling[v-1]`` is the original detector whose column
     was moved to slot ``v`` (vertex ``w_v`` therefore stands for particle
-    ``v`` and original detector ``relabeling[v-1]``). ``cycles`` are the
-    elementary cycles of the retained subgraph; ``removed`` lists the
-    transitions, in original labels, that participate in no perfect
+    ``v`` and original detector ``relabeling[v-1]``). ``removed`` lists
+    the transitions, in original labels, that participate in no perfect
     matching. ``components`` is the strongly connected partition of
-    ``network``: sorted vertex tuples in ascending order. Every kept edge
-    is a loop or lies on a kept cycle, so the two ends of an edge share an
-    SCC, and these are also the weak components.
+    ``network``: sorted vertex tuples in ascending order. The two ends of
+    every kept edge share an SCC, so these are also the weak components.
     """
 
     network: NetworkSpec
     relabeling: tuple[int, ...]
-    cycles: tuple[Cycle, ...]
     removed: tuple[Transition, ...]
     components: tuple[tuple[int, ...], ...]
 
@@ -203,86 +199,6 @@ def _tarjan_sccs(n: int, succ: list[list[int]]) -> list[list[int]]:
                             break
                     sccs.append(sorted(comp))
     return sccs
-
-
-def elementary_cycles(spec: NetworkSpec) -> list[Cycle]:
-    """All elementary cycles of length >= 2 of the digraph of ``spec``.
-
-    Each transition a → X_j is an edge w_a → w_j; loops are excluded.
-
-    Johnson-style blocked search over sorted non-loop adjacency lists, with
-    explicit stacks. For each start vertex s (ascending), only the strongly
-    connected part of the subgraph on vertices >= s is explored, so every
-    cycle is reported exactly once, rooted at its smallest vertex. Output is
-    sorted lexicographically.
-    """
-    n = spec.n
-    succ_all = _successors(spec)
-    max_pred = [0] * (n + 1)
-    for v, succ in enumerate(succ_all, start=1):
-        for w in succ:
-            max_pred[w] = max(max_pred[w], v)
-    cycles: list[Cycle] = []
-
-    for s in range(1, n + 1):
-        # a cycle rooted at s enters and leaves s through larger vertices
-        if max_pred[s] <= s or not succ_all[s - 1] or succ_all[s - 1][-1] <= s:
-            continue
-        restricted = [
-            [w for w in succ_all[v - 1] if w >= s] if v >= s else []
-            for v in range(1, n + 1)
-        ]
-        comp = next((c for c in _tarjan_sccs(n, restricted) if s in c), [s])
-        if len(comp) < 2:
-            continue
-        comp_set = set(comp)
-        succ = [
-            [w for w in restricted[v - 1] if w in comp_set]
-            for v in range(1, n + 1)
-        ]
-
-        blocked = {v: False for v in comp}
-        block_list: dict[int, set[int]] = {v: set() for v in comp}
-
-        def unblock(v: int) -> None:
-            blocked[v] = False
-            pending = [v]
-            while pending:
-                u = pending.pop()
-                for w in block_list[u]:
-                    if blocked[w]:
-                        blocked[w] = False
-                        pending.append(w)
-                block_list[u].clear()
-
-        # path[k] is the vertex of frames[k]; a frame holds the vertex's
-        # untried successors and whether a cycle was closed below it
-        path = [s]
-        blocked[s] = True
-        frames = [[iter(succ[s - 1]), False]]
-        while frames:
-            frame = frames[-1]
-            for w in frame[0]:
-                if w == s:
-                    cycles.append(tuple(path))
-                    frame[1] = True
-                elif not blocked[w]:
-                    path.append(w)
-                    blocked[w] = True
-                    frames.append([iter(succ[w - 1]), False])
-                    break
-            else:
-                frames.pop()
-                v = path.pop()
-                if frame[1]:
-                    unblock(v)
-                    if frames:
-                        frames[-1][1] = True
-                else:
-                    for w in succ[v - 1]:
-                        block_list[w].add(v)
-
-    return sorted(cycles)
 
 
 #: particles at the bottom of the matching walk that are placed from a
@@ -482,8 +398,13 @@ def diagram_of_network(spec: NetworkSpec) -> PMDiagram:
 
     The base matching, and with it the relabeling, comes from
     ``_base_matching``, so it does not depend on the order the spec lists
-    its transitions in. Raises NoPerfectMatching when the network has no
-    matching (without one there is no loop labeling to define the diagram).
+    its transitions in. In the relabeled digraph every other matching is a
+    permutation whose moved vertices form disjoint cycles, so an edge is in
+    a matching exactly when its ends share an SCC (Dulmage–Mendelsohn). One
+    Tarjan pass gives those edges and the components; dropping the edges
+    between SCCs leaves the SCCs as they are. Raises NoPerfectMatching when
+    the network has no matching (without one there is no loop labeling to
+    define the diagram).
     """
     relabeling = _base_matching(spec)
     if relabeling is None:
@@ -504,21 +425,10 @@ def diagram_of_network(spec: NetworkSpec) -> PMDiagram:
         ),
         NormalizationMode.DESIGN,
     )
-    cycles = tuple(elementary_cycles(relabeled))
-
-    kept: set[tuple[int, int]] = {(v, v) for v in range(1, n + 1)}
-    for c in cycles:
-        for k, v in enumerate(c):
-            kept.add((v, c[(k + 1) % len(c)]))
-
-    network = replace(
-        relabeled,
-        transitions=tuple(t for t in relabeled.transitions if (t.source, t.detector) in kept),
-    )
-    removed = tuple(
-        t
-        for t, r in zip(spec.transitions, relabeled.transitions)
-        if (r.source, r.detector) not in kept
-    )
-    components = tuple(sorted(tuple(c) for c in _tarjan_sccs(n, _successors(network))))
-    return PMDiagram(network, relabeling, cycles, removed, components)
+    sccs = _tarjan_sccs(n, _successors(relabeled))
+    scc_of = {v: k for k, comp in enumerate(sccs) for v in comp}
+    inside = [scc_of[t.source] == scc_of[t.detector] for t in relabeled.transitions]
+    network = replace(relabeled, transitions=tuple(compress(relabeled.transitions, inside)))
+    removed = tuple(t for t, keep in zip(spec.transitions, inside) if not keep)
+    components = tuple(sorted(tuple(c) for c in sccs))
+    return PMDiagram(network, relabeling, removed, components)

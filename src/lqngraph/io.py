@@ -204,9 +204,11 @@ def _dot_directed(spec: NetworkSpec, opts: DotRenderOptions, marked: set) -> str
 def _matching_pairs(spec: NetworkSpec, index: int) -> set[tuple[int, int]]:
     """(particle, detector) pairs of matching ``index`` in lexicographic order.
 
-    The walk stops at that matching; only an index outside the matchings
-    walks to the end, counting them for the error.
+    The walk stops at that matching; only an index past the last one walks
+    to the end, counting them for the error.
     """
+    if index < 0:
+        raise InvalidArgument(f"matching index {index} out of range (must be >= 0)")
     found = 0
     for found, (assignment, _, _, _) in enumerate(walk_matchings(spec), start=1):
         if found == index + 1:

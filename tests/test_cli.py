@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import lqngraph
 import lqngraph.cli as cli
@@ -15,6 +17,8 @@ from lqngraph.designers import design_ghz, design_w
 from lqngraph.io import parse_network, serialize_network
 from lqngraph.model import validate_network
 from lqngraph.states import NoBunchState
+
+from conftest import networks
 
 
 def run(capsys, *argv):
@@ -252,12 +256,36 @@ class TestDesign:
         spec = parse_network(out)
         assert len(spec.transitions) == 3
 
-    @pytest.mark.parametrize("amp", ["inf", "Infinity", "infi", "1+infi", " -inf", "nan"])
+    @pytest.mark.parametrize(
+        "amp", ["inf", "Infinity", "infi", "1+infi", " -inf", "nan", "-inf", "-nan", "-1-infi"]
+    )
     def test_non_finite_amp_is_validation_error(self, capsys, amp):
         code, out, err = run(capsys, "design", "beamsplitter", "--amps", "0.6", "0.8", amp, "0")
         assert code == cli.EXIT_VALIDATION
         assert out == ""
         assert err.startswith("error: transition (2, 1) has amplitude ")
+
+    @pytest.mark.parametrize(
+        "amps, values",
+        [
+            (
+                ("0.7071067811865476",) * 2 + ("0.7071067811865476i", "-0.7071067811865476i"),
+                (0.7071067811865476,) * 2 + (0.7071067811865476j, -0.7071067811865476j),
+            ),
+            (("-0.6", "-0.8i", "0.8", "-0.6i"), (-0.6, -0.8j, 0.8, -0.6j)),
+            (("-1+0i", "0", "0", "-i"), (-1, 0, 0, -1j)),
+            (("0.6-0i", "-0.8-0i", "0.8", "-0.6"), (0.6, -0.8, 0.8, -0.6)),
+        ],
+    )
+    def test_negative_literals_are_values(self, capsys, amps, values):
+        # argparse would read -0.5i, -1+2i or -inf as a flag
+        pairs = ((1, 1), (1, 2), (2, 1), (2, 2))
+        want = {pair: v for pair, v in zip(pairs, values) if v != 0}
+        for flag in ("--amps", "--amp"):
+            code, out, err = run(capsys, "design", "beamsplitter", flag, *amps)
+            assert (code, err) == (0, "")
+            spec = parse_network(out)
+            assert {(t.source, t.detector): t.amplitude for t in spec.transitions} == want
 
     @pytest.mark.parametrize(
         "text, value",
@@ -544,6 +572,60 @@ class TestHardening:
         assert code == cli.EXIT_VALIDATION
         assert out == ""
         assert err == f"error: {message}\n"
+
+
+_FILE_COMMANDS = st.one_of(
+    st.sampled_from(
+        [["compute"], ["compute", "--json"], ["pm-diagram"], ["pm-diagram", "--dot"], ["verify"]]
+    ),
+    st.builds(
+        lambda seed, as_json: ["analyze"]
+        + ([] if seed is None else ["--numeric", str(seed)])
+        + (["--json"] if as_json else []),
+        st.none() | st.integers(-2, 2**40),
+        st.booleans(),
+    ),
+    st.builds(
+        lambda view, k: ["dot", "--view", view] + ([] if k is None else ["--highlight", str(k)]),
+        st.sampled_from(["bb", "d", "pm"]),
+        st.none() | st.integers(-3, 50),
+    ),
+)
+
+# literals that _parse_complex accepts: a sign, a real part, an ``i`` unit
+_REAL = st.one_of(
+    st.floats(0, 2).map(repr), st.sampled_from(["0", "1", "inf", "Infinity", "nan"])
+)
+_SIGN = st.sampled_from(["", "-", "+"])
+_LITERAL = st.one_of(
+    st.builds("{}{}{}".format, _SIGN, _REAL, st.sampled_from(["", "i"])),
+    st.builds("{}{}{}{}i".format, _SIGN, _REAL, st.sampled_from(["-", "+"]), _REAL),
+)
+
+
+class TestExitCodes:
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        spec=networks(modes=("strict", "design")),
+        command=_FILE_COMMANDS,
+        amps=st.lists(_LITERAL, min_size=4, max_size=4),
+    )
+    def test_every_command_answers_or_exits_2(self, capsys, tmp_path, spec, command, amps):
+        # a valid file or literal never gets a usage error or a traceback,
+        # and a refused one gets a single error line
+        path = tmp_path / "network.json"
+        path.write_text(serialize_network(spec))
+        with_file = [command[0], str(path), *command[1:]]
+        for argv in (with_file, ["design", "beamsplitter", "--amps", *amps]):
+            code, out, err = run(capsys, *argv)
+            assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_MISMATCH), (argv, err)
+            assert "Traceback" not in out + err
+            if code == cli.EXIT_VALIDATION:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 # Runs each argv list of argv[2] through cli_main in this fresh interpreter

@@ -27,12 +27,12 @@ from lqngraph.errors import (
     NoPresetForN,
     RowNotNormalized,
 )
-from lqngraph.graphs import diagram_of_network, elementary_cycles
+from lqngraph.graphs import diagram_of_network
 from lqngraph.io import parse_network, serialize_network
 from lqngraph.model import Color, Statistics
 from lqngraph.states import assemble_network_state, max_amplitude_difference, normalize
 
-from conftest import matchings, max_error_up_to_phase
+from conftest import brute_force_cycles, matchings, max_error_up_to_phase
 
 
 def concurrence(state):
@@ -233,7 +233,7 @@ class TestCluster4:
         assert max_error_up_to_phase(state, target) <= 1e-10
 
     def test_three_elementary_cycles(self):
-        cycles = elementary_cycles(design_cluster4())
+        cycles = brute_force_cycles(diagram_of_network(design_cluster4()).network)
         assert set(cycles) == {(1, 2), (3, 4), (1, 2, 3, 4)}
 
     def test_passes_necessary_conditions(self):

@@ -1,8 +1,9 @@
-"""Matching enumeration, cycle search, diagrams, connectivity."""
+"""Matching enumeration, diagrams and their cycles, connectivity."""
 
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,11 +17,10 @@ from lqngraph.graphs import (
     _base_matching,
     _successors,
     diagram_of_network,
-    elementary_cycles,
     walk_matchings,
 )
 from lqngraph.io import DotRenderOptions, View, export_dot
-from lqngraph.model import Color, NetworkSpec, validate_network
+from lqngraph.model import Color, NetworkSpec, NormalizationMode, validate_network
 
 from conftest import (
     N5_DEAD_EDGES,
@@ -113,7 +113,7 @@ class TestToDirected:
             "strict",
         )
         assert _successors(spec) == [[2], [1]]
-        assert elementary_cycles(spec) == [(1, 2)]
+        assert brute_force_cycles(diagram_of_network(spec).network) == [(1, 2)]
         weights = {pair: t.amplitude for pair, t in spec.transition_map().items()}
         assert weights[(1, 2)] == b1 and weights[(2, 1)] == a2
 
@@ -160,38 +160,57 @@ class TestRelabelToLoops:
         assert diag.network.transitions == spec.transitions
 
 
+def cycle_edges(spec):
+    """Loops plus the edges of every elementary cycle, by brute force."""
+    edges = {(v, v) for v in range(1, spec.n + 1)}
+    for c in brute_force_cycles(spec):
+        edges |= {(v, c[(k + 1) % len(c)]) for k, v in enumerate(c)}
+    return edges
+
+
 class TestElementaryCycles:
+    """The PM diagram against its definition: loops plus the edges of the
+    elementary cycles, found by brute force on the diagram's digraph."""
+
     def test_n5_cycles_match_worked_example(self):
-        cycles = elementary_cycles(n5_network())
+        cycles = brute_force_cycles(diagram_of_network(n5_network()).network)
         assert set(cycles) == {(2, 5), (1, 4), (1, 4, 3)}
 
     def test_loops_only_yields_nothing(self):
-        assert elementary_cycles(identity_network(5)) == []
+        assert brute_force_cycles(diagram_of_network(identity_network(5)).network) == []
 
     def test_cluster_network_has_three_cycles(self):
-        cycles = elementary_cycles(design_cluster4())
+        cycles = brute_force_cycles(diagram_of_network(design_cluster4()).network)
         assert set(cycles) == {(1, 2), (3, 4), (1, 2, 3, 4)}
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_complete_digraph_counts(self, n):
-        spec = complete_digraph_network(n)
-        cycles = elementary_cycles(spec)
+        # every edge of a complete network is in a matching, so the diagram
+        # keeps them all, with every cycle of the complete digraph
+        diag = diagram_of_network(complete_digraph_network(n))
+        assert diag.removed == ()
         expected = sum(
             math.comb(n, k) * math.factorial(k - 1) for k in range(2, n + 1)
         )
-        assert len(cycles) == expected
-        assert cycles == brute_force_cycles(spec)
+        assert len(brute_force_cycles(diag.network)) == expected
 
-    def test_random_digraphs_match_brute_force(self):
-        rng = np.random.default_rng(5)
-        for _ in range(40):
-            spec = random_network(rng, int(rng.integers(2, 7)), edge_prob=0.5)
-            assert elementary_cycles(spec) == brute_force_cycles(spec)
-
-    def test_canonical_form_and_order(self):
-        cycles = elementary_cycles(complete_digraph_network(4))
-        assert all(c[0] == min(c) for c in cycles)
-        assert cycles == sorted(cycles)
+    @PROPERTY
+    @given(networks(max_n=8, modes=("strict", "design")))
+    def test_random_digraphs_match_brute_force(self, spec):
+        diag = diagram_or_none(spec)
+        if diag is None:
+            return
+        # the whole digraph in the diagram's labels, dead edges included
+        slot_of = {j: v for v, j in enumerate(diag.relabeling, start=1)}
+        relabeled = NetworkSpec(
+            spec.n,
+            spec.statistics,
+            tuple(replace(t, detector=slot_of[t.detector]) for t in spec.transitions),
+            NormalizationMode.DESIGN,
+        )
+        kept = {(t.source, t.detector) for t in diag.network.transitions}
+        assert kept == cycle_edges(relabeled)
+        assert cycle_edges(diag.network) == kept
 
 
 class TestEnumeratePMs:
@@ -301,7 +320,6 @@ class TestPMDiagram:
         spec = identity_network(3)
         diag = diagram_of_network(spec)
         assert diag.network.transitions == spec.transitions
-        assert diag.cycles == ()
         assert diag.removed == ()
 
     def test_tritter_diagram_keeps_every_edge(self):
@@ -411,8 +429,12 @@ class TestBeyondRecursionLimit:
         assert report.theorem1.verdict is Verdict.MAY_BE_GENUINE
 
     def test_ghz_ring_has_its_single_cycle(self):
-        cycles = elementary_cycles(design_ghz(self.N))
-        assert cycles == [tuple(range(1, self.N + 1))]
+        # the diagram keeps the loops and the one ring 1 → 2 → … → N → 1
+        diag = diagram_of_network(design_ghz(self.N))
+        assert diag.removed == ()
+        assert {(t.source, t.detector) for t in diag.network.transitions} == {
+            (v, v) for v in range(1, self.N + 1)
+        } | {(v, v % self.N + 1) for v in range(1, self.N + 1)}
 
     def test_shifted_chain_gets_its_matching(self):
         # loops seed the identity on 1..n-1; the last particle reaches only
@@ -441,3 +463,34 @@ def test_sparse_ring_builds_no_square_structure():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB for {len(spec.transitions)} edges"
+
+
+@pytest.mark.parametrize("n", [12, 40])
+def test_complete_network_diagram_needs_no_cycle_search(n):
+    # a complete network has sum_k C(n,k)(k-1)! elementary cycles, about 1e8
+    # at n = 12; the diagram and its DOT view must still come out at once,
+    # in a few KB per edge
+    spec = complete_digraph_network(n)
+    tracemalloc.start()
+    try:
+        report = build_report(spec)
+        dot = export_dot(spec, DotRenderOptions(view=View.PM_DIAGRAM))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB for {len(spec.transitions)} edges"
+    assert report.diagram.removed == ()
+    assert report.diagram.components == (tuple(range(1, n + 1)),)
+    assert dot.count("->") == n * n
+
+
+@pytest.mark.parametrize(
+    "design", [design_ghz, lambda n: design_w(n, "ring"), lambda n: design_w(n, "star")],
+    ids=["ghz-ring", "w-ring", "w-star"],
+)
+def test_ten_thousand_vertex_designs_analyze(design):
+    n = 10**4
+    report = build_report(design(n))
+    assert report.diagram.removed == ()
+    assert report.lemma2_partition == (tuple(range(1, n + 1)),)
+    assert report.theorem1.strongly_connected

@@ -324,8 +324,9 @@ class TestDot:
         ],
     )
     def test_highlight_marks_the_kth_matching(self, spec):
-        # every view marks the K-th assignment in lexicographic order, and
-        # an index outside 0..count-1 is refused with the matching count
+        # every view marks the K-th assignment in lexicographic order; an
+        # index past the last is refused with the matching count, and a
+        # negative one before any matching is counted
         expected = brute_force_assignments(spec)
         relabeling = diagram_of_network(spec).relabeling
         for view in View:
@@ -339,8 +340,11 @@ class TestDot:
                 if view is View.PM_DIAGRAM:
                     marked = {(a, relabeling[v - 1]) for a, v in marked}
                 assert marked == set(enumerate(perm, start=1))
-            for k in (len(expected), -1):
-                message = f"matching index {k} out of range ({len(expected)} found)"
+            count = len(expected)
+            for k, message in (
+                (count, f"matching index {count} out of range ({count} found)"),
+                (-1, "matching index -1 out of range (must be >= 0)"),
+            ):
                 with pytest.raises(InvalidArgument, match=re.escape(message)):
                     export_dot(spec, DotRenderOptions(view=view, highlight_pm=k))
 
