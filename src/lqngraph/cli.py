@@ -294,9 +294,18 @@ def _amps_as_values(argv: list[str]) -> list[str]:
 
     argparse takes a word that starts with ``-`` and is not a plain negative
     decimal (``-0.5i``, ``-1+2i``, ``-inf``) for a flag; ``_parse_complex``
-    strips the space. ``--amps`` may be abbreviated, as argparse allows.
+    strips the space. ``--amps`` may be abbreviated, as argparse allows. A
+    ``--amps=V`` word is split into the flag and ``V`` first, since argparse
+    binds only one value to that form.
     """
-    argv = list(argv)
+    words = []
+    for word in argv:
+        flag, eq, value = word.partition("=")
+        if eq and len(flag) > 2 and "--amps".startswith(flag):
+            words += [flag, value]
+        else:
+            words.append(word)
+    argv = words
     for k in [k for k, word in enumerate(argv) if len(word) > 2 and "--amps".startswith(word)]:
         for m in range(k + 1, min(k + 5, len(argv))):
             if argv[m].startswith("-"):

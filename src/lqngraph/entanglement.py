@@ -10,28 +10,28 @@ diagram can still produce a separable state for special amplitudes). The
 diagram's SCCs are its weak components, so lemma 2, theorem 1 and the
 numeric route all read the one partition ``PMDiagram.components``.
 
-The numerical route works on an assembled state directly: the Schmidt rank
-across a detector bipartition is 1 exactly when the state factors there,
-and recursively splitting along rank-1 cuts yields the finest product
-partition, unique for pure states. The amplitudes are held as a flat
-vector indexed by the ket's down bits; the matrices of every cut of one
-size are gathered from it by one cached fancy index and tested in one
-stacked SVD call. That call runs the same LAPACK routine on each matrix of
-the stack, so it gives the factors one call per matrix would.
+The numerical route works on an assembled state directly. ``schmidt_rank``
+takes one SVD of the amplitude matrix across a detector bipartition: rank 1
+means the state factors there. ``finest_partition`` finds the finest
+product partition, unique for pure states, without a search over cuts: two
+detectors lie in different blocks exactly when the amplitudes, read as a
+multilinear polynomial, have a vanishing 2x2 coefficient determinant over
+that pair, which it tests in pure Python on the sparse kets.
 ``build_report`` applies it to one weak component of the PM diagram at a
 time, since the state is the product of the component states, on
 amplitudes redrawn generically from a seed.
 
-Only that numeric route needs linear algebra, so numpy is imported inside
-the functions that call it: ``finest_partition``, ``schmidt_rank``,
-``generic_amplitudes`` and ``build_report`` with a numeric seed. The
-structural route and every other part of the package run without it.
+Only ``schmidt_rank``, ``generic_amplitudes`` and ``build_report`` with a
+numeric seed need numpy, so it is imported inside them. The structural
+route, ``finest_partition`` and every other part of the package run
+without it.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
+import cmath
+import math
+import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -53,12 +53,23 @@ Partition = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class Bipartition:
-    """A nonempty proper subset of detector indices."""
+    """A nonempty proper subset of detector indices.
+
+    ``n`` and each detector are read as ``validate_network`` reads ``n``: a
+    float, bool or numeric string raises IndexOutOfRange. A ``subset`` that
+    is not a set raises InvalidArgument; a ``set`` is kept as a frozenset.
+    """
 
     subset: frozenset[int]
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.subset, (set, frozenset)):
+            raise InvalidArgument(f"subset must be a set of detectors, got {self.subset!r}")
+        object.__setattr__(self, "n", _index(self.n, "n"))
+        object.__setattr__(
+            self, "subset", frozenset(_index(d, "detector") for d in self.subset)
+        )
         if not self.subset or not self.subset <= set(range(1, self.n + 1)):
             raise DimensionMismatch(f"subset {set(self.subset)} invalid for n={self.n}")
         if len(self.subset) == self.n:
@@ -178,6 +189,11 @@ def theorem2_w_optimal_check(diag: PMDiagram) -> WOptimalityReport:
 
 _KET_BITS = str.maketrans("ud", "01")
 
+#: the fixed value y_k of detector X_(k+1) in ``finest_partition``: the
+#: k-th draw of this generator, a uniform phase; drawn once, when first used
+_PROBE_DRAWS = random.Random(2010)
+_PROBES: list[complex] = []
+
 
 def _check_partition_size(m: int, subject: str = "n") -> None:
     """Raise TooLarge if ``m`` detectors exceed ``PARTITION_LIMIT``."""
@@ -185,118 +201,86 @@ def _check_partition_size(m: int, subject: str = "n") -> None:
         raise TooLarge(m, PARTITION_LIMIT, "partition-search", subject)
 
 
-def _amplitude_vector(state: NoBunchState) -> np.ndarray:
-    """Amplitudes as a flat (2,)*n tensor: detector X_j is axis j-1, with
-    0=up and 1=down, so the ket's u/d string read as bits is its index."""
-    import numpy as np
-
-    vector = np.zeros(2**state.n, dtype=complex)
-    for ket, amp in state.amplitudes.items():
-        vector[int(ket.translate(_KET_BITS), 2)] = amp
-    return vector
-
-
-def _cut_index(m: int, cuts: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """Gather index of a stack of cut matrices over a flat (2,)*m tensor.
-
-    Cut ``c`` keeps the axes ``cuts[c]`` as rows and the other axes, in
-    order, as columns: ``vector[index]`` is the ``(len(cuts), rows,
-    columns)`` stack of matricizations. Every cut has the same size.
-    """
-    import numpy as np
-
-    flat = np.arange(2**m).reshape((2,) * m)
-    return np.stack([
-        np.transpose(flat, axes + tuple(i for i in range(m) if i not in axes))
-        .reshape(2 ** len(axes), -1)
-        for axes in cuts
-    ])
-
-
-@functools.cache
-def _search_cuts(m: int, size: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """The cuts of ``size`` axes out of ``m`` that ``finest_partition``
-    tries, in its order, with their gather index. A half cut and its
-    complement are the same cut, so only the one holding axis 0 is kept.
-    The index is shared by every call, so it is read-only."""
-    cuts = tuple(
-        axes
-        for axes in itertools.combinations(range(m), size)
-        if 2 * size < m or 0 in axes
-    )
-    index = _cut_index(m, cuts)
-    index.flags.writeable = False
-    return cuts, index
-
-
-def _cut_svd(vector: np.ndarray, index: np.ndarray):
-    """``(ranks, u, s, vh)`` of every cut matrix of ``index``, from one SVD.
-
-    A rank counts the singular values above ``SV_TOL`` times the cut's
-    largest one, so a zero matrix has rank 0. For a rank-1 cut ``c`` the
-    outer product of ``u[c, :, 0] * s[c, 0]`` and ``vh[c, 0]`` is its matrix.
-    """
-    import numpy as np
-
-    u, s, vh = np.linalg.svd(vector[index], full_matrices=False)
-    ranks = np.count_nonzero(s > SV_TOL * s[:, :1], axis=1)
-    return ranks, u, s, vh
-
-
 def schmidt_rank(state: NoBunchState, cut: Bipartition) -> int:
     """Rank of the amplitude matricization across the cut.
 
-    Singular values are counted above ``SV_TOL`` times the largest one;
-    rank 1 means the state is a product across the cut. It is the one-cut
-    case of the stacked test ``finest_partition`` runs, under the same
-    ``PARTITION_LIMIT`` on the state's size. The zero state has no rank: it
-    raises ZeroState.
+    The ket's u/d string read as bits indexes a flat vector of the
+    amplitudes; the matrix's rows are the cut's detectors, its columns the
+    rest. Singular values are counted above ``SV_TOL`` times the largest
+    one, so rank 1 means the state is a product across the cut. The vector
+    is dense, so the state's size is bounded by ``PARTITION_LIMIT``. The
+    zero state has no rank: it raises ZeroState.
     """
     if cut.n != state.n:
         raise DimensionMismatch(f"cut over {cut.n} detectors, state has {state.n}")
     _check_partition_size(state.n)
     if not any(state.amplitudes.values()):
         raise ZeroState("state has zero norm (no Schmidt rank)")
-    axes = tuple(d - 1 for d in sorted(cut.subset))
-    ranks = _cut_svd(_amplitude_vector(state), _cut_index(state.n, (axes,)))[0]
-    return int(ranks[0])
+    import numpy as np
+
+    vector = np.zeros(2**state.n, dtype=complex)
+    for ket, amp in state.amplitudes.items():
+        vector[int(ket.translate(_KET_BITS), 2)] = amp
+    axes = [d - 1 for d in sorted(cut.subset)] + [d - 1 for d in sorted(cut.complement)]
+    matrix = vector.reshape((2,) * state.n).transpose(axes).reshape(2 ** len(cut.subset), -1)
+    s = np.linalg.svd(matrix, compute_uv=False)
+    return int(np.count_nonzero(s > SV_TOL * s[0]))
 
 
 def finest_partition(state: NoBunchState) -> Partition:
     """Finest detector partition across which the pure state factorizes.
 
-    Recursively splits along a rank-1 bipartition, smallest subset first:
-    every cut of one size is tested in one stacked SVD call, and the first
-    rank-1 cut in ``itertools.combinations`` order is taken. Pure-state
-    factorizations are unique, so the search order does not affect the
-    result. A single full-size block means the state is genuinely
-    entangled; that takes one SVD call per cut size, ``m // 2`` calls for
-    ``m`` detectors. The zero state has no partition: it raises ZeroState.
+    Read the amplitudes as a multilinear polynomial f with one variable
+    x_j per detector, present in the kets where X_j is down. Split f by two
+    detectors i and j as a + b x_i + c x_j + d x_i x_j: they lie in
+    different blocks exactly when ad - bc is identically 0 (Shpilka and
+    Volkovich, ICALP 2010). The test sets every other detector k to a fixed
+    unit-modulus value y_k and calls the pair entangled when the smaller
+    singular value of [[a, c], [b, d]] is above ``SV_TOL`` times the larger
+    one, the rank-1 test of ``schmidt_rank``. Same-block is an equivalence,
+    so each detector is tested against the first member of each block found
+    so far: O(n * blocks * kets), with no size limit. The amplitudes are
+    divided by their largest real or imaginary part first, so no scale
+    overflows or underflows the test. The zero state has no partition: it
+    raises ZeroState.
     """
-    _check_partition_size(state.n)
-    if not any(state.amplitudes.values()):
+    amplitudes = state.amplitudes
+    if not any(amplitudes.values()):
         raise ZeroState("state has zero norm (no kets to partition)")
+    n = state.n
+    while len(_PROBES) < n:
+        _PROBES.append(cmath.exp(2j * math.pi * _PROBE_DRAWS.random()))
+    peak = max(max(abs(v.real), abs(v.imag)) for v in amplitudes.values())
+    # each term carries y_k for every down detector, i and j included: that
+    # scales a row and a column of the pair's matrix by unit-modulus
+    # factors, which keeps its singular values, so one list serves all pairs
+    terms = []
+    for ket, amp in amplitudes.items():
+        w = amp / peak
+        for k, ch in enumerate(ket):
+            if ch == "d":
+                w *= _PROBES[k]
+        terms.append((ket, w))
 
-    blocks: list[tuple[int, ...]] = []
+    def entangled(i: int, j: int) -> bool:
+        m = {"uu": 0j, "ud": 0j, "du": 0j, "dd": 0j}
+        for ket, w in terms:
+            m[ket[i] + ket[j]] += w
+        a, c, b, d = m.values()
+        det = abs(a * d - b * c)
+        frob = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+        top_sq = (frob + math.sqrt(max(frob * frob - 4 * det * det, 0.0))) / 2
+        return det > SV_TOL * top_sq
 
-    def split(detectors: tuple[int, ...], vector: np.ndarray) -> None:
-        m = len(detectors)
-        for size in range(1, m // 2 + 1):
-            cuts, index = _search_cuts(m, size)
-            ranks, u, s, vh = _cut_svd(vector, index)
-            hits = (ranks == 1).nonzero()[0]
-            if hits.size:
-                c = hits[0]
-                axes = cuts[c]
-                inside = tuple(detectors[i] for i in axes)
-                outside = tuple(detectors[i] for i in range(m) if i not in axes)
-                split(inside, u[c, :, 0] * s[c, 0])
-                split(outside, vh[c, 0])
-                return
-        blocks.append(detectors)
-
-    split(tuple(range(1, state.n + 1)), _amplitude_vector(state))
-    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+    blocks: list[list[int]] = []
+    for j in range(n):
+        for block in blocks:
+            if entangled(block[0], j):
+                block.append(j)
+                break
+        else:
+            blocks.append([j])
+    return tuple(tuple(k + 1 for k in block) for block in blocks)
 
 
 def generic_amplitudes(
@@ -374,10 +358,11 @@ def build_report(spec: NetworkSpec, numeric_seed: int | None = None) -> Separabi
     coincidences) and computes the finest product partition of the
     resulting state, assembling and splitting each weak component of the
     PM diagram on its own. ``PARTITION_LIMIT`` bounds each component, not
-    the whole network, and is checked before the draw. A seed that is not
-    an integer (floats, bools and numeric strings included) raises
-    IndexOutOfRange, as a non-integer ``n`` does in ``validate_network``; a
-    negative one raises InvalidArgument.
+    the whole network, and is checked before the draw: the partition test
+    has no size limit, but the walk over a component's matchings grows
+    with its size. A seed that is not an integer (floats, bools and numeric
+    strings included) raises IndexOutOfRange, as a non-integer ``n`` does
+    in ``validate_network``; a negative one raises InvalidArgument.
     """
     diag = diagram_of_network(spec)
     numeric = None

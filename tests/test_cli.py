@@ -275,6 +275,7 @@ class TestDesign:
             (("-0.6", "-0.8i", "0.8", "-0.6i"), (-0.6, -0.8j, 0.8, -0.6j)),
             (("-1+0i", "0", "0", "-i"), (-1, 0, 0, -1j)),
             (("0.6-0i", "-0.8-0i", "0.8", "-0.6"), (0.6, -0.8, 0.8, -0.6)),
+            (("-0.8i", "0.6", "0.6", "-0.8i"), (-0.8j, 0.6, 0.6, -0.8j)),
         ],
     )
     def test_negative_literals_are_values(self, capsys, amps, values):
@@ -286,6 +287,9 @@ class TestDesign:
             assert (code, err) == (0, "")
             spec = parse_network(out)
             assert {(t.source, t.detector): t.amplitude for t in spec.transitions} == want
+            # the --amps=V spelling binds its first value
+            joined = run(capsys, "design", "beamsplitter", f"{flag}={amps[0]}", *amps[1:])
+            assert joined == (code, out, err)
 
     @pytest.mark.parametrize(
         "text, value",
@@ -620,23 +624,28 @@ class TestExitCodes:
         path = tmp_path / "network.json"
         path.write_text(serialize_network(spec))
         with_file = [command[0], str(path), *command[1:]]
-        for argv in (with_file, ["design", "beamsplitter", "--amps", *amps]):
+        joined = ["design", "beamsplitter", f"--amps={amps[0]}", *amps[1:]]
+        for argv in (with_file, ["design", "beamsplitter", "--amps", *amps], joined):
             code, out, err = run(capsys, *argv)
             assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_MISMATCH), (argv, err)
             assert "Traceback" not in out + err
             if code == cli.EXIT_VALIDATION:
                 assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        # the joined spelling answers as the space-separated one
+        assert run(capsys, *joined) == run(capsys, "design", "beamsplitter", "--amps", *amps)
 
 
-# Runs each argv list of argv[2] through cli_main in this fresh interpreter
-# and prints, per run, its exit code, stdout, stderr and whether numpy has
-# been imported by then.
+# Calls finest_partition once, then runs each argv list of argv[2] through
+# cli_main in this fresh interpreter, and prints, per run, its exit code,
+# stdout, stderr and whether numpy has been imported by then.
 _COLD_START = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 import lqngraph
 from lqngraph.cli import cli_main
 runs = [["import", 0, "", "", "numpy" in sys.modules]]
+ghz = lqngraph.NoBunchState(3, {"uuu": 1.0, "ddd": 1.0})
+runs.append(["finest_partition", 0, repr(lqngraph.finest_partition(ghz)), "", "numpy" in sys.modules])
 for argv in json.loads(sys.argv[2]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -672,8 +681,10 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         runs = json.loads(proc.stdout)
         assert [(r[0], r[4]) for r in runs[:-1]] == [
-            (name, False) for name in ["import", *map(" ".join, structural)]
+            (name, False)
+            for name in ["import", "finest_partition", *map(" ".join, structural)]
         ]
-        assert [r[1] for r in runs[1:-1]] == [0] * 6 + [cli.EXIT_VALIDATION]
+        assert runs[1][2] == "((1, 2, 3),)"
+        assert [r[1] for r in runs[2:-1]] == [0] * 6 + [cli.EXIT_VALIDATION]
         assert runs[-1][4] is True
         assert runs[-1][1:4] == list(run(capsys, *numeric))
