@@ -21,10 +21,10 @@ that pair, which it tests in pure Python on the sparse kets.
 time, since the state is the product of the component states, on
 amplitudes redrawn generically from a seed.
 
-Only ``schmidt_rank``, ``generic_amplitudes`` and ``build_report`` with a
-numeric seed need numpy, so it is imported inside them. The structural
-route, ``finest_partition`` and every other part of the package run
-without it.
+Only ``schmidt_rank`` needs numpy, so it is imported inside it. The
+structural route, ``finest_partition``, ``generic_amplitudes`` (which draws
+from a ``random.Random``), ``build_report`` with a numeric seed and every
+other part of the package run without it.
 """
 
 from __future__ import annotations
@@ -34,15 +34,11 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch, InvalidArgument, TooLarge, ZeroState
 from .graphs import PMDiagram, diagram_of_network
 from .model import Color, NetworkSpec, NormalizationMode, Transition, _index
 from .states import NoBunchState, assemble_network_state, normalize
-
-if TYPE_CHECKING:
-    import numpy as np
 
 PARTITION_LIMIT = 10
 #: singular values at or below this fraction of the largest count as zero
@@ -237,9 +233,12 @@ def finest_partition(state: NoBunchState) -> Partition:
     Volkovich, ICALP 2010). The test sets every other detector k to a fixed
     unit-modulus value y_k and calls the pair entangled when the smaller
     singular value of [[a, c], [b, d]] is above ``SV_TOL`` times the larger
-    one, the rank-1 test of ``schmidt_rank``. Same-block is an equivalence,
-    so each detector is tested against the first member of each block found
-    so far: O(n * blocks * kets), with no size limit. The amplitudes are
+    one, the rank-1 test of ``schmidt_rank``. A detector whose bit is the
+    same in every ket of nonzero amplitude factors out, so it is a block of
+    its own with no pair test. Same-block is an equivalence, so each other
+    detector is tested against the first member of each block of such
+    detectors found so far: O(n * blocks * kets), with no size limit, where
+    blocks counts only those blocks. The amplitudes are
     divided by their largest real or imaginary part first, so no scale
     overflows or underflows the test. The zero state has no partition: it
     raises ZeroState.
@@ -272,41 +271,47 @@ def finest_partition(state: NoBunchState) -> Partition:
         top_sq = (frob + math.sqrt(max(frob * frob - 4 * det * det, 0.0))) / 2
         return det > SV_TOL * top_sq
 
+    codes = [int(ket.translate(_KET_BITS), 2) for ket, amp in amplitudes.items() if amp]
+    varying = 0
+    for code in codes:
+        varying |= code ^ codes[0]
     blocks: list[list[int]] = []
+    # the blocks a later detector may join: not those of constant detectors
+    tested: list[list[int]] = []
     for j in range(n):
-        for block in blocks:
+        if not varying >> (n - 1 - j) & 1:
+            blocks.append([j])
+            continue
+        for block in tested:
             if entangled(block[0], j):
                 block.append(j)
                 break
         else:
-            blocks.append([j])
+            tested.append([j])
+            blocks.append(tested[-1])
     return tuple(tuple(k + 1 for k in block) for block in blocks)
 
 
-def generic_amplitudes(
-    spec: NetworkSpec, rng: np.random.Generator
-) -> NetworkSpec:
+def generic_amplitudes(spec: NetworkSpec, rng: random.Random) -> NetworkSpec:
     """Redraw amplitudes generically, keeping everything else of ``spec``.
 
-    Per transition, in spec order, a magnitude in [0.3, 1] and then a
-    uniform phase are drawn, all in one ``rng.uniform`` call, and each row
-    is then normalized, which avoids both accidental cancellations and
+    Per transition, in spec order, two ``rng.random()`` draws give a
+    magnitude 0.3 + 0.7u in [0.3, 1] and then a phase 2πu, and each row is
+    then normalized, which avoids both accidental cancellations and
     accidental product structure beyond what the topology forces. The
     drawn values are nonzero and finite, so the spec's validation still
     holds and is not run again.
     """
-    import numpy as np
-
     transitions = spec.transitions
-    mags, phases = rng.uniform([0.3, 0.0], [1.0, 2.0 * np.pi], (len(transitions), 2)).T
-    drawn = mags * np.exp(1j * phases)
+    drawn = [
+        cmath.rect(0.3 + 0.7 * rng.random(), 2.0 * math.pi * rng.random())
+        for _ in transitions
+    ]
     row_norm = [0.0] * spec.n
     for t, amp in zip(transitions, drawn):
         row_norm[t.source - 1] += abs(amp) ** 2
     transitions = tuple(
-        Transition(
-            t.source, t.detector, complex(amp / row_norm[t.source - 1] ** 0.5), t.color
-        )
+        Transition(t.source, t.detector, amp / row_norm[t.source - 1] ** 0.5, t.color)
         for t, amp in zip(transitions, drawn)
     )
     return NetworkSpec(spec.n, spec.statistics, transitions, spec.normalization_mode)
@@ -353,9 +358,10 @@ def _partition_by_component(spec: NetworkSpec, diag: PMDiagram) -> Partition:
 def build_report(spec: NetworkSpec, numeric_seed: int | None = None) -> SeparabilityReport:
     """Structural report for a network, optionally with a numeric partition.
 
-    The numeric part redraws amplitudes generically from ``numeric_seed``
-    (structure-driven entanglement should not depend on amplitude
-    coincidences) and computes the finest product partition of the
+    The numeric part redraws amplitudes generically from
+    ``random.Random(numeric_seed)`` (structure-driven entanglement should
+    not depend on amplitude coincidences, so the partition does not depend
+    on the seed) and computes the finest product partition of the
     resulting state, assembling and splitting each weak component of the
     PM diagram on its own. ``PARTITION_LIMIT`` bounds each component, not
     the whole network, and is checked before the draw: the partition test
@@ -371,9 +377,7 @@ def build_report(spec: NetworkSpec, numeric_seed: int | None = None) -> Separabi
         if seed < 0:
             raise InvalidArgument(f"numeric seed must be >= 0, got {seed}")
         _check_partition_size(max(len(c) for c in diag.components), "component size n")
-        import numpy as np
-
-        generic = generic_amplitudes(spec, np.random.default_rng(seed))
+        generic = generic_amplitudes(spec, random.Random(seed))
         numeric = _partition_by_component(generic, diag)
     return SeparabilityReport(
         tuple(lemma1_separable_vertices(diag)),

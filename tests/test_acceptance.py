@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the report lines.
 
 import itertools
 import math
+import random
 import time
 
 import numpy as np
@@ -122,7 +123,7 @@ def test_criterion_3_five_detector_worked_example():
     removed_ok = set(diag.removed_bipartite_pairs()) == {(2, 1), (2, 3), (2, 4)}
     lemma1_ok = lemma1_separable_vertices(diag) == [(3, Color.UP)]
     lemma2_ok = lemma2_partition(diag) == ((1, 3, 4), (2, 5))
-    generic = generic_amplitudes(spec, np.random.default_rng(103))
+    generic = generic_amplitudes(spec, random.Random(103))
     numeric = finest_partition(normalize(assemble_network_state(generic)))
     _report(
         f"criterion 3: 5-detector example: {len(pms)} matchings, removed "
@@ -185,7 +186,7 @@ def test_criterion_5_ghz_family():
 
 
 def test_criterion_6_w_family():
-    rng = np.random.default_rng(113)
+    rng = random.Random(113)
     ok = True
     for n in range(3, 7):
         for form in ("star", "ring"):

@@ -635,35 +635,37 @@ class TestExitCodes:
         assert run(capsys, *joined) == run(capsys, "design", "beamsplitter", "--amps", *amps)
 
 
-# Calls finest_partition once, then runs each argv list of argv[2] through
+# Calls finest_partition once, then runs each argv list of argv[3] through
 # cli_main in this fresh interpreter, and prints, per run, its exit code,
-# stdout, stderr and whether numpy has been imported by then.
+# stdout, stderr and whether numpy has been imported by then. With argv[2]
+# set to "block", every import of numpy fails.
 _COLD_START = """
 import contextlib, io, json, sys
+if sys.argv[2] == "block":
+    sys.modules["numpy"] = None
 sys.path.insert(0, sys.argv[1])
 import lqngraph
 from lqngraph.cli import cli_main
-runs = [["import", 0, "", "", "numpy" in sys.modules]]
+loaded = lambda: sys.modules.get("numpy") is not None
+runs = [["import", 0, "", "", loaded()]]
 ghz = lqngraph.NoBunchState(3, {"uuu": 1.0, "ddd": 1.0})
-runs.append(["finest_partition", 0, repr(lqngraph.finest_partition(ghz)), "", "numpy" in sys.modules])
-for argv in json.loads(sys.argv[2]):
+runs.append(["finest_partition", 0, repr(lqngraph.finest_partition(ghz)), "", loaded()])
+for argv in json.loads(sys.argv[3]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_main(argv)
-    runs.append([" ".join(argv), code, out.getvalue(), err.getvalue(), "numpy" in sys.modules])
+    runs.append([" ".join(argv), code, out.getvalue(), err.getvalue(), loaded()])
 print(json.dumps(runs))
 """
 
 
 class TestColdStart:
-    def test_numpy_is_imported_only_for_the_numeric_partition(
-        self, capsys, fixtures_dir, tmp_path
-    ):
-        # a fresh interpreter: this one imported numpy with the test modules
+    def test_no_command_imports_numpy(self, capsys, fixtures_dir, tmp_path):
+        # fresh interpreters: this one imported numpy with the test modules
         n5 = str(fixtures_dir / "n5_example.json")
         ghz11 = tmp_path / "ghz11.json"
         ghz11.write_text(serialize_network(design_ghz(11)))
-        structural = [
+        commands = [
             ["compute", n5, "--json"],
             ["verify", n5],
             ["analyze", n5, "--json"],
@@ -671,20 +673,21 @@ class TestColdStart:
             ["dot", n5, "--view", "pm", "--highlight", "0"],
             ["design", "ghz", "--n", "4"],
             ["analyze", str(ghz11), "--numeric", "1"],
+            ["analyze", n5, "--numeric", "3", "--json"],
         ]
-        numeric = ["analyze", n5, "--numeric", "3", "--json"]
+        in_process = [list(run(capsys, *argv)) for argv in commands]
+        assert [r[0] for r in in_process] == [0] * 6 + [cli.EXIT_VALIDATION, 0]
         src = str(Path(lqngraph.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", _COLD_START, src, json.dumps([*structural, numeric])],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        runs = json.loads(proc.stdout)
-        assert [(r[0], r[4]) for r in runs[:-1]] == [
-            (name, False)
-            for name in ["import", "finest_partition", *map(" ".join, structural)]
-        ]
-        assert runs[1][2] == "((1, 2, 3),)"
-        assert [r[1] for r in runs[2:-1]] == [0] * 6 + [cli.EXIT_VALIDATION]
-        assert runs[-1][4] is True
-        assert runs[-1][1:4] == list(run(capsys, *numeric))
+        for numpy in ("load", "block"):
+            proc = subprocess.run(
+                [sys.executable, "-c", _COLD_START, src, numpy, json.dumps(commands)],
+                capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, (numpy, proc.stderr)
+            runs = json.loads(proc.stdout)
+            assert [(r[0], r[4]) for r in runs] == [
+                (name, False)
+                for name in ["import", "finest_partition", *map(" ".join, commands)]
+            ], numpy
+            assert runs[1][2] == "((1, 2, 3),)"
+            assert [r[1:4] for r in runs[2:]] == in_process, numpy

@@ -1,12 +1,14 @@
 """Structural criteria, Schmidt ranks, finest partitions."""
 
+import cmath
 import itertools
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 
 from lqngraph import graphs
@@ -27,6 +29,7 @@ from lqngraph.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidArgument,
+    NoPerfectMatching,
     TooLarge,
     ZeroState,
 )
@@ -105,7 +108,7 @@ class TestLemma2:
 
     def test_soundness_rank_one_across_component_cuts(self):
         # any amplitude assignment factorizes across whole-component splits
-        rng = np.random.default_rng(61)
+        rng = random.Random(61)
         base = n5_network()
         for _ in range(50):
             spec = generic_amplitudes(base, rng)
@@ -139,6 +142,7 @@ class TestTheorem1:
 
     def test_contrapositive_on_random_networks(self):
         rng = np.random.default_rng(67)
+        draw = random.Random(67)
         checked = 0
         while checked < 25:
             spec = random_network_with_pm(rng, int(rng.integers(2, 6)))
@@ -147,7 +151,7 @@ class TestTheorem1:
                 continue
             checked += 1
             state = normalize(
-                assemble_network_state(generic_amplitudes(spec, rng))
+                assemble_network_state(generic_amplitudes(spec, draw))
             )
             assert len(finest_partition(state)) > 1
 
@@ -164,7 +168,7 @@ def test_structural_criteria_are_sound(spec, numeric_seed):
         for assignment, colors in pms:
             assert colors[assignment.index(detector)] is color
     # lemma 2: the generic state factors at least across the diagram blocks
-    generic = generic_amplitudes(spec, np.random.default_rng(numeric_seed))
+    generic = generic_amplitudes(spec, random.Random(numeric_seed))
     numeric = finest_partition(normalize(assemble_network_state(generic)))
     blocks = [set(block) for block in lemma2_partition(diag)]
     assert all(any(set(b) <= block for block in blocks) for b in numeric)
@@ -213,8 +217,7 @@ class TestSchmidtRank:
         assert schmidt_rank(PRODUCT_UD, cut(2, 2)) == 1
 
     def test_n5_generic_rank_one_across_guaranteed_cut(self):
-        rng = np.random.default_rng(71)
-        spec = generic_amplitudes(n5_network(), rng)
+        spec = generic_amplitudes(n5_network(), random.Random(71))
         state = normalize(assemble_network_state(spec))
         assert schmidt_rank(state, cut(5, 1, 3, 4)) == 1
         # and entangled within the blocks
@@ -253,8 +256,7 @@ class TestSchmidtRank:
 
 class TestFinestPartition:
     def test_n5_generic_three_blocks(self):
-        rng = np.random.default_rng(79)
-        spec = generic_amplitudes(n5_network(), rng)
+        spec = generic_amplitudes(n5_network(), random.Random(79))
         state = normalize(assemble_network_state(spec))
         assert finest_partition(state) == ((1, 4), (2, 5), (3,))
 
@@ -268,11 +270,12 @@ class TestFinestPartition:
 
     def test_refines_structural_partition(self):
         rng = np.random.default_rng(83)
+        draw = random.Random(83)
         for _ in range(20):
             spec = random_network_with_pm(rng, int(rng.integers(2, 6)))
             structural = lemma2_partition(diagram_of_network(spec))
             state = normalize(
-                assemble_network_state(generic_amplitudes(spec, rng))
+                assemble_network_state(generic_amplitudes(spec, draw))
             )
             numeric = finest_partition(state)
             blocks = {d: block for block in structural for d in block}
@@ -285,10 +288,25 @@ class TestFinestPartition:
         assert finest_partition(product) == tuple((d,) for d in range(1, 12))
         ghz = normalize(NoBunchState(40, {"u" * 40: 1.0, "d" * 40: 1.0}))
         assert finest_partition(ghz) == (tuple(range(1, 41)),)
-        ring = generic_amplitudes(design_w(12, "ring"), np.random.default_rng(5))
+        ring = generic_amplitudes(design_w(12, "ring"), random.Random(5))
         state = normalize(assemble_network_state(ring))
         assert finest_partition(state) == reference_finest_partition(state)
         assert finest_partition(state) == (tuple(range(1, 13)),)
+
+    def test_constant_detectors_are_singletons_in_place(self):
+        # a GHZ-3 block on detectors 5, 700 and 1999; every other detector
+        # has one bit in both kets, so it needs no pair test
+        n = 2000
+        ghz = (5, 700, 1999)
+        base = ["d" if d % 3 == 0 else "u" for d in range(1, n + 1)]
+        kets = []
+        for color in "ud":
+            for d in ghz:
+                base[d - 1] = color
+            kets.append("".join(base))
+        state = NoBunchState(n, {kets[0]: 1.0, kets[1]: -1j})
+        planted = tuple(ghz if d == 5 else (d,) for d in range(1, n + 1) if d not in ghz[1:])
+        assert finest_partition(state) == planted
 
     @pytest.mark.parametrize("scale", [1e300, 1e-200])
     @pytest.mark.parametrize(
@@ -341,7 +359,7 @@ class TestFinestPartition:
         # raw amplitudes (seed None) carry whatever coincidences the
         # network has; generic ones are redrawn from the seed
         if seed is not None:
-            spec = generic_amplitudes(spec, np.random.default_rng(seed))
+            spec = generic_amplitudes(spec, random.Random(seed))
         state = assemble_network_state(spec)
         assume(state.amplitudes)
         assert finest_partition(state) == reference_finest_partition(state)
@@ -380,21 +398,18 @@ class TestReport:
         # magnitude, then a phase; then each row scaled to unit norm. A
         # strict network has a transition in every row.
         spec = replace(spec, normalization_mode=NormalizationMode(mode))
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         drawn = []
         for _ in spec.transitions:
-            magnitude = rng.uniform(0.3, 1.0)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            drawn.append(magnitude * np.exp(1j * phase))
+            magnitude = 0.3 + 0.7 * rng.random()
+            phase = 2.0 * math.pi * rng.random()
+            drawn.append(cmath.rect(magnitude, phase))
         row_sq = [0.0] * spec.n
         for t, amp in zip(spec.transitions, drawn):
             row_sq[t.source - 1] += abs(amp) ** 2
-        want = [
-            complex(amp / row_sq[t.source - 1] ** 0.5)
-            for t, amp in zip(spec.transitions, drawn)
-        ]
+        want = [amp / row_sq[t.source - 1] ** 0.5 for t, amp in zip(spec.transitions, drawn)]
 
-        generic = generic_amplitudes(spec, np.random.default_rng(seed))
+        generic = generic_amplitudes(spec, random.Random(seed))
         got = [t.amplitude for t in generic.transitions]
         assert got == want
         assert [repr(z) for z in got] == [repr(z) for z in want]
@@ -431,10 +446,26 @@ class TestReport:
         edges = [(a, j, amp, "ud"[rng.integers(0, 2)]) for (a, j), amp in amps.items()]
         spec = validate_network(n, statistics, edges, mode)
         numeric_seed = data.draw(st.integers(0, 2**32 - 1), label="numeric_seed")
-        generic = generic_amplitudes(spec, np.random.default_rng(numeric_seed))
+        generic = generic_amplitudes(spec, random.Random(numeric_seed))
         full = finest_partition(normalize(assemble_network_state(generic)))
         report = build_report(spec, numeric_seed=numeric_seed)
         assert report.numeric_finest_partition == full
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        networks(max_n=8, modes=("strict", "design")),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_numeric_partition_does_not_depend_on_the_seed(self, spec, seed, other):
+        # the partition of generic amplitudes is the topology's, so the
+        # generator behind the seed cannot change what the CLI reports
+        try:
+            report = build_report(spec, numeric_seed=seed)
+        except NoPerfectMatching:
+            reject()
+        again = build_report(spec, numeric_seed=other)
+        assert again.numeric_finest_partition == report.numeric_finest_partition
 
     def test_pinned_vertices_are_numeric_singletons(self):
         rng = np.random.default_rng(89)
