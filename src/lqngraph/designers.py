@@ -38,10 +38,10 @@ def color_vector(value: Iterable[Color | str] | str | None, n: int) -> ColorVect
     """Coerce 'udu...', sequences of Color, or None (all up) to length n."""
     if value is None:
         return (Color.UP,) * n
-    if isinstance(value, str):
+    try:
         items: Sequence = tuple(value)
-    else:
-        items = tuple(value)
+    except TypeError:
+        raise InvalidArgument(f"colors must be a string or an iterable, got {value!r}") from None
     if len(items) != n:
         raise BadLength(f"color vector has length {len(items)}, expected {n}")
     out = []
@@ -61,7 +61,7 @@ def _apply_overrides(edges: RawEdges, amplitudes: AmplitudeOverrides | None) -> 
     if unknown:
         raise InvalidArgument(f"amplitude overrides for absent edges: {sorted(unknown)}")
     return [
-        (a, j, complex(amplitudes.get((a, j), amp)), color)
+        (a, j, amplitudes.get((a, j), amp), color)
         for a, j, amp, color in edges
     ]
 
@@ -266,10 +266,10 @@ def preset_beamsplitter(
     the corresponding edge.
     """
     raw = [
-        (1, 1, complex(alpha1), Color.UP),
-        (1, 2, complex(beta1), Color.DOWN),
-        (2, 1, complex(alpha2), Color.DOWN),
-        (2, 2, complex(beta2), Color.UP),
+        (1, 1, alpha1, Color.UP),
+        (1, 2, beta1, Color.DOWN),
+        (2, 1, alpha2, Color.DOWN),
+        (2, 2, beta2, Color.UP),
     ]
     edges = [t for t in raw if t[2] != 0]
     return validate_network(2, statistics, edges, NormalizationMode.STRICT)

@@ -17,9 +17,10 @@ product partition, unique for pure states, without a search over cuts: two
 detectors lie in different blocks exactly when the amplitudes, read as a
 multilinear polynomial, have a vanishing 2x2 coefficient determinant over
 that pair, which it tests in pure Python on the sparse kets.
-``build_report`` applies it to one weak component of the PM diagram at a
-time, since the state is the product of the component states, on
-amplitudes redrawn generically from a seed.
+``build_report`` redraws the amplitudes of the PM diagram's kept
+transitions generically from a seed and applies it to each component's
+network, cut from ``PMDiagram.network``, since the state is the product of
+the component states.
 
 Only ``schmidt_rank`` needs numpy, so it is imported inside it. The
 structural route, ``finest_partition``, ``generic_amplitudes`` (which draws
@@ -38,7 +39,7 @@ from enum import Enum
 from .errors import DimensionMismatch, InvalidArgument, TooLarge, ZeroState
 from .graphs import PMDiagram, diagram_of_network
 from .model import Color, NetworkSpec, NormalizationMode, Transition, _index
-from .states import NoBunchState, assemble_network_state, normalize
+from .states import NoBunchState, assemble_network_state
 
 PARTITION_LIMIT = 10
 #: singular values at or below this fraction of the largest count as zero
@@ -317,53 +318,48 @@ def generic_amplitudes(spec: NetworkSpec, rng: random.Random) -> NetworkSpec:
     return NetworkSpec(spec.n, spec.statistics, transitions, spec.normalization_mode)
 
 
-def _partition_by_component(spec: NetworkSpec, diag: PMDiagram) -> Partition:
-    """Finest partition of the state of ``spec``, one diagram component at a time.
+def _partition_by_component(diag: PMDiagram, rng: random.Random) -> Partition:
+    """Finest partition of a generic state of ``diag.network``, one component at a time.
 
-    An edge between two weak components lies in no perfect matching, so the
-    state is, up to sign, the tensor product of the component states, and
-    its finest partition is the union of theirs. Vertex ``v`` stands for
-    particle ``v`` and detector ``diag.relabeling[v-1]``; each component's
-    particles and detectors are renumbered 1..m in ascending order.
+    The amplitudes of the diagram's kept transitions are redrawn by
+    ``generic_amplitudes``. Every kept edge lies inside one component, so
+    the state is, up to sign, the tensor product of the component states,
+    and its finest partition is the union of theirs. Vertex ``v`` is both
+    particle ``v`` and slot ``v``, so one table renumbers each component's
+    vertices 1..m in ascending order, and a block of slots maps back to
+    detectors through ``diag.relabeling``.
     """
-    components = diag.components
-    # (component index, local label) of every particle and every detector
-    particle_at = [(0, 0)] * (diag.n + 1)
-    detector_at = [(0, 0)] * (diag.n + 1)
-    detectors = []
-    for k, comp in enumerate(components):
-        for local, a in enumerate(comp, start=1):
-            particle_at[a] = (k, local)
-        dets = sorted(diag.detector_of_vertex(v) for v in comp)
-        for local, j in enumerate(dets, start=1):
-            detector_at[j] = (k, local)
-        detectors.append(dets)
-    inside: list[list[Transition]] = [[] for _ in components]
-    for t in spec.transitions:
-        (k, a), (kj, j) = particle_at[t.source], detector_at[t.detector]
-        if k == kj:
-            inside[k].append(Transition(a, j, t.amplitude, t.color))
+    network = generic_amplitudes(diag.network, rng)
+    # (component index, local label) of every vertex
+    at = [(0, 0)] * (diag.n + 1)
+    for k, comp in enumerate(diag.components):
+        for local, v in enumerate(comp, start=1):
+            at[v] = (k, local)
+    inside: list[list[Transition]] = [[] for _ in diag.components]
+    for t in network.transitions:
+        k, a = at[t.source]
+        inside[k].append(Transition(a, at[t.detector][1], t.amplitude, t.color))
 
     blocks = []
-    for dets, transitions in zip(detectors, inside):
+    for comp, transitions in zip(diag.components, inside):
         sub = NetworkSpec(
-            len(dets), spec.statistics, tuple(transitions), NormalizationMode.DESIGN
+            len(comp), network.statistics, tuple(transitions), NormalizationMode.DESIGN
         )
-        state = normalize(assemble_network_state(sub))
-        for block in finest_partition(state):
-            blocks.append(tuple(dets[d - 1] for d in block))
+        for block in finest_partition(assemble_network_state(sub)):
+            blocks.append(tuple(sorted(diag.detector_of_vertex(comp[d - 1]) for d in block)))
     return tuple(sorted(blocks))
 
 
 def build_report(spec: NetworkSpec, numeric_seed: int | None = None) -> SeparabilityReport:
     """Structural report for a network, optionally with a numeric partition.
 
-    The numeric part redraws amplitudes generically from
-    ``random.Random(numeric_seed)`` (structure-driven entanglement should
-    not depend on amplitude coincidences, so the partition does not depend
-    on the seed) and computes the finest product partition of the
-    resulting state, assembling and splitting each weak component of the
-    PM diagram on its own. ``PARTITION_LIMIT`` bounds each component, not
+    The numeric part redraws the amplitudes of the PM diagram's kept
+    transitions, in diagram order, from ``random.Random(numeric_seed)``
+    (structure-driven entanglement should not depend on amplitude
+    coincidences, so the partition does not depend on the seed) and
+    computes the finest product partition of the resulting state, cutting
+    each component's network out of ``diag.network`` and assembling and
+    splitting it on its own. ``PARTITION_LIMIT`` bounds each component, not
     the whole network, and is checked before the draw: the partition test
     has no size limit, but the walk over a component's matchings grows
     with its size. A seed that is not an integer (floats, bools and numeric
@@ -377,8 +373,7 @@ def build_report(spec: NetworkSpec, numeric_seed: int | None = None) -> Separabi
         if seed < 0:
             raise InvalidArgument(f"numeric seed must be >= 0, got {seed}")
         _check_partition_size(max(len(c) for c in diag.components), "component size n")
-        generic = generic_amplitudes(spec, random.Random(seed))
-        numeric = _partition_by_component(generic, diag)
+        numeric = _partition_by_component(diag, random.Random(seed))
     return SeparabilityReport(
         tuple(lemma1_separable_vertices(diag)),
         lemma2_partition(diag),

@@ -27,6 +27,7 @@ from .model import (
     DEFAULT_TOL,
     Color,
     NetworkSpec,
+    _index,
     polar_amplitude,
     validate_network,
 )
@@ -205,8 +206,11 @@ def _matching_pairs(spec: NetworkSpec, index: int) -> set[tuple[int, int]]:
     """(particle, detector) pairs of matching ``index`` in lexicographic order.
 
     The walk stops at that matching; only an index past the last one walks
-    to the end, counting them for the error.
+    to the end, counting them for the error. An index that is not an
+    integer (floats, bools and numeric strings included) raises
+    IndexOutOfRange.
     """
+    index = _index(index, "matching index")
     if index < 0:
         raise InvalidArgument(f"matching index {index} out of range (must be >= 0)")
     found = 0

@@ -115,6 +115,20 @@ def _index(value, what: str) -> int:
     raise IndexOutOfRange(f"{what} must be an integer, got {value!r}")
 
 
+def _amplitude(value, a: int, j: int) -> complex:
+    """A number as complex: strings and bools are rejected, as in ``_index``."""
+    if not isinstance(value, (str, bool)):
+        try:
+            return complex(value)
+        except TypeError:
+            pass
+        except OverflowError:  # an int beyond the float range
+            raise NonFiniteValue(
+                f"transition ({a}, {j}) has an amplitude beyond the float range"
+            ) from None
+    raise InvalidArgument(f"transition ({a}, {j}) has amplitude {value!r}, not a number")
+
+
 def validate_network(
     n: int,
     statistics: Statistics | str,
@@ -126,7 +140,9 @@ def validate_network(
 
     Raises IndexOutOfRange, DuplicateEdge, ZeroAmplitude or NonFiniteValue
     on malformed edges, and InvalidArgument on an unknown statistics, mode
-    or color. In strict mode every particle row must satisfy
+    or color, an edge that is not (source, detector, amplitude, color), or
+    an amplitude that is not a number (strings and bools included). In
+    strict mode every particle row must satisfy
     sum_j |T_aj|^2 = 1 within ``row_tol`` (RowNotNormalized otherwise);
     design mode skips the row check.
     """
@@ -138,14 +154,20 @@ def validate_network(
 
     seen: set[tuple[int, int]] = set()
     cooked: list[Transition] = []
-    for a, j, amp, color in transitions:
+    for edge in transitions:
+        try:
+            a, j, amp, color = edge
+        except (TypeError, ValueError):
+            raise InvalidArgument(
+                f"transition {edge!r} is not (source, detector, amplitude, color)"
+            ) from None
         a, j = _index(a, "transition source"), _index(j, "transition detector")
         if not (1 <= a <= n and 1 <= j <= n):
             raise IndexOutOfRange(f"transition ({a}, {j}) outside 1..{n}")
         if (a, j) in seen:
             raise DuplicateEdge(f"more than one transition on ({a}, {j})")
         seen.add((a, j))
-        amp = complex(amp)
+        amp = _amplitude(amp, a, j)
         if amp == 0:
             raise ZeroAmplitude(f"transition ({a}, {j}) has zero amplitude")
         if not cmath.isfinite(amp):

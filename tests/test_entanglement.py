@@ -446,9 +446,14 @@ class TestReport:
         edges = [(a, j, amp, "ud"[rng.integers(0, 2)]) for (a, j), amp in amps.items()]
         spec = validate_network(n, statistics, edges, mode)
         numeric_seed = data.draw(st.integers(0, 2**32 - 1), label="numeric_seed")
-        generic = generic_amplitudes(spec, random.Random(numeric_seed))
-        full = finest_partition(normalize(assemble_network_state(generic)))
         report = build_report(spec, numeric_seed=numeric_seed)
+        # the report draws over the diagram's kept transitions, in slots
+        diag = report.diagram
+        generic = generic_amplitudes(diag.network, random.Random(numeric_seed))
+        slots = finest_partition(assemble_network_state(generic))
+        full = tuple(
+            sorted(tuple(sorted(diag.detector_of_vertex(v) for v in b)) for b in slots)
+        )
         assert report.numeric_finest_partition == full
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -9,8 +9,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from lqngraph import io
 from lqngraph.designers import preset_tritter
-from lqngraph.errors import DuplicateEdge, InvalidArgument, LQNError, ParseError
+from lqngraph.errors import (
+    DuplicateEdge,
+    IndexOutOfRange,
+    InvalidArgument,
+    LQNError,
+    ParseError,
+)
 from lqngraph.graphs import diagram_of_network
 from lqngraph.io import (
     DotRenderOptions,
@@ -313,6 +320,14 @@ class TestDot:
                 preset_tritter(),
                 DotRenderOptions(view=View.PM_DIAGRAM, highlight_pm=index),
             )
+
+    @pytest.mark.parametrize("index", ["1", True, 1.5])
+    def test_highlight_that_is_not_an_integer_is_refused(self, index, monkeypatch):
+        # read as the numeric seed is: no walk, and True is not matching 1
+        monkeypatch.setattr(io, "walk_matchings", None)
+        for view in View:
+            with pytest.raises(IndexOutOfRange, match="matching index must be an integer"):
+                export_dot(preset_tritter(), DotRenderOptions(view=view, highlight_pm=index))
 
     @pytest.mark.parametrize(
         "spec",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lqngraph.designers import (
     design_dicke2,
+    design_ghz,
     design_w,
     preset_beamsplitter,
     preset_tritter,
@@ -18,6 +19,7 @@ from lqngraph.errors import (
     DuplicateEdge,
     IndexOutOfRange,
     InvalidArgument,
+    NonFiniteValue,
     RowNotNormalized,
     ZeroAmplitude,
 )
@@ -147,6 +149,16 @@ def test_beamsplitter_preset_drops_zero_edges():
         lambda: design_w(3, form="tri"),
         lambda: design_dicke2(4, preset="paper-n4", amplitudes={(1, 1): 1.0}),
         lambda: design_dicke2(4, amplitudes={(1, 2): 1.0}),
+        lambda: validate_network(1, "boson", [(1, 1, "x", "up")], "design"),
+        lambda: validate_network(1, "boson", [(1, 1, None, "up")], "design"),
+        lambda: validate_network(1, "boson", [(1, 1, "1", "up")], "design"),
+        lambda: validate_network(1, "boson", [(1, 1, True, "up")], "strict"),
+        lambda: validate_network(1, "boson", [(1, 1, 1.0)], "design"),
+        lambda: design_dicke2(4, amplitudes={(1, 1): "x"}),
+        lambda: design_dicke2(4, amplitudes={(1, 1): None}),
+        lambda: preset_beamsplitter("x", 1, 1, 1),
+        lambda: preset_beamsplitter(None, 1, 1, 1),
+        lambda: design_ghz(3, colors=123),
     ],
     ids=[
         "color",
@@ -161,12 +173,31 @@ def test_beamsplitter_preset_drops_zero_edges():
         "w-form",
         "dicke-preset-and-amplitudes",
         "override-on-absent-edge",
+        "edge-amplitude-string",
+        "edge-amplitude-none",
+        "edge-amplitude-numeric-string",
+        "edge-amplitude-bool",
+        "edge-of-three-items",
+        "dicke-override-string",
+        "dicke-override-none",
+        "beamsplitter-string",
+        "beamsplitter-none",
+        "ghz-colors-not-iterable",
     ],
 )
 def test_bad_argument_is_invalid_argument(call):
     # an LQNError, so callers can tell bad input from a bug; still a ValueError
     with pytest.raises(InvalidArgument):
         call()
+
+
+@pytest.mark.parametrize(
+    "amp", [math.inf, complex(0, math.nan), 10**400], ids=["inf", "nan", "int-beyond-float"]
+)
+def test_amplitude_that_is_not_a_finite_float_is_refused(amp):
+    # 10**400 is an int no float holds: refused as non-finite, not raised bare
+    with pytest.raises(NonFiniteValue):
+        validate_network(1, "boson", [(1, 1, amp, "up")], "design")
 
 
 @pytest.mark.parametrize("amp", [1e200, complex(1e308, 1e308)])
