@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import os
 import sys
@@ -86,26 +85,13 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    """The separability report as text, or with ``--json`` as the document
+    ``io.serialize_report`` writes, byte for byte what
+    ``json.dumps(doc, indent=2)`` and a newline would give."""
     spec = _load(args.file)
     report = entanglement.build_report(spec, numeric_seed=args.numeric)
     if args.json:
-        doc = {
-            "lemma1_vertices": [
-                {"vertex": v, "color": c.name.lower()} for v, c in report.lemma1_vertices
-            ],
-            "lemma2_partition": [list(b) for b in report.lemma2_partition],
-            "theorem1": {
-                "color_condition_ok": list(report.theorem1.color_condition_ok),
-                "strongly_connected": report.theorem1.strongly_connected,
-                "verdict": report.theorem1.verdict.value,
-            },
-            "numeric_finest_partition": (
-                None
-                if report.numeric_finest_partition is None
-                else [list(b) for b in report.numeric_finest_partition]
-            ),
-        }
-        print(json.dumps(doc, indent=2))
+        sys.stdout.write(io.serialize_report(report))
         return EXIT_OK
 
     if report.lemma1_vertices:

@@ -110,10 +110,20 @@ class SeparabilityReport:
     diagram: PMDiagram
 
 
-def _incoming_colors(diag: PMDiagram) -> list[set[Color]]:
-    incoming: list[set[Color]] = [set() for _ in range(diag.n)]
+#: bits of an incoming-color mask; a vertex with both colors has mask 3
+_UP_BIT, _DOWN_BIT = 1, 2
+
+
+def _incoming_colors(diag: PMDiagram) -> list[int]:
+    """Per vertex, a mask of the colors of its incoming edges: 1 up, 2 down.
+
+    Ints, not sets of ``Color`` members, because hashing an enum member
+    runs Python code for every edge.
+    """
+    up = Color.UP
+    incoming = [0] * diag.n
     for t in diag.network.transitions:
-        incoming[t.detector - 1].add(t.color)
+        incoming[t.detector - 1] |= _UP_BIT if t.color is up else _DOWN_BIT
     return incoming
 
 
@@ -123,11 +133,12 @@ def lemma1_separable_vertices(diag: PMDiagram) -> list[tuple[int, Color]]:
     The detector sitting at such a vertex receives the same internal state
     in every matching, so it is separable and pinned to that color.
     """
-    result = []
-    for v, colors in enumerate(_incoming_colors(diag), start=1):
-        if len(colors) == 1:
-            result.append((v, next(iter(colors))))
-    return result
+    pinned = {_UP_BIT: Color.UP, _DOWN_BIT: Color.DOWN}
+    return [
+        (v, pinned[mask])
+        for v, mask in enumerate(_incoming_colors(diag), start=1)
+        if mask in pinned
+    ]
 
 
 def lemma2_partition(diag: PMDiagram) -> Partition:
@@ -149,9 +160,8 @@ def theorem1_check(diag: PMDiagram) -> Theorem1Report:
     strongly connected piece. Failing either means the state cannot be
     genuinely N-partite entangled; passing both guarantees nothing.
     """
-    color_ok = tuple(
-        colors == {Color.UP, Color.DOWN} for colors in _incoming_colors(diag)
-    )
+    both = _UP_BIT | _DOWN_BIT
+    color_ok = tuple(mask == both for mask in _incoming_colors(diag))
     strong = len(diag.components) == 1
     verdict = (
         Verdict.MAY_BE_GENUINE

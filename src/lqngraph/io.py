@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
+from .entanglement import SeparabilityReport
 from .errors import InvalidArgument, ParseError
 from .graphs import diagram_of_network, walk_matchings
 from .model import (
@@ -54,8 +55,39 @@ def _parse_amp(obj, where: str) -> complex:
     raise ParseError(f"{where}: amp needs keys re/im or r/theta, got {sorted(obj)}")
 
 
+_COLORS = {"up": Color.UP, "down": Color.DOWN}
+
+
+def _parse_edge(edge, where: str) -> tuple[object, object, complex, Color]:
+    """An edge object as (from, to, amplitude, color), its shape checked.
+
+    The checks run in this order, and the first that fails raises
+    ParseError: an object, each of the keys from, to, amp and color, the
+    color, then the amplitude (an object, its keys, each part a number).
+    """
+    if not isinstance(edge, dict):
+        raise ParseError(f"{where}: must be an object")
+    for key in ("from", "to", "amp", "color"):
+        if key not in edge:
+            raise ParseError(f"{where}: missing key {key!r}")
+    color = str(edge["color"])
+    if color not in _COLORS:
+        raise ParseError(f"{where}: color must be up or down, got {color!r}")
+    return edge["from"], edge["to"], _parse_amp(edge["amp"], where), _COLORS[color]
+
+
 def parse_network(text: str, row_tol: float = DEFAULT_TOL) -> NetworkSpec:
-    """Parse and validate a network file; raises ParseError on bad shape."""
+    """Parse and validate a network file.
+
+    Errors are reported in file order, one at a time. The document's shape
+    comes first (ParseError): valid JSON, an object, the keys n,
+    statistics and edges, edges a list, the statistics and the mode. Then
+    every edge's shape, edge by edge: an object, the keys from, to, amp and
+    color, the color, the amplitude's keys and its parts. Only then does
+    ``validate_network`` check what the values mean: ``n``, then each edge
+    in turn, then the rows. So a shape defect in any edge is reported
+    before a bad ``n`` or a meaning defect in an earlier edge.
+    """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, int digit limit, nesting
@@ -77,17 +109,21 @@ def parse_network(text: str, row_tol: float = DEFAULT_TOL) -> NetworkSpec:
 
     transitions = []
     for i, edge in enumerate(doc["edges"]):
-        where = f"edges[{i}]"
-        if not isinstance(edge, dict):
-            raise ParseError(f"{where}: must be an object")
-        for key in ("from", "to", "amp", "color"):
-            if key not in edge:
-                raise ParseError(f"{where}: missing key {key!r}")
-        color = str(edge["color"])
-        if color not in ("up", "down"):
-            raise ParseError(f"{where}: color must be up or down, got {color!r}")
-        amp = _parse_amp(edge["amp"], where)
-        transitions.append((edge["from"], edge["to"], amp, color))
+        # an edge of the usual form, with a re/im amplitude of two floats,
+        # takes lookups and exact-type tests only; any other edge (int or
+        # polar parts, or a defect) goes through ``_parse_edge``, which
+        # raises the first defect
+        try:
+            amp = edge["amp"]
+            re, im = amp["re"], amp["im"]
+            if type(re) is float and type(im) is float and len(amp) == 2:
+                transitions.append(
+                    (edge["from"], edge["to"], complex(re, im), _COLORS[edge["color"]])
+                )
+                continue
+        except (KeyError, TypeError):  # not an object, a missing key, a bad color
+            pass
+        transitions.append(_parse_edge(edge, f"edges[{i}]"))
 
     return validate_network(doc["n"], statistics, transitions, mode, row_tol=row_tol)
 
@@ -140,6 +176,53 @@ def serialize_state(state: NoBunchState) -> str:
     return ",".join(terms)
 
 
+def _json_array(items: list[str], indent: str) -> str:
+    """A JSON array of written ``items``, as ``json.dumps(indent=2)`` lays
+    it out when the array itself sits at ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+
+
+def _json_partition(partition) -> str:
+    """A partition as the value of a top-level key of a report document."""
+    return _json_array([_json_array([str(d) for d in block], "    ") for block in partition], "  ")
+
+
+def serialize_report(report: SeparabilityReport) -> str:
+    """JSON form of a separability report, as ``json.dumps(doc, indent=2)``
+    writes it, with a newline.
+
+    The document is ``{"lemma1_vertices": [{"vertex", "color"}],
+    "lemma2_partition", "theorem1": {"color_condition_ok",
+    "strongly_connected", "verdict"}, "numeric_finest_partition"}``, the
+    last null without a numeric seed. It is written directly rather than
+    through the pure-Python indenting encoder; every value is an int, a
+    bool, null or one of a few fixed ASCII strings, so each is written as
+    ``json`` writes it without escaping.
+    """
+    pinned = [
+        f'{{\n      "vertex": {v},\n      "color": "{c.name.lower()}"\n    }}'
+        for v, c in report.lemma1_vertices
+    ]
+    theorem1 = report.theorem1
+    color_ok = ["true" if ok else "false" for ok in theorem1.color_condition_ok]
+    numeric = report.numeric_finest_partition
+    return (
+        f'{{\n  "lemma1_vertices": {_json_array(pinned, "  ")},\n'
+        f'  "lemma2_partition": {_json_partition(report.lemma2_partition)},\n'
+        '  "theorem1": {\n'
+        f'    "color_condition_ok": {_json_array(color_ok, "    ")},\n'
+        f'    "strongly_connected": {"true" if theorem1.strongly_connected else "false"},\n'
+        f'    "verdict": "{theorem1.verdict.value}"\n'
+        "  },\n"
+        '  "numeric_finest_partition": '
+        f'{"null" if numeric is None else _json_partition(numeric)}\n'
+        "}\n"
+    )
+
+
 class View(Enum):
     BIPARTITE = "bipartite"
     DIRECTED = "directed"
@@ -148,9 +231,16 @@ class View(Enum):
 
 @dataclass(frozen=True)
 class DotRenderOptions:
+    """What ``export_dot`` draws; a ``view`` that is not a View member
+    raises InvalidArgument."""
+
     view: View = View.BIPARTITE
     show_weights: bool = False
     highlight_pm: int | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.view, View):
+            raise InvalidArgument(f"view must be a View member, got {self.view!r}")
 
 
 def format_complex(z: complex, digits: int = 6) -> str:

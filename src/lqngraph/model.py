@@ -138,49 +138,81 @@ def validate_network(
 ) -> NetworkSpec:
     """Check invariants on raw transition data and build a NetworkSpec.
 
-    Raises IndexOutOfRange, DuplicateEdge, ZeroAmplitude or NonFiniteValue
-    on malformed edges, and InvalidArgument on an unknown statistics, mode
-    or color, an edge that is not (source, detector, amplitude, color), or
-    an amplitude that is not a number (strings and bools included). In
-    strict mode every particle row must satisfy
-    sum_j |T_aj|^2 = 1 within ``row_tol`` (RowNotNormalized otherwise);
-    design mode skips the row check.
+    The arguments are checked first, in order: ``n`` (IndexOutOfRange if
+    not an integer of at least 1), then the statistics and the mode
+    (InvalidArgument if unknown), ``row_tol`` (InvalidArgument unless a
+    finite number >= 0) and ``transitions`` (InvalidArgument if not
+    iterable). Then each edge in turn, and the first defect raises:
+
+    - InvalidArgument if it is not (source, detector, amplitude, color);
+    - IndexOutOfRange if the source, then the detector, is not an integer
+      (bools included), or either lies outside 1..n;
+    - DuplicateEdge on a second transition on the same pair;
+    - InvalidArgument if the amplitude is not a number (strings and bools
+      included), NonFiniteValue if it is an int beyond the float range;
+    - ZeroAmplitude, then NonFiniteValue (NaN or infinite);
+    - InvalidArgument on an unknown color.
+
+    Last, in strict mode, every particle row must satisfy
+    sum_j |T_aj|^2 = 1 within ``row_tol``; the lowest failing row raises
+    RowNotNormalized. Design mode skips the row check.
     """
     n = _index(n, "n")
     if n < 1:
         raise IndexOutOfRange(f"n must be >= 1, got {n}")
     statistics = _member(Statistics, statistics, "statistics")
     normalization_mode = _member(NormalizationMode, normalization_mode, "mode")
+    strict = normalization_mode is NormalizationMode.STRICT
+    try:
+        tol_ok = not isinstance(row_tol, (str, bool)) and 0 <= row_tol < math.inf
+    except TypeError:
+        tol_ok = False
+    if not tol_ok:
+        raise InvalidArgument(f"row_tol must be a finite number >= 0, got {row_tol!r}")
+    try:
+        edges = iter(transitions)
+    except TypeError:
+        raise InvalidArgument(
+            f"transitions must be an iterable of edges, got {transitions!r}"
+        ) from None
 
     seen: set[tuple[int, int]] = set()
     cooked: list[Transition] = []
-    for edge in transitions:
+    # each row's squared sum, added in edge order
+    sums: dict[int, float] = {}
+    for edge in edges:
         try:
             a, j, amp, color = edge
         except (TypeError, ValueError):
             raise InvalidArgument(
                 f"transition {edge!r} is not (source, detector, amplitude, color)"
             ) from None
-        a, j = _index(a, "transition source"), _index(j, "transition detector")
+        # values of the exact type need no coercion (a bool is not an int here)
+        if type(a) is not int:
+            a = _index(a, "transition source")
+        if type(j) is not int:
+            j = _index(j, "transition detector")
         if not (1 <= a <= n and 1 <= j <= n):
             raise IndexOutOfRange(f"transition ({a}, {j}) outside 1..{n}")
         if (a, j) in seen:
             raise DuplicateEdge(f"more than one transition on ({a}, {j})")
         seen.add((a, j))
-        amp = _amplitude(amp, a, j)
+        if type(amp) is not complex:
+            amp = _amplitude(amp, a, j)
         if amp == 0:
             raise ZeroAmplitude(f"transition ({a}, {j}) has zero amplitude")
         if not cmath.isfinite(amp):
             raise NonFiniteValue(f"transition ({a}, {j}) has amplitude {amp!r}")
-        cooked.append(Transition(a, j, amp, _coerce_color(color)))
-
-    if normalization_mode is NormalizationMode.STRICT:
-        sums: dict[int, float] = {}
-        for t in cooked:
+        if type(color) is not Color:
+            color = _coerce_color(color)
+        cooked.append(Transition(a, j, amp, color))
+        if strict:
             try:
-                sums[t.source] = sums.get(t.source, 0.0) + abs(t.amplitude) ** 2
+                sums[a] = sums.get(a, 0.0) + abs(amp) ** 2
             except OverflowError:  # |amplitude| above about 1.3e154
-                sums[t.source] = math.inf
+                sums[a] = math.inf
+
+    if strict:
         # every empty row sums to 0.0, so the first one stands for them all
         first_empty = next(a for a in itertools.count(1) if a not in sums)
         for a in sorted(sums.keys() | {first_empty}):

@@ -83,9 +83,17 @@ class NoBunchState:
         return sorted(self.amplitudes.items())
 
 
+_GLYPHS = str.maketrans({c.value: c.glyph for c in Color})
+
+
 def ket_glyphs(ket: str) -> str:
-    """Human form of a machine ket string: 'ud' → '↑↓'."""
-    return "".join(Color(ch).glyph for ch in ket)
+    """Human form of a machine ket string: 'ud' → '↑↓'.
+
+    A character other than u or d raises InvalidArgument.
+    """
+    if ket.strip("ud"):
+        raise InvalidArgument(f"bad ket {ket!r}: characters must be u or d")
+    return ket.translate(_GLYPHS)
 
 
 def _sign(assignment: tuple[int, ...], statistics: Statistics) -> int:

@@ -10,13 +10,17 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lqngraph import io
-from lqngraph.designers import preset_tritter
+from lqngraph.designers import design_ghz, preset_tritter
+from lqngraph.entanglement import build_report
 from lqngraph.errors import (
     DuplicateEdge,
     IndexOutOfRange,
     InvalidArgument,
     LQNError,
+    NonFiniteValue,
     ParseError,
+    RowNotNormalized,
+    ZeroAmplitude,
 )
 from lqngraph.graphs import diagram_of_network
 from lqngraph.io import (
@@ -26,6 +30,7 @@ from lqngraph.io import (
     format_complex,
     parse_network,
     serialize_network,
+    serialize_report,
     serialize_state,
 )
 from lqngraph.model import NetworkSpec, validate_network
@@ -36,7 +41,7 @@ from lqngraph.states import (
     normalize,
 )
 
-from conftest import brute_force_assignments, n5_network, random_network_with_pm
+from conftest import brute_force_assignments, n5_network, networks, random_network_with_pm
 
 
 #: JSON scalars of every type, with floats that overflow when squared and
@@ -111,6 +116,215 @@ def test_any_document_parses_or_raises_lqn_error(doc):
     except LQNError:
         return
     assert isinstance(spec, NetworkSpec)
+
+
+#: marks a change that removes a key or list item in ``contract_document``
+DROP = object()
+
+
+def contract_document(*changes) -> str:
+    """A valid strict network file with ``changes`` applied, as JSON text.
+
+    Each change is ``(path, value)``: the value at ``path`` (keys and list
+    indices from the top) is set to ``value``, or removed when ``value`` is
+    ``DROP``. The file has four edges, every row sums to 1 within 1e-9, and
+    its amplitudes come in both re/im and r/theta form.
+    """
+    doc = {
+        "version": 1,
+        "n": 3,
+        "statistics": "boson",
+        "mode": "strict",
+        "edges": [
+            {"from": 1, "to": 1, "amp": {"re": 0.6, "im": 0.0}, "color": "up"},
+            {"from": 1, "to": 2, "amp": {"re": 0.0, "im": 0.8}, "color": "down"},
+            {"from": 2, "to": 2, "amp": {"r": 1.0, "theta": 0.5}, "color": "up"},
+            {"from": 3, "to": 3, "amp": {"re": -1.0, "im": 0.0}, "color": "down"},
+        ],
+    }
+    for path, value in changes:
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key]
+        if value is DROP:
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = value
+    return json.dumps(doc)
+
+#: one document per check of ``parse_network``, each with its defect in an
+#: edge after the first, and the exact error it must raise; then documents
+#: with two defects, which pin the one that is reported
+ERROR_CONTRACT = {
+    # edge shape
+    "edge-not-an-object": (
+        [(("edges", 1), [1, 2])], ParseError, "edges[1]: must be an object"
+    ),
+    "edge-missing-from": (
+        [(("edges", 1, "from"), DROP)], ParseError, "edges[1]: missing key 'from'"
+    ),
+    "edge-missing-to": (
+        [(("edges", 2, "to"), DROP)], ParseError, "edges[2]: missing key 'to'"
+    ),
+    "edge-missing-amp": (
+        [(("edges", 3, "amp"), DROP)], ParseError, "edges[3]: missing key 'amp'"
+    ),
+    "edge-missing-color": (
+        [(("edges", 1, "color"), DROP)], ParseError, "edges[1]: missing key 'color'"
+    ),
+    "edge-bad-color": (
+        [(("edges", 1, "color"), "left")],
+        ParseError,
+        "edges[1]: color must be up or down, got 'left'",
+    ),
+    "edge-color-not-a-string": (
+        [(("edges", 2, "color"), ["up"])],
+        ParseError,
+        "edges[2]: color must be up or down, got \"['up']\"",
+    ),
+    "amp-not-an-object": (
+        [(("edges", 1, "amp"), 0.8)], ParseError, "edges[1]: amp must be an object"
+    ),
+    "amp-keys-missing-im": (
+        [(("edges", 1, "amp", "im"), DROP)],
+        ParseError,
+        "edges[1]: amp needs keys re/im or r/theta, got ['re']",
+    ),
+    "amp-keys-extra": (
+        [(("edges", 1, "amp", "theta"), 0.0)],
+        ParseError,
+        "edges[1]: amp needs keys re/im or r/theta, got ['im', 're', 'theta']",
+    ),
+    "amp-re-a-string": (
+        [(("edges", 1, "amp", "re"), "0")],
+        ParseError,
+        "edges[1]: amp re must be a number, got '0'",
+    ),
+    "amp-im-a-bool": (
+        [(("edges", 3, "amp", "im"), False)],
+        ParseError,
+        "edges[3]: amp im must be a number, got False",
+    ),
+    "amp-theta-null": (
+        [(("edges", 2, "amp", "theta"), None)],
+        ParseError,
+        "edges[2]: amp theta must be a number, got None",
+    ),
+    "amp-re-beyond-float": (
+        [(("edges", 1, "amp", "re"), 10**310)],
+        ParseError,
+        f"edges[1]: amp re must be a number, got {10**310!r}",
+    ),
+    # meaning
+    "source-a-bool": (
+        [(("edges", 1, "from"), True)],
+        IndexOutOfRange,
+        "transition source must be an integer, got True",
+    ),
+    "detector-a-float": (
+        [(("edges", 1, "to"), 2.0)],
+        IndexOutOfRange,
+        "transition detector must be an integer, got 2.0",
+    ),
+    "detector-out-of-range": (
+        [(("edges", 1, "to"), 4)], IndexOutOfRange, "transition (1, 4) outside 1..3"
+    ),
+    "source-zero": (
+        [(("edges", 2, "from"), 0)], IndexOutOfRange, "transition (0, 2) outside 1..3"
+    ),
+    "duplicate-pair": (
+        [(("edges", 1, "to"), 1)], DuplicateEdge, "more than one transition on (1, 1)"
+    ),
+    "zero-amplitude": (
+        [(("edges", 1, "amp"), {"re": 0.0, "im": 0})],
+        ZeroAmplitude,
+        "transition (1, 2) has zero amplitude",
+    ),
+    "int-amplitude-parts": (
+        [(("edges", 3, "amp"), {"re": 0, "im": 0})],
+        ZeroAmplitude,
+        "transition (3, 3) has zero amplitude",
+    ),
+    "non-finite-amplitude": (
+        [(("edges", 1, "amp", "re"), math.inf)],
+        NonFiniteValue,
+        "transition (1, 2) has amplitude (inf+0.8j)",
+    ),
+    "huge-amplitude": (
+        [(("edges", 1, "amp", "im"), 1e200)],
+        RowNotNormalized,
+        "row 1: squared amplitudes sum to inf, expected 1",
+    ),
+    "empty-row": (
+        [(("edges", 2), DROP)],
+        RowNotNormalized,
+        "row 2: squared amplitudes sum to 0.0, expected 1",
+    ),
+    "unnormalized-row": (
+        [(("edges", 1, "amp", "im"), 0.5)],
+        RowNotNormalized,
+        "row 1: squared amplitudes sum to 0.61, expected 1",
+    ),
+    "n-a-string": ([(("n",), "3")], IndexOutOfRange, "n must be an integer, got '3'"),
+    # two defects
+    "shape-before-meaning": (
+        [(("edges", 1, "to"), 1), (("edges", 3, "color"), "left")],
+        ParseError,
+        "edges[3]: color must be up or down, got 'left'",
+    ),
+    "shape-before-bad-n": (
+        [(("n",), "3"), (("edges", 3, "amp"), 1.0)],
+        ParseError,
+        "edges[3]: amp must be an object",
+    ),
+    "earlier-shape-first": (
+        [(("edges", 2, "amp", "r"), "1"), (("edges", 1, "color"), "left")],
+        ParseError,
+        "edges[1]: color must be up or down, got 'left'",
+    ),
+    "missing-key-before-color": (
+        [(("edges", 1, "color"), "left"), (("edges", 1, "to"), DROP)],
+        ParseError,
+        "edges[1]: missing key 'to'",
+    ),
+    "color-before-amp": (
+        [(("edges", 2, "color"), "left"), (("edges", 2, "amp"), None)],
+        ParseError,
+        "edges[2]: color must be up or down, got 'left'",
+    ),
+    "earlier-meaning-first": (
+        [(("edges", 3, "to"), 9), (("edges", 1, "to"), 1)],
+        DuplicateEdge,
+        "more than one transition on (1, 1)",
+    ),
+    "edge-before-row": (
+        [(("edges", 1, "amp", "im"), 0.5), (("edges", 3, "amp"), {"re": 0.0, "im": 0.0})],
+        ZeroAmplitude,
+        "transition (3, 3) has zero amplitude",
+    ),
+    "lowest-row-first": (
+        [(("edges", 3, "amp", "re"), 2.0), (("edges", 1, "amp", "im"), 0.5)],
+        RowNotNormalized,
+        "row 1: squared amplitudes sum to 0.61, expected 1",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "changes, error, message", ERROR_CONTRACT.values(), ids=ERROR_CONTRACT.keys()
+)
+def test_file_error_contract(changes, error, message):
+    # the exact class and message, and so which defect is reported first
+    text = contract_document(*changes)
+    with pytest.raises(LQNError) as info:
+        parse_network(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_contract_document_is_valid():
+    spec = parse_network(contract_document())
+    assert [(t.source, t.detector) for t in spec.transitions] == [(1, 1), (1, 2), (2, 2), (3, 3)]
 
 
 class TestParseNetwork:
@@ -259,6 +473,56 @@ class TestSerializeState:
         assert doc["postselect_probability"] is None
 
 
+def json_report(report) -> str:
+    """Reference serializer: the report document through ``json.dumps``."""
+    doc = {
+        "lemma1_vertices": [
+            {"vertex": v, "color": c.name.lower()} for v, c in report.lemma1_vertices
+        ],
+        "lemma2_partition": [list(b) for b in report.lemma2_partition],
+        "theorem1": {
+            "color_condition_ok": list(report.theorem1.color_condition_ok),
+            "strongly_connected": report.theorem1.strongly_connected,
+            "verdict": report.theorem1.verdict.value,
+        },
+        "numeric_finest_partition": (
+            None
+            if report.numeric_finest_partition is None
+            else [list(b) for b in report.numeric_finest_partition]
+        ),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class TestSerializeReport:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(networks(max_n=7, modes=("design", "strict")), st.none() | st.integers(0, 2**32))
+    def test_matches_json_dumps(self, spec, seed):
+        # a loop on every vertex that lacks one gives the network a perfect
+        # matching, so every drawn network has a report
+        loops = [
+            (a, a, 1.0, "u")
+            for a in range(1, spec.n + 1)
+            if (a, a) not in spec.transition_map()
+        ]
+        edges = [(t.source, t.detector, t.amplitude, t.color) for t in spec.transitions]
+        spec = validate_network(spec.n, spec.statistics, edges + loops, "design")
+        report = build_report(spec, seed)
+        assert serialize_report(report) == json_report(report)
+
+    @pytest.mark.parametrize(
+        "spec, seed",
+        [
+            (preset_tritter(), None),
+            (n5_network(), 3),
+            (design_ghz(40, colors="ud" * 20), None),
+        ],
+    )
+    def test_designer_reports_match_json_dumps(self, spec, seed):
+        report = build_report(spec, seed)
+        assert serialize_report(report) == json_report(report)
+
+
 class TestDot:
     def test_directed_view_color_counts(self):
         dot = export_dot(n5_network(), DotRenderOptions(view=View.DIRECTED))
@@ -305,6 +569,11 @@ class TestDot:
             DotRenderOptions(view=View.DIRECTED),
         )
         assert '"w1";' in dot and '"w2";' in dot
+
+    @pytest.mark.parametrize("view", ["x", "pm_diagram", None])
+    def test_view_that_is_not_a_view_member_is_refused(self, view):
+        with pytest.raises(InvalidArgument, match="view must be a View member"):
+            export_dot(preset_tritter(), DotRenderOptions(view=view))
 
     def test_highlight_out_of_range(self):
         with pytest.raises(InvalidArgument):

@@ -159,6 +159,13 @@ def test_beamsplitter_preset_drops_zero_edges():
         lambda: preset_beamsplitter("x", 1, 1, 1),
         lambda: preset_beamsplitter(None, 1, 1, 1),
         lambda: design_ghz(3, colors=123),
+        lambda: validate_network(1, "boson", 5, "design"),
+        lambda: validate_network(1, "boson", None, "strict"),
+        lambda: validate_network(1, "boson", [(1, 1, 1.0, "up")], "strict", row_tol="x"),
+        lambda: validate_network(1, "boson", [(1, 1, 5.0, "up")], "strict", row_tol=math.nan),
+        lambda: validate_network(1, "boson", [(1, 1, 1.0, "up")], "strict", row_tol=-1),
+        lambda: validate_network(1, "boson", [(1, 1, 1.0, "up")], "strict", row_tol=math.inf),
+        lambda: validate_network(1, "boson", [(1, 1, 1.0, "up")], "design", row_tol=None),
     ],
     ids=[
         "color",
@@ -183,6 +190,13 @@ def test_beamsplitter_preset_drops_zero_edges():
         "beamsplitter-string",
         "beamsplitter-none",
         "ghz-colors-not-iterable",
+        "transitions-not-iterable",
+        "transitions-none",
+        "row-tol-string",
+        "row-tol-nan",
+        "row-tol-negative",
+        "row-tol-inf",
+        "row-tol-none-in-design-mode",
     ],
 )
 def test_bad_argument_is_invalid_argument(call):

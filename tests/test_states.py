@@ -9,12 +9,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lqngraph.designers import design_dicke2, preset_beamsplitter, preset_tritter
-from lqngraph.errors import NonFiniteValue, TooLarge, ZeroState
+from lqngraph.errors import InvalidArgument, NonFiniteValue, TooLarge, ZeroState
 from lqngraph.graphs import diagram_of_network
-from lqngraph.model import Statistics, validate_network
+from lqngraph.model import Color, Statistics, validate_network
 from lqngraph.states import (
     NoBunchState,
     assemble_network_state,
+    ket_glyphs,
     max_amplitude_difference,
     normalize,
     oracle_state,
@@ -295,3 +296,14 @@ class TestInvariances:
             assemble_network_state(spec), assemble_network_state(pruned)
         )
         assert diff <= 1e-15
+
+
+@given(st.text("ud", max_size=64))
+def test_ket_glyphs_reads_each_character_as_its_color(ket):
+    assert ket_glyphs(ket) == "".join(Color(ch).glyph for ch in ket)
+
+
+@pytest.mark.parametrize("ket", ["x", "uxd", "u\u2191", "ud ", "U"])
+def test_ket_glyphs_refuses_other_characters(ket):
+    with pytest.raises(InvalidArgument, match="characters must be u or d"):
+        ket_glyphs(ket)
