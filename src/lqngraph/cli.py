@@ -14,7 +14,6 @@ import functools
 import math
 import os
 import sys
-from pathlib import Path
 
 from . import designers, entanglement, io, states
 from .errors import LQNError, ParseError
@@ -54,7 +53,8 @@ def _env_tol() -> float:
 
 def _load(path: str) -> NetworkSpec:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return io.parse_network(text, row_tol=_env_tol())
@@ -175,7 +175,8 @@ def _cmd_design(args) -> int:
         spec = designers.preset_beamsplitter(*amps)
     text = io.serialize_network(spec)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import BadLength, InvalidArgument, NoPresetForN
 from .model import (

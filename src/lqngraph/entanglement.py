@@ -33,7 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import DimensionMismatch, InvalidArgument, TooLarge, ZeroState
@@ -48,29 +48,31 @@ SV_TOL = 1e-8
 Partition = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(namedtuple("Bipartition", "subset n")):
     """A nonempty proper subset of detector indices.
 
     ``n`` and each detector are read as ``validate_network`` reads ``n``: a
     float, bool or numeric string raises IndexOutOfRange. A ``subset`` that
     is not a set raises InvalidArgument; a ``set`` is kept as a frozenset.
+    ``_replace`` and ``_make`` check as the constructor does.
     """
 
-    subset: frozenset[int]
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.subset, (set, frozenset)):
-            raise InvalidArgument(f"subset must be a set of detectors, got {self.subset!r}")
-        object.__setattr__(self, "n", _index(self.n, "n"))
-        object.__setattr__(
-            self, "subset", frozenset(_index(d, "detector") for d in self.subset)
-        )
-        if not self.subset or not self.subset <= set(range(1, self.n + 1)):
-            raise DimensionMismatch(f"subset {set(self.subset)} invalid for n={self.n}")
-        if len(self.subset) == self.n:
+    def __new__(cls, subset, n):
+        if not isinstance(subset, (set, frozenset)):
+            raise InvalidArgument(f"subset must be a set of detectors, got {subset!r}")
+        n = _index(n, "n")
+        subset = frozenset(_index(d, "detector") for d in subset)
+        if not subset or not subset <= set(range(1, n + 1)):
+            raise DimensionMismatch(f"subset {set(subset)} invalid for n={n}")
+        if len(subset) == n:
             raise DimensionMismatch("subset must be proper")
+        return super().__new__(cls, subset, n)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def complement(self) -> frozenset[int]:
@@ -82,32 +84,45 @@ class Verdict(Enum):
     CANNOT_BE_GENUINE = "cannot_be_genuine"
 
 
-@dataclass(frozen=True)
-class Theorem1Report:
-    """Necessary-condition check for genuine N-partite entanglement."""
+class Theorem1Report(
+    namedtuple("Theorem1Report", "color_condition_ok strongly_connected verdict")
+):
+    """Necessary-condition check for genuine N-partite entanglement.
 
-    color_condition_ok: tuple[bool, ...]
-    strongly_connected: bool
-    verdict: Verdict
+    Fields: ``color_condition_ok`` (tuple of bool, one per vertex),
+    ``strongly_connected`` (bool), ``verdict`` (Verdict).
+    """
 
-
-@dataclass(frozen=True)
-class WOptimalityReport:
-    """Red-edge distribution required of an optimal W-state diagram."""
-
-    ok: bool
-    red_edge_count: int
-    source_vertices: tuple[int, ...]
-    diagnostics: tuple[str, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SeparabilityReport:
-    lemma1_vertices: tuple[tuple[int, Color], ...]
-    lemma2_partition: Partition
-    theorem1: Theorem1Report
-    numeric_finest_partition: Partition | None
-    diagram: PMDiagram
+class WOptimalityReport(
+    namedtuple("WOptimalityReport", "ok red_edge_count source_vertices diagnostics")
+):
+    """Red-edge distribution required of an optimal W-state diagram.
+
+    Fields: ``ok`` (bool), ``red_edge_count`` (int), ``source_vertices``
+    (tuple of int), ``diagnostics`` (tuple of str).
+    """
+
+    __slots__ = ()
+
+
+class SeparabilityReport(
+    namedtuple(
+        "SeparabilityReport",
+        "lemma1_vertices lemma2_partition theorem1 numeric_finest_partition diagram",
+    )
+):
+    """Everything ``analyze`` reports on one network.
+
+    Fields: ``lemma1_vertices`` (tuple of (vertex, Color)),
+    ``lemma2_partition`` (Partition), ``theorem1`` (Theorem1Report),
+    ``numeric_finest_partition`` (Partition, or None without a numeric
+    seed), ``diagram`` (PMDiagram).
+    """
+
+    __slots__ = ()
 
 
 #: bits of an incoming-color mask; a vertex with both colors has mask 3

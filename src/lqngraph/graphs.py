@@ -29,16 +29,15 @@ All vertices are 1-based to match the external index convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import compress
-from typing import Iterator
 
 from .errors import NoPerfectMatching
 from .model import Color, NetworkSpec, NormalizationMode, Transition
 
 
-@dataclass(frozen=True)
-class PMDiagram:
+class PMDiagram(namedtuple("PMDiagram", "network relabeling removed components")):
     """Loop-labeled digraph retaining only loops and edges inside an SCC.
 
     ``network`` is the diagram as a design-mode ``NetworkSpec`` in
@@ -53,10 +52,7 @@ class PMDiagram:
     every kept edge share an SCC, so these are also the weak components.
     """
 
-    network: NetworkSpec
-    relabeling: tuple[int, ...]
-    removed: tuple[Transition, ...]
-    components: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -428,7 +424,7 @@ def diagram_of_network(spec: NetworkSpec) -> PMDiagram:
     sccs = _tarjan_sccs(n, _successors(relabeled))
     scc_of = {v: k for k, comp in enumerate(sccs) for v in comp}
     inside = [scc_of[t.source] == scc_of[t.detector] for t in relabeled.transitions]
-    network = replace(relabeled, transitions=tuple(compress(relabeled.transitions, inside)))
+    network = relabeled._replace(transitions=tuple(compress(relabeled.transitions, inside)))
     removed = tuple(t for t, keep in zip(spec.transitions, inside) if not keep)
     components = tuple(sorted(tuple(c) for c in sccs))
     return PMDiagram(network, relabeling, removed, components)

@@ -9,7 +9,10 @@ Network files are JSON:
 
 ``version`` and ``mode`` may be omitted (mode defaults to strict; theta is
 radians). States serialize with kets as 'u'/'d' strings sorted
-lexicographically, so files are stable and diffable.
+lexicographically, so files are stable and diffable. Networks, states and
+reports are written directly, byte for byte as ``json.dumps(doc,
+indent=2)`` and a newline would write them, without the pure-Python
+indenting encoder.
 
 DOT export colors up edges blue and down edges red, matching the drawing
 convention used throughout.
@@ -18,7 +21,7 @@ convention used throughout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .entanglement import SeparabilityReport
@@ -129,23 +132,30 @@ def parse_network(text: str, row_tol: float = DEFAULT_TOL) -> NetworkSpec:
 
 
 def serialize_network(spec: NetworkSpec) -> str:
-    """JSON form of a network; amplitudes in Cartesian form, bit-exact."""
-    doc = {
-        "version": 1,
-        "n": spec.n,
-        "statistics": spec.statistics.value,
-        "mode": spec.normalization_mode.value,
-        "edges": [
-            {
-                "from": t.source,
-                "to": t.detector,
-                "amp": {"re": t.amplitude.real, "im": t.amplitude.imag},
-                "color": "up" if t.color is Color.UP else "down",
-            }
-            for t in spec.transitions
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """JSON form of a network, as ``json.dumps(doc, indent=2)`` writes it,
+    with a newline; amplitudes in Cartesian form, bit-exact.
+
+    The document is ``{"version": 1, "n", "statistics", "mode", "edges":
+    [{"from", "to", "amp": {"re", "im"}, "color"}]}``. It is written
+    directly rather than through the pure-Python indenting encoder, as
+    ``serialize_report`` is: a validated spec's amplitudes are finite
+    complex numbers, so each part is the ``repr`` of a float, and every
+    other value is an int or a fixed ASCII string.
+    """
+    up = Color.UP
+    edges = [
+        f'{{\n      "from": {t.source},\n      "to": {t.detector},\n'
+        f'      "amp": {{\n        "re": {t.amplitude.real!r},\n'
+        f'        "im": {t.amplitude.imag!r}\n      }},\n'
+        f'      "color": "{"up" if t.color is up else "down"}"\n    }}'
+        for t in spec.transitions
+    ]
+    return (
+        f'{{\n  "version": 1,\n  "n": {spec.n},\n'
+        f'  "statistics": "{spec.statistics.value}",\n'
+        f'  "mode": "{spec.normalization_mode.value}",\n'
+        f'  "edges": {_json_array(edges, "  ")}\n}}\n'
+    )
 
 
 def serialize_state(state: NoBunchState) -> str:
@@ -229,18 +239,24 @@ class View(Enum):
     PM_DIAGRAM = "pm_diagram"
 
 
-@dataclass(frozen=True)
-class DotRenderOptions:
+class DotRenderOptions(namedtuple("DotRenderOptions", "view show_weights highlight_pm")):
     """What ``export_dot`` draws; a ``view`` that is not a View member
-    raises InvalidArgument."""
+    raises InvalidArgument, also through ``_replace`` and ``_make``.
 
-    view: View = View.BIPARTITE
-    show_weights: bool = False
-    highlight_pm: int | None = None
+    Fields: ``view`` (View), ``show_weights`` (bool), ``highlight_pm``
+    (matching index, or None).
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.view, View):
-            raise InvalidArgument(f"view must be a View member, got {self.view!r}")
+    __slots__ = ()
+
+    def __new__(cls, view=View.BIPARTITE, show_weights=False, highlight_pm=None):
+        if not isinstance(view, View):
+            raise InvalidArgument(f"view must be a View member, got {view!r}")
+        return super().__new__(cls, view, show_weights, highlight_pm)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def format_complex(z: complex, digits: int = 6) -> str:

@@ -11,6 +11,13 @@ and the PM diagram is a ``NetworkSpec`` too: no other edge type exists.
 
 Indices are 1-based at every public surface (particle ``a``, detector
 ``X_j``).
+
+The records, here and in the other modules, are immutable named tuples
+(``collections.namedtuple`` subclasses with empty ``__slots__``): they
+iterate, index and compare as tuples, and ``._replace`` returns a changed
+copy. So a ``Transition`` is itself the (source, detector, amplitude,
+color) edge that ``validate_network`` reads, and a spec's fields rebuild
+it: ``validate_network(*spec)`` gives back ``spec``.
 """
 
 from __future__ import annotations
@@ -19,9 +26,9 @@ import cmath
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable
 
 from .errors import (
     DuplicateEdge,
@@ -61,24 +68,26 @@ class NormalizationMode(Enum):
     DESIGN = "design"
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One allowed path: particle ``source`` → detector ``detector``."""
+class Transition(namedtuple("Transition", "source detector amplitude color")):
+    """One allowed path: particle ``source`` → detector ``detector``.
 
-    source: int
-    detector: int
-    amplitude: complex
-    color: Color
+    Fields: ``source`` and ``detector`` (int), ``amplitude`` (complex),
+    ``color`` (Color).
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
-    """A validated LQN: particle count, statistics, and its sparse edges."""
+class NetworkSpec(
+    namedtuple("NetworkSpec", "n statistics transitions normalization_mode")
+):
+    """A validated LQN: particle count, statistics, and its sparse edges.
 
-    n: int
-    statistics: Statistics
-    transitions: tuple[Transition, ...]
-    normalization_mode: NormalizationMode
+    Fields: ``n`` (int), ``statistics`` (Statistics), ``transitions``
+    (tuple of Transition), ``normalization_mode`` (NormalizationMode).
+    """
+
+    __slots__ = ()
 
     def transition_map(self) -> dict[tuple[int, int], Transition]:
         return {(t.source, t.detector): t for t in self.transitions}

@@ -9,7 +9,8 @@ them during the matching walk itself (``graphs.walk_prefixes``, which takes
 the ``NetworkSpec`` and hands back each ket as an integer of down bits,
 bit j set when detector X_j receives a down edge), the only route from a
 network to its state; ``oracle_state`` is the independent n! reference it
-is checked against.
+is checked against. A ``NoBunchState`` checks its fields whenever one is
+built, through ``_replace`` and ``_make`` as well.
 
 Sign convention for fermions: output creation operators are ordered by
 detector index, so a matching with assignment permutation σ picks up the
@@ -23,8 +24,8 @@ import cmath
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Mapping
+from collections import namedtuple
+from collections.abc import Mapping
 
 from .errors import (
     DimensionMismatch,
@@ -39,32 +40,38 @@ from .model import Color, NetworkSpec, Statistics
 ORACLE_LIMIT = 10
 
 
-@dataclass(frozen=True)
-class NoBunchState:
+class NoBunchState(
+    namedtuple("NoBunchState", "n amplitudes normalized postselect_probability")
+):
     """Map from detector-state strings to complex amplitudes.
 
     ``postselect_probability`` is populated by normalize(); for a state
     assembled from a unitary strict-mode network it equals the probability
-    of the no-bunching post-selection succeeding. A NaN or infinite
-    amplitude (an overflowed matching weight) raises NonFiniteValue; an
-    ``n`` that is not an integer of at least 1, a ket that is not a string
-    of n characters u/d, or an amplitude that is not a number raises
-    InvalidArgument.
+    of the no-bunching post-selection succeeding. Fields are checked in
+    order, and the first defect raises InvalidArgument: an ``n`` that is
+    not an integer of at least 1, ``amplitudes`` that is not a mapping, a
+    ket that is not a string of n characters u/d, an amplitude that is not
+    a number, a ``normalized`` that is not a bool, a
+    ``postselect_probability`` that is neither None nor a real number >= 0
+    (bools refused). A NaN or infinite amplitude (an overflowed matching
+    weight) or probability raises NonFiniteValue instead. ``_replace`` and
+    ``_make`` check as the constructor does.
     """
 
-    n: int
-    amplitudes: Mapping[str, complex]
-    normalized: bool = False
-    postselect_probability: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise InvalidArgument(f"n must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise InvalidArgument(f"n must be >= 1, got {self.n}")
-        for ket, amp in self.amplitudes.items():
-            if not isinstance(ket, str) or len(ket) != self.n or not set(ket) <= {"u", "d"}:
-                raise InvalidArgument(f"bad ket {ket!r} for n={self.n}")
+    def __new__(cls, n, amplitudes, normalized=False, postselect_probability=None):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise InvalidArgument(f"n must be an integer, got {n!r}")
+        if n < 1:
+            raise InvalidArgument(f"n must be >= 1, got {n}")
+        if not isinstance(amplitudes, Mapping):
+            raise InvalidArgument(
+                f"amplitudes must be a mapping, got {type(amplitudes).__name__}"
+            )
+        for ket, amp in amplitudes.items():
+            if not isinstance(ket, str) or len(ket) != n or not set(ket) <= {"u", "d"}:
+                raise InvalidArgument(f"bad ket {ket!r} for n={n}")
             try:
                 if not cmath.isfinite(amp):
                     raise NonFiniteValue(f"ket {ket!r} has amplitude {amp!r}")
@@ -72,6 +79,23 @@ class NoBunchState:
                 raise InvalidArgument(
                     f"ket {ket!r} has amplitude {amp!r}, not a number"
                 ) from None
+        if not isinstance(normalized, bool):
+            raise InvalidArgument(f"normalized must be a bool, got {normalized!r}")
+        p = postselect_probability
+        if p is not None:
+            if isinstance(p, bool) or not isinstance(p, (int, float)):
+                raise InvalidArgument(
+                    f"postselect_probability must be None or a number, got {p!r}"
+                )
+            if isinstance(p, float) and not math.isfinite(p):  # an int is finite
+                raise NonFiniteValue(f"postselect_probability is {p!r}")
+            if p < 0:
+                raise InvalidArgument(f"postselect_probability must be >= 0, got {p!r}")
+        return super().__new__(cls, n, amplitudes, normalized, p)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def amplitude(self, ket: str) -> complex:
         return self.amplitudes.get(ket, 0j)

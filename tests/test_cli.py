@@ -659,22 +659,45 @@ print(json.dumps(runs))
 """
 
 
+# Imports lqngraph.cli, then runs each argv list of argv[2] through cli_main,
+# and prints, after the import and after each run, the exit code (None for
+# the import), which of GUARDED are loaded and whether lqngraph.entanglement is.
+_IMPORT_GUARD = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import lqngraph.cli
+GUARDED = ("dataclasses", "inspect", "ast", "typing", "pathlib")
+def loaded(code):
+    guarded = [m for m in GUARDED if m in sys.modules]
+    return [code, guarded, "lqngraph.entanglement" in sys.modules]
+runs = [loaded(None)]
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        runs.append(loaded(lqngraph.cli.cli_main(argv)))
+print(json.dumps(runs))
+"""
+
+
+def _cold_start_commands(fixtures_dir, tmp_path) -> list[list[str]]:
+    n5 = str(fixtures_dir / "n5_example.json")
+    ghz11 = tmp_path / "ghz11.json"
+    ghz11.write_text(serialize_network(design_ghz(11)))
+    return [
+        ["compute", n5, "--json"],
+        ["verify", n5],
+        ["analyze", n5, "--json"],
+        ["pm-diagram", n5],
+        ["dot", n5, "--view", "pm", "--highlight", "0"],
+        ["design", "ghz", "--n", "4"],
+        ["analyze", str(ghz11), "--numeric", "1"],
+        ["analyze", n5, "--numeric", "3", "--json"],
+    ]
+
+
 class TestColdStart:
     def test_no_command_imports_numpy(self, capsys, fixtures_dir, tmp_path):
         # fresh interpreters: this one imported numpy with the test modules
-        n5 = str(fixtures_dir / "n5_example.json")
-        ghz11 = tmp_path / "ghz11.json"
-        ghz11.write_text(serialize_network(design_ghz(11)))
-        commands = [
-            ["compute", n5, "--json"],
-            ["verify", n5],
-            ["analyze", n5, "--json"],
-            ["pm-diagram", n5],
-            ["dot", n5, "--view", "pm", "--highlight", "0"],
-            ["design", "ghz", "--n", "4"],
-            ["analyze", str(ghz11), "--numeric", "1"],
-            ["analyze", n5, "--numeric", "3", "--json"],
-        ]
+        commands = _cold_start_commands(fixtures_dir, tmp_path)
         in_process = [list(run(capsys, *argv)) for argv in commands]
         assert [r[0] for r in in_process] == [0] * 6 + [cli.EXIT_VALIDATION, 0]
         src = str(Path(lqngraph.__file__).resolve().parents[1])
@@ -691,3 +714,19 @@ class TestColdStart:
             ], numpy
             assert runs[1][2] == "((1, 2, 3),)"
             assert [r[1:4] for r in runs[2:]] == in_process, numpy
+
+    def test_no_command_imports_the_slow_stdlib_modules(self, fixtures_dir, tmp_path):
+        # records are named tuples: no dataclasses (which loads inspect and
+        # ast), typing or pathlib on any command. The child runs without
+        # site, whose .pth files may load typing and pathlib themselves.
+        # The benchmark's tracer reads lqngraph.entanglement from
+        # sys.modules right after importing lqngraph.cli.
+        commands = _cold_start_commands(fixtures_dir, tmp_path)
+        src = str(Path(lqngraph.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", _IMPORT_GUARD, src, json.dumps(commands)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes = [None] + [0] * 6 + [cli.EXIT_VALIDATION, 0]
+        assert json.loads(proc.stdout) == [[code, [], True] for code in codes]

@@ -4,7 +4,6 @@ import cmath
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -397,7 +396,7 @@ class TestReport:
         # recomputed from the same seed: per transition in spec order a
         # magnitude, then a phase; then each row scaled to unit norm. A
         # strict network has a transition in every row.
-        spec = replace(spec, normalization_mode=NormalizationMode(mode))
+        spec = spec._replace(normalization_mode=NormalizationMode(mode))
         rng = random.Random(seed)
         drawn = []
         for _ in spec.transitions:

@@ -3,7 +3,6 @@
 import itertools
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,7 +204,7 @@ class TestElementaryCycles:
         relabeled = NetworkSpec(
             spec.n,
             spec.statistics,
-            tuple(replace(t, detector=slot_of[t.detector]) for t in spec.transitions),
+            tuple(t._replace(detector=slot_of[t.detector]) for t in spec.transitions),
             NormalizationMode.DESIGN,
         )
         kept = {(t.source, t.detector) for t in diag.network.transitions}

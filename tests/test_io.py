@@ -10,7 +10,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lqngraph import io
-from lqngraph.designers import design_ghz, preset_tritter
+from lqngraph.designers import (
+    design_cluster4,
+    design_dicke2,
+    design_ghz,
+    design_w,
+    preset_beamsplitter,
+    preset_tritter,
+)
 from lqngraph.entanglement import build_report
 from lqngraph.errors import (
     DuplicateEdge,
@@ -33,7 +40,7 @@ from lqngraph.io import (
     serialize_report,
     serialize_state,
 )
-from lqngraph.model import NetworkSpec, validate_network
+from lqngraph.model import Color, NetworkSpec, validate_network
 from lqngraph.states import (
     NoBunchState,
     assemble_network_state,
@@ -449,8 +456,69 @@ def states(draw):
         n,
         amplitudes,
         normalized=draw(st.booleans()),
-        postselect_probability=draw(st.none() | st.floats()),
+        postselect_probability=draw(
+            st.none() | st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+        ),
     )
+
+
+def json_network(spec: NetworkSpec) -> str:
+    """Reference serializer: the network document through ``json.dumps``."""
+    doc = {
+        "version": 1,
+        "n": spec.n,
+        "statistics": spec.statistics.value,
+        "mode": spec.normalization_mode.value,
+        "edges": [
+            {
+                "from": t.source,
+                "to": t.detector,
+                "amp": {"re": t.amplitude.real, "im": t.amplitude.imag},
+                "color": "up" if t.color is Color.UP else "down",
+            }
+            for t in spec.transitions
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _colors(n):
+    return st.none() | st.text("ud", min_size=n, max_size=n)
+
+
+#: every designer family, at sizes and with colors drawn
+DESIGNED = st.one_of(
+    st.integers(2, 40).flatmap(lambda n: st.builds(design_ghz, st.just(n), _colors(n))),
+    st.integers(3, 40).flatmap(
+        lambda n: st.builds(design_w, st.just(n), st.sampled_from(["star", "ring"]), _colors(n))
+    ),
+    st.sampled_from(
+        [
+            design_dicke2(4, preset="paper-n4"),
+            design_dicke2(5, preset="paper-n5"),
+            design_dicke2(7),
+            design_cluster4(),
+            preset_tritter(),
+            preset_beamsplitter(0.6, 0.8j, -0.8j, -0.6),
+        ]
+    ),
+)
+
+
+class TestSerializeNetwork:
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+    @given(networks(max_n=9, modes=("design", "strict")) | DESIGNED)
+    @example(validate_network(2, "fermion", [], "design"))
+    @example(
+        validate_network(
+            2,
+            "boson",
+            [(1, 2, complex(5e-324, -1e308), "d"), (2, 1, complex(-0.0, 2.0**60), "u")],
+            "design",
+        )
+    )
+    def test_matches_json_dumps(self, spec):
+        assert serialize_network(spec) == json_network(spec)
 
 
 class TestSerializeState:

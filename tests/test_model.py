@@ -1,11 +1,12 @@
-"""Core model: validation, the directed edge view, library argument errors."""
+"""Core model: validation, the directed edge view, library argument errors,
+and the records as named tuples."""
 
 import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lqngraph.designers import (
@@ -15,7 +16,9 @@ from lqngraph.designers import (
     preset_beamsplitter,
     preset_tritter,
 )
+from lqngraph.entanglement import Bipartition
 from lqngraph.errors import (
+    DimensionMismatch,
     DuplicateEdge,
     IndexOutOfRange,
     InvalidArgument,
@@ -23,8 +26,11 @@ from lqngraph.errors import (
     RowNotNormalized,
     ZeroAmplitude,
 )
-from lqngraph.model import Color, validate_network
+from lqngraph.io import DotRenderOptions, View
+from lqngraph.model import Color, Transition, validate_network
 from lqngraph.states import NoBunchState
+
+from conftest import networks
 
 BS_AMPS = (0.6, 0.8j, 1 / math.sqrt(2), -1 / math.sqrt(2))
 
@@ -252,3 +258,66 @@ def test_strict_check_reports_the_lowest_failing_row(edges, row_tol):
     with pytest.raises(RowNotNormalized) as info:
         validate_network(5, "boson", transitions, "strict", row_tol=row_tol)
     assert (info.value.row, info.value.actual_sum) == (failing[0], sums[failing[0] - 1])
+
+
+@settings(suppress_health_check=[HealthCheck.too_slow])
+@given(networks(max_n=8, modes=("design", "strict")))
+def test_spec_fields_validate_back_to_the_spec(spec):
+    # a Transition is the (source, detector, amplitude, color) edge itself
+    again = validate_network(spec.n, spec.statistics, spec.transitions, spec.normalization_mode)
+    assert again == spec
+    assert validate_network(*spec) == spec
+
+
+CUT = Bipartition(frozenset({1}), 3)
+STATE = NoBunchState(2, {"ud": 1.0})
+OPTS = DotRenderOptions()
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: Bipartition(frozenset({4}), 3), DimensionMismatch),
+        (lambda: CUT._replace(n=1), DimensionMismatch),
+        (lambda: Bipartition._make([frozenset({1}), "3"]), IndexOutOfRange),
+        (lambda: NoBunchState(2, {"ud": 1.0}, "yes"), InvalidArgument),
+        (lambda: STATE._replace(amplitudes={"udu": 1.0}), InvalidArgument),
+        (lambda: NoBunchState._make([2, {"ud": math.nan}]), NonFiniteValue),
+        (lambda: DotRenderOptions("bipartite"), InvalidArgument),
+        (lambda: OPTS._replace(view="directed"), InvalidArgument),
+        (lambda: DotRenderOptions._make(["pm_diagram", False, None]), InvalidArgument),
+    ],
+    ids=[
+        "cut-new",
+        "cut-replace",
+        "cut-make",
+        "state-new",
+        "state-replace",
+        "state-make",
+        "dot-new",
+        "dot-replace",
+        "dot-make",
+    ],
+)
+def test_every_way_to_build_a_checked_record_checks(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_checked_records_coerce_through_replace_and_make():
+    # a set is kept as a frozenset, however the cut is built
+    assert type(CUT._replace(subset={2, 3}).subset) is frozenset
+    assert Bipartition._make([{1, 2}, 3]) == Bipartition(frozenset({1, 2}), 3)
+    assert STATE._replace(normalized=True).normalized is True
+    opts = DotRenderOptions(View.DIRECTED, True, 0)
+    assert DotRenderOptions._make([View.DIRECTED, True, 0]) == opts
+
+
+def test_records_are_immutable_tuples():
+    t = Transition(1, 2, 0.5j, Color.UP)
+    assert tuple(t) == (1, 2, 0.5j, Color.UP) and t[2] == 0.5j
+    assert t._replace(detector=3) == (1, 3, 0.5j, Color.UP)
+    with pytest.raises(AttributeError):
+        t.source = 2
+    with pytest.raises(AttributeError):
+        STATE.n = 3

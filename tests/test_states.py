@@ -218,6 +218,44 @@ def test_non_finite_amplitude_is_rejected(amp):
         NoBunchState(2, {"ud": amp})
 
 
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ((2, [("uu", 1.0)]), InvalidArgument),
+        ((2, None), InvalidArgument),
+        ((2, {"uu": 1.0}, "yes"), InvalidArgument),
+        ((2, {"uu": 1.0}, 1), InvalidArgument),
+        ((2, {"uu": 1.0}, True, "0.5"), InvalidArgument),
+        ((2, {"uu": 1.0}, True, True), InvalidArgument),
+        ((2, {"uu": 1.0}, True, 0.5j), InvalidArgument),
+        ((2, {"uu": 1.0}, True, -0.5), InvalidArgument),
+        ((2, {"uu": 1.0}, True, math.nan), NonFiniteValue),
+        ((2, {"uu": 1.0}, True, math.inf), NonFiniteValue),
+    ],
+    ids=[
+        "amplitudes-list",
+        "amplitudes-none",
+        "normalized-string",
+        "normalized-int",
+        "probability-string",
+        "probability-bool",
+        "probability-complex",
+        "probability-negative",
+        "probability-nan",
+        "probability-inf",
+    ],
+)
+def test_bad_state_argument_is_refused(args, error):
+    with pytest.raises(error):
+        NoBunchState(*args)
+
+
+@pytest.mark.parametrize("p", [None, 0.0, 1e-320, 0.25, 1, 10**400])
+def test_state_accepts_any_finite_probability_at_least_zero(p):
+    # 0.0 is an underflowed probability (a large network's 2**(1-n))
+    assert NoBunchState(1, {"u": 1.0}, True, p).postselect_probability == p
+
+
 class TestInvariances:
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(networks(min_n=2, max_n=6), st.data())
