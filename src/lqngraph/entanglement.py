@@ -10,22 +10,17 @@ diagram can still produce a separable state for special amplitudes). The
 diagram's SCCs are its weak components, so lemma 2, theorem 1 and the
 numeric route all read the one partition ``PMDiagram.components``.
 
-The numerical route works on an assembled state directly. ``schmidt_rank``
-takes one SVD of the amplitude matrix across a detector bipartition: rank 1
+The numerical route works on an assembled state directly, in pure Python
+on the sparse kets. ``schmidt_rank`` takes the rank of the amplitude matrix
+across a detector bipartition by Gram-Schmidt over its nonzero rows: rank 1
 means the state factors there. ``finest_partition`` finds the finest
 product partition, unique for pure states, without a search over cuts: two
 detectors lie in different blocks exactly when the amplitudes, read as a
 multilinear polynomial, have a vanishing 2x2 coefficient determinant over
-that pair, which it tests in pure Python on the sparse kets.
-``build_report`` redraws the amplitudes of the PM diagram's kept
+that pair. ``build_report`` redraws the amplitudes of the PM diagram's kept
 transitions generically from a seed and applies it to each component's
 network, cut from ``PMDiagram.network``, since the state is the product of
 the component states.
-
-Only ``schmidt_rank`` needs numpy, so it is imported inside it. The
-structural route, ``finest_partition``, ``generic_amplitudes`` (which draws
-from a ``random.Random``), ``build_report`` with a numeric seed and every
-other part of the package run without it.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from enum import Enum
 
 from .errors import DimensionMismatch, InvalidArgument, TooLarge, ZeroState
@@ -42,7 +37,8 @@ from .model import Color, NetworkSpec, NormalizationMode, Transition, _index
 from .states import NoBunchState, assemble_network_state
 
 PARTITION_LIMIT = 10
-#: singular values at or below this fraction of the largest count as zero
+#: singular values, and the row residuals of ``schmidt_rank``, at or below
+#: this fraction of the largest count as zero
 SV_TOL = 1e-8
 
 Partition = tuple[tuple[int, ...], ...]
@@ -64,7 +60,7 @@ class Bipartition(namedtuple("Bipartition", "subset n")):
             raise InvalidArgument(f"subset must be a set of detectors, got {subset!r}")
         n = _index(n, "n")
         subset = frozenset(_index(d, "detector") for d in subset)
-        if not subset or not subset <= set(range(1, n + 1)):
+        if not subset or not all(1 <= d <= n for d in subset):
             raise DimensionMismatch(f"subset {set(subset)} invalid for n={n}")
         if len(subset) == n:
             raise DimensionMismatch("subset must be proper")
@@ -196,12 +192,13 @@ def theorem2_w_optimal_check(diag: PMDiagram) -> WOptimalityReport:
     red = sorted(
         (t.source, t.detector) for t in diag.network.transitions if t.color is Color.DOWN
     )
-    sources = tuple(sorted({t for t, _ in red}))
+    leaving = Counter(t for t, _ in red)
+    sources = tuple(sorted(leaving))
     diagnostics = []
     if len(red) != diag.n:
         diagnostics.append(f"expected {diag.n} red edges, found {len(red)}")
     if len(sources) > 1:
-        main = max(sources, key=lambda s: sum(1 for t, _ in red if t == s))
+        main = max(sources, key=leaving.__getitem__)
         for t, h in red:
             if t != main:
                 diagnostics.append(f"red edge w{t}->w{h} leaves w{t}, not w{main}")
@@ -217,36 +214,62 @@ _PROBE_DRAWS = random.Random(2010)
 _PROBES: list[complex] = []
 
 
-def _check_partition_size(m: int, subject: str = "n") -> None:
-    """Raise TooLarge if ``m`` detectors exceed ``PARTITION_LIMIT``."""
-    if m > PARTITION_LIMIT:
-        raise TooLarge(m, PARTITION_LIMIT, "partition-search", subject)
-
-
 def schmidt_rank(state: NoBunchState, cut: Bipartition) -> int:
     """Rank of the amplitude matricization across the cut.
 
-    The ket's u/d string read as bits indexes a flat vector of the
-    amplitudes; the matrix's rows are the cut's detectors, its columns the
-    rest. Singular values are counted above ``SV_TOL`` times the largest
-    one, so rank 1 means the state is a product across the cut. The vector
-    is dense, so the state's size is bounded by ``PARTITION_LIMIT``. The
-    zero state has no rank: it raises ZeroState.
+    Each nonzero ket's u/d string read as bits is a code; the matrix's row
+    is the code's bits on the cut's detectors, its column the rest, so only
+    rows and entries that are present are stored. The amplitudes are
+    divided by their largest real or imaginary part first, so no scale
+    overflows or underflows. The rank is taken by Gram-Schmidt with one
+    re-orthogonalization pass: a row counts when its residual norm is above
+    ``SV_TOL`` times the largest row norm, so rank 1 means the state is a
+    product across the cut. This is not the singular-value rule: where
+    singular values lie within a few orders of ``SV_TOL`` of the largest,
+    it can count more of them. There is no size limit: the work grows
+    with the kets, not with 2**n. The zero state has no rank: it raises
+    ZeroState.
     """
     if cut.n != state.n:
         raise DimensionMismatch(f"cut over {cut.n} detectors, state has {state.n}")
-    _check_partition_size(state.n)
-    if not any(state.amplitudes.values()):
+    terms = [(ket, complex(amp)) for ket, amp in state.amplitudes.items() if amp]
+    if not terms:
         raise ZeroState("state has zero norm (no Schmidt rank)")
-    import numpy as np
+    n = state.n
+    mask = 0
+    for d in cut.subset:
+        mask |= 1 << (n - d)
+    peak = max(max(abs(v.real), abs(v.imag)) for _, v in terms)
+    rows: dict[int, dict[int, complex]] = {}
+    for ket, amp in terms:
+        code = int(ket.translate(_KET_BITS), 2)
+        rows.setdefault(code & mask, {})[code & ~mask] = amp / peak
+    floor = SV_TOL * max(map(_norm, rows.values()))
+    # the rank is at most the number of columns; a row past that many basis
+    # vectors keeps only a rounding residual, far below ``floor``
+    width = len(set().union(*rows.values()))
+    basis: list[dict[int, complex]] = []
+    for row in rows.values():
+        if len(basis) == width:
+            break
+        for _ in range(2):
+            for q in basis:
+                # <q, row>, summed over the shorter of the two
+                if len(row) < len(q):
+                    c = sum(q[k].conjugate() * v for k, v in row.items() if k in q)
+                else:
+                    c = sum(v.conjugate() * row[k] for k, v in q.items() if k in row)
+                if c:
+                    for k, v in q.items():
+                        row[k] = row.get(k, 0j) - c * v
+        norm = _norm(row)
+        if norm > floor:
+            basis.append({k: v / norm for k, v in row.items()})
+    return len(basis)
 
-    vector = np.zeros(2**state.n, dtype=complex)
-    for ket, amp in state.amplitudes.items():
-        vector[int(ket.translate(_KET_BITS), 2)] = amp
-    axes = [d - 1 for d in sorted(cut.subset)] + [d - 1 for d in sorted(cut.complement)]
-    matrix = vector.reshape((2,) * state.n).transpose(axes).reshape(2 ** len(cut.subset), -1)
-    s = np.linalg.svd(matrix, compute_uv=False)
-    return int(np.count_nonzero(s > SV_TOL * s[0]))
+
+def _norm(row: dict[int, complex]) -> float:
+    return math.sqrt(sum(v.real * v.real + v.imag * v.imag for v in row.values()))
 
 
 def finest_partition(state: NoBunchState) -> Partition:
@@ -259,15 +282,15 @@ def finest_partition(state: NoBunchState) -> Partition:
     Volkovich, ICALP 2010). The test sets every other detector k to a fixed
     unit-modulus value y_k and calls the pair entangled when the smaller
     singular value of [[a, c], [b, d]] is above ``SV_TOL`` times the larger
-    one, the rank-1 test of ``schmidt_rank``. A detector whose bit is the
-    same in every ket of nonzero amplitude factors out, so it is a block of
-    its own with no pair test. Same-block is an equivalence, so each other
-    detector is tested against the first member of each block of such
-    detectors found so far: O(n * blocks * kets), with no size limit, where
-    blocks counts only those blocks. The amplitudes are
-    divided by their largest real or imaginary part first, so no scale
-    overflows or underflows the test. The zero state has no partition: it
-    raises ZeroState.
+    one, from the closed form of a 2x2 matrix's singular values. A detector
+    whose bit is the same in every ket of nonzero amplitude factors out, so
+    it is a block of its own with no pair test. Same-block is an
+    equivalence, so each other detector is tested against the first member
+    of each block of such detectors found so far: O(n * blocks * kets),
+    with no size limit, where blocks counts only those blocks. The
+    amplitudes are divided by their largest real or imaginary part first,
+    so no scale overflows or underflows the test. The zero state has no
+    partition: it raises ZeroState.
     """
     amplitudes = state.amplitudes
     if not any(amplitudes.values()):
@@ -397,7 +420,9 @@ def build_report(spec: NetworkSpec, numeric_seed: int | None = None) -> Separabi
         seed = _index(numeric_seed, "numeric seed")
         if seed < 0:
             raise InvalidArgument(f"numeric seed must be >= 0, got {seed}")
-        _check_partition_size(max(len(c) for c in diag.components), "component size n")
+        largest = max(len(c) for c in diag.components)
+        if largest > PARTITION_LIMIT:
+            raise TooLarge(largest, PARTITION_LIMIT, "partition-search", "component size n")
         numeric = _partition_by_component(diag, random.Random(seed))
     return SeparabilityReport(
         tuple(lemma1_separable_vertices(diag)),

@@ -26,6 +26,7 @@ import math
 import sys
 from collections import namedtuple
 from collections.abc import Mapping
+from types import MappingProxyType
 
 from .errors import (
     DimensionMismatch,
@@ -55,7 +56,9 @@ class NoBunchState(
     ``postselect_probability`` that is neither None nor a real number >= 0
     (bools refused). A NaN or infinite amplitude (an overflowed matching
     weight) or probability raises NonFiniteValue instead. ``_replace`` and
-    ``_make`` check as the constructor does.
+    ``_make`` check as the constructor does. ``amplitudes`` is kept as a
+    read-only copy, so a later change to the caller's mapping cannot undo
+    the checks; it still compares equal to a dict of the same items.
     """
 
     __slots__ = ()
@@ -91,11 +94,15 @@ class NoBunchState(
                 raise NonFiniteValue(f"postselect_probability is {p!r}")
             if p < 0:
                 raise InvalidArgument(f"postselect_probability must be >= 0, got {p!r}")
-        return super().__new__(cls, n, amplitudes, normalized, p)
+        return super().__new__(cls, n, MappingProxyType(dict(amplitudes)), normalized, p)
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+    def __getnewargs__(self):
+        # a mapping proxy cannot be pickled or copied; its dict can
+        return (self.n, dict(self.amplitudes), self.normalized, self.postselect_probability)
 
     def amplitude(self, ket: str) -> complex:
         return self.amplitudes.get(ket, 0j)

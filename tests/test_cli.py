@@ -635,10 +635,10 @@ class TestExitCodes:
         assert run(capsys, *joined) == run(capsys, "design", "beamsplitter", "--amps", *amps)
 
 
-# Calls finest_partition once, then runs each argv list of argv[3] through
-# cli_main in this fresh interpreter, and prints, per run, its exit code,
-# stdout, stderr and whether numpy has been imported by then. With argv[2]
-# set to "block", every import of numpy fails.
+# Calls finest_partition and schmidt_rank once, then runs each argv list of
+# argv[3] through cli_main in this fresh interpreter, and prints, per run,
+# its exit code, stdout, stderr and whether numpy has been imported by then.
+# With argv[2] set to "block", every import of numpy fails.
 _COLD_START = """
 import contextlib, io, json, sys
 if sys.argv[2] == "block":
@@ -650,6 +650,8 @@ loaded = lambda: sys.modules.get("numpy") is not None
 runs = [["import", 0, "", "", loaded()]]
 ghz = lqngraph.NoBunchState(3, {"uuu": 1.0, "ddd": 1.0})
 runs.append(["finest_partition", 0, repr(lqngraph.finest_partition(ghz)), "", loaded()])
+rank = lqngraph.schmidt_rank(ghz, lqngraph.Bipartition({1}, 3))
+runs.append(["schmidt_rank", 0, repr(rank), "", loaded()])
 for argv in json.loads(sys.argv[3]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -710,10 +712,13 @@ class TestColdStart:
             runs = json.loads(proc.stdout)
             assert [(r[0], r[4]) for r in runs] == [
                 (name, False)
-                for name in ["import", "finest_partition", *map(" ".join, commands)]
+                for name in [
+                    "import", "finest_partition", "schmidt_rank", *map(" ".join, commands)
+                ]
             ], numpy
             assert runs[1][2] == "((1, 2, 3),)"
-            assert [r[1:4] for r in runs[2:]] == in_process, numpy
+            assert runs[2][2] == "2"
+            assert [r[1:4] for r in runs[3:]] == in_process, numpy
 
     def test_no_command_imports_the_slow_stdlib_modules(self, fixtures_dir, tmp_path):
         # records are named tuples: no dataclasses (which loads inspect and

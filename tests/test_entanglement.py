@@ -29,7 +29,6 @@ from lqngraph.errors import (
     IndexOutOfRange,
     InvalidArgument,
     NoPerfectMatching,
-    TooLarge,
     ZeroState,
 )
 from lqngraph.graphs import diagram_of_network
@@ -206,6 +205,18 @@ class TestTheorem2:
         assert len(report.source_vertices) > 1
         assert report.diagnostics
 
+    def test_alternating_ghz_4000_names_one_main_source(self):
+        # 2000 sources, each counted once: linear in the red edges
+        n = 4000
+        report = theorem2_w_optimal_check(diagram_of_network(design_ghz(n, "ud" * (n // 2))))
+        assert not report.ok and report.red_edge_count == n
+        # every even vertex has its red loop and one red ring edge: a tie,
+        # which max breaks to the first source, w2
+        assert report.source_vertices == tuple(range(2, n + 1, 2))
+        assert len(report.diagnostics) == n - 2
+        assert report.diagnostics[0] == "red edge w4->w4 leaves w4, not w2"
+        assert all(line.endswith(", not w2") for line in report.diagnostics)
+
 
 class TestSchmidtRank:
     def test_bell_state(self):
@@ -238,13 +249,64 @@ class TestSchmidtRank:
         with pytest.raises(DimensionMismatch):
             schmidt_rank(BELL, cut(3, 1))
 
-    def test_size_guard_before_the_amplitude_vector(self):
-        # the 2**40 amplitudes of this two-ket state are never allocated
+    def test_ghz_40_has_rank_two_on_a_cut_of_each_size(self):
+        # two kets, so no 2**40 vector and no size limit
         n = 40
         ghz = normalize(NoBunchState(n, {"u" * n: 1.0, "d" * n: 1.0}))
-        with pytest.raises(TooLarge) as info:
-            schmidt_rank(ghz, cut(n, 1))
-        assert str(info.value) == "n=40 exceeds the partition-search limit 10"
+        order = list(range(1, n + 1))
+        random.Random(40).shuffle(order)
+        for size in range(1, n):
+            assert schmidt_rank(ghz, cut(n, *order[:size])) == 2, size
+
+    def test_ghz_2048_half_cut(self):
+        n = 2048
+        ghz = NoBunchState(n, {"u" * n: 1.0, "d" * n: -1j})
+        assert schmidt_rank(ghz, cut(n, *range(1, n // 2 + 1))) == 2
+        assert schmidt_rank(ghz, cut(n, *range(1, n + 1, 2))) == 2
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_product_of_bell_pairs(self, k):
+        # pair p holds detectors p and p + k, so the cut {1..k} splits
+        # every pair and the rank is 2**k; a cut along the pairs has rank 1
+        n = 2 * k
+        amplitudes = {}
+        for bits in itertools.product("ud", repeat=k):
+            amplitudes["".join(bits) * 2] = (-1) ** bits.count("d") * 2 ** (-k / 2)
+        state = NoBunchState(n, amplitudes)
+        assert schmidt_rank(state, cut(n, *range(1, k + 1))) == 2**k
+        assert schmidt_rank(state, cut(n, 1, 1 + k)) == 1
+        assert schmidt_rank(state, cut(n, *range(1, k + 1))) == reference_schmidt_rank(
+            state, range(1, k + 1)
+        )
+
+    @pytest.mark.parametrize(
+        "amplitudes, rank",
+        [
+            ({"uu": 1e-320, "dd": 1e-320}, 2),
+            ({"uu": 1e-320, "ud": 1e-320, "du": 1e-320, "dd": 1e-320}, 1),
+            ({"ud": 5e-324j}, 1),
+            ({"uu": 1e308, "dd": -1e308j}, 2),
+            ({"uu": 1e308, "ud": 1e308, "du": 1e308, "dd": 1e308}, 1),
+        ],
+    )
+    def test_subnormal_and_huge_amplitudes(self, amplitudes, rank):
+        assert schmidt_rank(NoBunchState(2, amplitudes), cut(2, 1)) == rank
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(networks(max_n=8, modes=("strict", "design")), st.none() | st.integers(0, 2**32 - 1))
+    def test_equals_svd_reference_on_every_cut(self, spec, seed):
+        # raw amplitudes (seed None) carry whatever coincidences the
+        # network has; generic ones are redrawn from the seed
+        if seed is not None:
+            spec = generic_amplitudes(spec, random.Random(seed))
+        state = assemble_network_state(spec)
+        assume(state.amplitudes)
+        detectors = range(1, state.n + 1)
+        for size in range(1, state.n):
+            for subset in itertools.combinations(detectors, size):
+                assert schmidt_rank(state, cut(state.n, *subset)) == reference_schmidt_rank(
+                    state, subset
+                ), subset
 
     @pytest.mark.parametrize("amplitudes", [{}, {"uud": 0j}])
     def test_zero_state_has_no_rank(self, amplitudes):
@@ -488,6 +550,16 @@ class TestReport:
 
 
 class TestBipartition:
+    def test_huge_n_builds_at_once(self):
+        # each detector is compared with n: O(|subset|), whatever n is
+        n = 10**12
+        assert Bipartition({1}, n).subset == {1}
+        assert Bipartition({n - 1, n}, n).n == n
+        with pytest.raises(DimensionMismatch):
+            Bipartition({n + 1}, n)
+        with pytest.raises(ZeroState):
+            schmidt_rank(NoBunchState(n, {}), Bipartition({1}, n))
+
     def test_rejects_empty_and_full_subsets(self):
         with pytest.raises(DimensionMismatch):
             Bipartition(frozenset(), 3)

@@ -1,7 +1,9 @@
 """State assembly, the permutation-sum oracle, normalization, invariances."""
 
 import cmath
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from lqngraph.designers import design_dicke2, preset_beamsplitter, preset_tritter
 from lqngraph.errors import InvalidArgument, NonFiniteValue, TooLarge, ZeroState
 from lqngraph.graphs import diagram_of_network
+from lqngraph.io import serialize_state
 from lqngraph.model import Color, Statistics, validate_network
 from lqngraph.states import (
     NoBunchState,
@@ -254,6 +257,32 @@ def test_bad_state_argument_is_refused(args, error):
 def test_state_accepts_any_finite_probability_at_least_zero(p):
     # 0.0 is an underflowed probability (a large network's 2**(1-n))
     assert NoBunchState(1, {"u": 1.0}, True, p).postselect_probability == p
+
+
+def test_state_keeps_a_read_only_copy_of_its_amplitudes():
+    # the checks hold for the state's life: a later change to the caller's
+    # dict does not reach it, and the state's own mapping refuses writes
+    given_amplitudes = {"ud": 1.0}
+    state = NoBunchState(2, given_amplitudes)
+    text = serialize_state(state)
+    given_amplitudes["zzz"] = math.nan
+    given_amplitudes["ud"] = 2.0
+    assert state.amplitudes == {"ud": 1.0}
+    assert serialize_state(state) == text
+    with pytest.raises(TypeError):
+        state.amplitudes["du"] = 1.0
+    with pytest.raises(TypeError):
+        del state.amplitudes["ud"]
+    assert state == NoBunchState(2, {"ud": 1.0}) == NoBunchState(2, state.amplitudes)
+    assert state._replace(normalized=True).amplitudes == {"ud": 1.0}
+
+
+def test_state_pickles_and_copies():
+    state = NoBunchState(2, {"ud": 0.6, "du": 0.8j}, True, 0.5)
+    for twin in (pickle.loads(pickle.dumps(state)), copy.copy(state), copy.deepcopy(state)):
+        assert twin == state and type(twin) is NoBunchState
+        with pytest.raises(TypeError):
+            twin.amplitudes["uu"] = 1.0
 
 
 class TestInvariances:
