@@ -11,30 +11,42 @@ diagram's SCCs are its weak components, so lemma 2, theorem 1 and the
 numeric route all read the one partition ``PMDiagram.components``.
 
 The numerical route works on an assembled state directly, in pure Python
-on the sparse kets. ``schmidt_rank`` takes the rank of the amplitude matrix
-across a detector bipartition by Gram-Schmidt over its nonzero rows: rank 1
-means the state factors there. ``finest_partition`` finds the finest
-product partition, unique for pure states, without a search over cuts: two
-detectors lie in different blocks exactly when the amplitudes, read as a
-multilinear polynomial, have a vanishing 2x2 coefficient determinant over
-that pair. ``build_report`` redraws the amplitudes of the PM diagram's kept
-transitions generically from a seed and applies it to each component's
-network, cut from ``PMDiagram.network``, since the state is the product of
-the component states.
+on the sparse kets, each read as the walk's integer ket code (bit j set
+when detector X_j is down). ``schmidt_rank`` takes the rank of the
+amplitude matrix across a detector bipartition by Gram-Schmidt over its
+nonzero rows: rank 1 means the state factors there. ``finest_partition``
+finds the finest product partition, unique for pure states, without a
+search over cuts: two detectors lie in different blocks exactly when the
+amplitudes, read as a multilinear polynomial, have a vanishing 2x2
+coefficient determinant over that pair. ``build_report`` redraws the
+amplitudes of the PM diagram's kept transitions generically from a seed
+and applies it to each component's network, cut from
+``PMDiagram.network``, since the state is the product of the component
+states. Each component's sums go from the walk to the pair test as codes,
+with no ``NoBunchState`` and no ket string in between, and a one-vertex
+component, whose state is one ket, is a block without a walk.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
 from collections import Counter, namedtuple
 from enum import Enum
+from functools import reduce
 
-from .errors import DimensionMismatch, InvalidArgument, TooLarge, ZeroState
-from .graphs import PMDiagram, diagram_of_network
+from .errors import (
+    DimensionMismatch,
+    InvalidArgument,
+    NonFiniteValue,
+    TooLarge,
+    ZeroState,
+)
+from .graphs import PMDiagram, diagram_of_network, ket_of_code
 from .model import Color, NetworkSpec, NormalizationMode, Transition, _index
-from .states import NoBunchState, assemble_network_state
+from .states import NoBunchState, _ket_sums
 
 PARTITION_LIMIT = 10
 #: singular values, and the row residuals of ``schmidt_rank``, at or below
@@ -208,6 +220,12 @@ def theorem2_w_optimal_check(diag: PMDiagram) -> WOptimalityReport:
 
 _KET_BITS = str.maketrans("ud", "01")
 
+
+def _ket_code(ket: str) -> int:
+    """The walk's code of a ket string: bit j set when X_j is down."""
+    return int(ket[::-1].translate(_KET_BITS), 2) << 1
+
+
 #: the fixed value y_k of detector X_(k+1) in ``finest_partition``: the
 #: k-th draw of this generator, a uniform phase; drawn once, when first used
 _PROBE_DRAWS = random.Random(2010)
@@ -217,8 +235,8 @@ _PROBES: list[complex] = []
 def schmidt_rank(state: NoBunchState, cut: Bipartition) -> int:
     """Rank of the amplitude matricization across the cut.
 
-    Each nonzero ket's u/d string read as bits is a code; the matrix's row
-    is the code's bits on the cut's detectors, its column the rest, so only
+    Each nonzero ket's string is read as its code; the matrix's row is the
+    code's bits on the cut's detectors, its column the rest, so only
     rows and entries that are present are stored. The amplitudes are
     divided by their largest real or imaginary part first, so no scale
     overflows or underflows. The rank is taken by Gram-Schmidt with one
@@ -235,14 +253,13 @@ def schmidt_rank(state: NoBunchState, cut: Bipartition) -> int:
     terms = [(ket, complex(amp)) for ket, amp in state.amplitudes.items() if amp]
     if not terms:
         raise ZeroState("state has zero norm (no Schmidt rank)")
-    n = state.n
     mask = 0
     for d in cut.subset:
-        mask |= 1 << (n - d)
+        mask |= 1 << d
     peak = max(max(abs(v.real), abs(v.imag)) for _, v in terms)
     rows: dict[int, dict[int, complex]] = {}
     for ket, amp in terms:
-        code = int(ket.translate(_KET_BITS), 2)
+        code = _ket_code(ket)
         rows.setdefault(code & mask, {})[code & ~mask] = amp / peak
     floor = SV_TOL * max(map(_norm, rows.values()))
     # the rank is at most the number of columns; a row past that many basis
@@ -269,7 +286,10 @@ def schmidt_rank(state: NoBunchState, cut: Bipartition) -> int:
 
 
 def _norm(row: dict[int, complex]) -> float:
-    return math.sqrt(sum(v.real * v.real + v.imag * v.imag for v in row.values()))
+    # added left to right: from Python 3.12, sum() of floats rounds otherwise
+    return math.sqrt(
+        reduce(operator.add, (v.real * v.real + v.imag * v.imag for v in row.values()), 0.0)
+    )
 
 
 def finest_partition(state: NoBunchState) -> Partition:
@@ -291,44 +311,66 @@ def finest_partition(state: NoBunchState) -> Partition:
     amplitudes are divided by their largest real or imaginary part first,
     so no scale overflows or underflows the test. The zero state has no
     partition: it raises ZeroState.
+
+    Each ket string is read once as its code (bit j set when X_j is down),
+    and the test runs on the codes, as ``build_report`` runs it on the
+    sums of the matching walk.
     """
-    amplitudes = state.amplitudes
-    if not any(amplitudes.values()):
+    return _pair_test_partition(
+        state.n, {_ket_code(ket): amp for ket, amp in state.amplitudes.items() if amp}
+    )
+
+
+def _pair_test_partition(n: int, sums: dict[int, complex]) -> Partition:
+    """``finest_partition`` of a state given as its nonzero amplitudes by ket code.
+
+    ``sums`` keeps the kets in the order they were first seen. Each term
+    is multiplied by the probes of its down detectors in ascending
+    detector order, and every 2x2 sum adds the terms in the order of
+    ``sums``. No kets raises ZeroState and a NaN or infinite amplitude
+    NonFiniteValue, as building a ``NoBunchState`` of them would.
+    """
+    if not sums:
         raise ZeroState("state has zero norm (no kets to partition)")
-    n = state.n
     while len(_PROBES) < n:
         _PROBES.append(cmath.exp(2j * math.pi * _PROBE_DRAWS.random()))
-    peak = max(max(abs(v.real), abs(v.imag)) for v in amplitudes.values())
+    for code, amp in sums.items():
+        if not cmath.isfinite(amp):
+            raise NonFiniteValue(f"ket {ket_of_code(code, n)!r} has amplitude {amp!r}")
+    peak = max(max(abs(v.real), abs(v.imag)) for v in sums.values())
     # each term carries y_k for every down detector, i and j included: that
     # scales a row and a column of the pair's matrix by unit-modulus
     # factors, which keeps its singular values, so one list serves all pairs
     terms = []
-    for ket, amp in amplitudes.items():
+    for code, amp in sums.items():
         w = amp / peak
-        for k, ch in enumerate(ket):
-            if ch == "d":
-                w *= _PROBES[k]
-        terms.append((ket, w))
+        down = code
+        while down:
+            low = down & -down
+            w *= _PROBES[low.bit_length() - 2]  # bit j is detector X_j
+            down ^= low
+        terms.append((code, w))
 
     def entangled(i: int, j: int) -> bool:
-        m = {"uu": 0j, "ud": 0j, "du": 0j, "dd": 0j}
-        for ket, w in terms:
-            m[ket[i] + ket[j]] += w
-        a, c, b, d = m.values()
+        # m[2 * bit i + bit j]: the uu, ud, du and dd sums
+        m = [0j, 0j, 0j, 0j]
+        for code, w in terms:
+            m[(code >> i & 1) << 1 | code >> j & 1] += w
+        a, c, b, d = m
         det = abs(a * d - b * c)
         frob = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
         top_sq = (frob + math.sqrt(max(frob * frob - 4 * det * det, 0.0))) / 2
         return det > SV_TOL * top_sq
 
-    codes = [int(ket.translate(_KET_BITS), 2) for ket, amp in amplitudes.items() if amp]
+    first = next(iter(sums))
     varying = 0
-    for code in codes:
-        varying |= code ^ codes[0]
+    for code in sums:
+        varying |= code ^ first
     blocks: list[list[int]] = []
     # the blocks a later detector may join: not those of constant detectors
     tested: list[list[int]] = []
-    for j in range(n):
-        if not varying >> (n - 1 - j) & 1:
+    for j in range(1, n + 1):
+        if not varying >> j & 1:
             blocks.append([j])
             continue
         for block in tested:
@@ -338,7 +380,7 @@ def finest_partition(state: NoBunchState) -> Partition:
         else:
             tested.append([j])
             blocks.append(tested[-1])
-    return tuple(tuple(k + 1 for k in block) for block in blocks)
+    return tuple(map(tuple, blocks))
 
 
 def generic_amplitudes(spec: NetworkSpec, rng: random.Random) -> NetworkSpec:
@@ -375,7 +417,9 @@ def _partition_by_component(diag: PMDiagram, rng: random.Random) -> Partition:
     and its finest partition is the union of theirs. Vertex ``v`` is both
     particle ``v`` and slot ``v``, so one table renumbers each component's
     vertices 1..m in ascending order, and a block of slots maps back to
-    detectors through ``diag.relabeling``.
+    detectors through ``diag.relabeling``. A component's sums stay keyed by
+    ket code from the walk to the pair test; a one-vertex component holds
+    only its loop, so its state is one ket and it is a block with no walk.
     """
     network = generic_amplitudes(diag.network, rng)
     # (component index, local label) of every vertex
@@ -390,10 +434,13 @@ def _partition_by_component(diag: PMDiagram, rng: random.Random) -> Partition:
 
     blocks = []
     for comp, transitions in zip(diag.components, inside):
+        if len(comp) == 1:  # its loop alone: one ket, a block of its own
+            blocks.append((diag.detector_of_vertex(comp[0]),))
+            continue
         sub = NetworkSpec(
             len(comp), network.statistics, tuple(transitions), NormalizationMode.DESIGN
         )
-        for block in finest_partition(assemble_network_state(sub)):
+        for block in _pair_test_partition(len(comp), _ket_sums(sub)):
             blocks.append(tuple(sorted(diag.detector_of_vertex(comp[d - 1]) for d in block)))
     return tuple(sorted(blocks))
 

@@ -10,7 +10,9 @@ each ket as an integer code of down bits (bit j set when detector X_j
 receives a down edge), which ``walk_matchings`` spells out as color
 characters (``ket_of_code``). The walk and the PM diagram take
 their reference perfect matching, or the answer that there is none, from
-one check (``_base_matching``). The structural picture: merging particle
+one check (``_base_matching``); a loop-labeled spec, such as a PM diagram
+or a component cut from one, is its own, the identity, with no search.
+The structural picture: merging particle
 ``a`` and detector ``X_a`` into one vertex ``w_a`` turns each transition
 a → X_j into a digraph edge w_a → w_j, so a ``NetworkSpec`` is read as
 that digraph directly, with no second edge type. Relabeling the
@@ -137,8 +139,14 @@ def _base_matching(spec: NetworkSpec) -> tuple[int, ...] | None:
     A vertex without a transition is found first, in O(edges), so a huge
     ``n`` is answered before any per-vertex list is built. The neighbor
     lists are sorted, so the matching ignores the order of the transitions.
+    A loop-labeled spec, with a loop at each of its vertices 1..n, is its
+    own base matching: the identity, which the augmenting search, seeding
+    loops first, would return too. A repeated loop counts once.
     """
     n = spec.n
+    loops = {t.source for t in spec.transitions if t.source == t.detector}
+    if len(loops) == n and all(0 < v <= n for v in loops):
+        return tuple(range(1, n + 1))
     particles = {t.source for t in spec.transitions}
     detectors = {t.detector for t in spec.transitions}
     if len(particles) < n or len(detectors) < n:
@@ -398,29 +406,29 @@ def diagram_of_network(spec: NetworkSpec) -> PMDiagram:
     permutation whose moved vertices form disjoint cycles, so an edge is in
     a matching exactly when its ends share an SCC (Dulmage–Mendelsohn). One
     Tarjan pass gives those edges and the components; dropping the edges
-    between SCCs leaves the SCCs as they are. Raises NoPerfectMatching when
-    the network has no matching (without one there is no loop labeling to
-    define the diagram).
+    between SCCs leaves the SCCs as they are. A loop-labeled spec is
+    relabeled by the identity, so its diagram keeps the spec's own
+    ``Transition`` records. Raises NoPerfectMatching when the network has
+    no matching (without one there is no loop labeling to define the
+    diagram).
     """
     relabeling = _base_matching(spec)
     if relabeling is None:
         raise NoPerfectMatching("network has no perfect matching")
 
     n = spec.n
-    # permute detector labels so the base matching becomes the diagonal:
-    # detector relabeling[v-1] moves to slot v
-    slot_of = [0] * (n + 1)
-    for a, j in enumerate(relabeling, start=1):
-        slot_of[j] = a
-    relabeled = NetworkSpec(
-        n,
-        spec.statistics,
-        tuple(
+    transitions = spec.transitions
+    if any(a != j for a, j in enumerate(relabeling, start=1)):
+        # permute detector labels so the base matching becomes the
+        # diagonal: detector relabeling[v-1] moves to slot v
+        slot_of = [0] * (n + 1)
+        for a, j in enumerate(relabeling, start=1):
+            slot_of[j] = a
+        transitions = tuple(
             Transition(t.source, slot_of[t.detector], t.amplitude, t.color)
-            for t in spec.transitions
-        ),
-        NormalizationMode.DESIGN,
-    )
+            for t in transitions
+        )
+    relabeled = NetworkSpec(n, spec.statistics, transitions, NormalizationMode.DESIGN)
     sccs = _tarjan_sccs(n, _successors(relabeled))
     scc_of = {v: k for k, comp in enumerate(sccs) for v in comp}
     inside = [scc_of[t.source] == scc_of[t.detector] for t in relabeled.transitions]

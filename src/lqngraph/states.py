@@ -9,8 +9,15 @@ them during the matching walk itself (``graphs.walk_prefixes``, which takes
 the ``NetworkSpec`` and hands back each ket as an integer of down bits,
 bit j set when detector X_j receives a down edge), the only route from a
 network to its state; ``oracle_state`` is the independent n! reference it
-is checked against. A ``NoBunchState`` checks its fields whenever one is
-built, through ``_replace`` and ``_make`` as well.
+is checked against. The sums stay keyed by those codes (``_ket_sums``)
+until ``assemble_network_state`` spells each ket out once; the numeric
+partition of ``entanglement`` reads the codes themselves. A
+``NoBunchState`` checks its fields whenever one is built, through
+``_replace`` and ``_make`` as well.
+
+Float sums of squares (``norm_squared``, ``normalize``) are added left to
+right explicitly: from Python 3.12 on, ``sum()`` of floats compensates its
+rounding, which would change the printed amplitudes with the interpreter.
 
 Sign convention for fermions: output creation operators are ordered by
 detector index, so a matching with assignment permutation σ picks up the
@@ -23,9 +30,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 import sys
 from collections import namedtuple
 from collections.abc import Mapping
+from functools import reduce
 from types import MappingProxyType
 
 from .errors import (
@@ -73,7 +82,11 @@ class NoBunchState(
                 f"amplitudes must be a mapping, got {type(amplitudes).__name__}"
             )
         for ket, amp in amplitudes.items():
-            if not isinstance(ket, str) or len(ket) != n or not set(ket) <= {"u", "d"}:
+            if (
+                not isinstance(ket, str)
+                or len(ket) != n
+                or ket.count("u") + ket.count("d") != n
+            ):
                 raise InvalidArgument(f"bad ket {ket!r} for n={n}")
             try:
                 if not cmath.isfinite(amp):
@@ -108,10 +121,15 @@ class NoBunchState(
         return self.amplitudes.get(ket, 0j)
 
     def norm_squared(self) -> float:
-        return sum(abs(v) ** 2 for v in self.amplitudes.values())
+        return _sum_squares(self.amplitudes.values())
 
     def sorted_terms(self) -> list[tuple[str, complex]]:
         return sorted(self.amplitudes.items())
+
+
+def _sum_squares(values) -> float:
+    """Sum of |v|**2, added left to right on every Python version."""
+    return reduce(operator.add, (abs(v) ** 2 for v in values), 0.0)
 
 
 _GLYPHS = str.maketrans({c.value: c.glyph for c in Color})
@@ -138,17 +156,16 @@ def _sign(assignment: tuple[int, ...], statistics: Statistics) -> int:
     return -1 if inv % 2 else 1
 
 
-def assemble_network_state(spec: NetworkSpec) -> NoBunchState:
-    """Full pipeline: walk the matchings of ``spec`` and sum them as they come.
+def _ket_sums(spec: NetworkSpec) -> dict[int, complex]:
+    """The state of ``spec`` keyed by the walk's ket codes, cancellations dropped.
 
     This is the leaf loop of ``graphs.walk_matchings`` with the sum inside
     it, which spares a generator step per matching. Matchings come in
     lexicographic order with the edge weights multiplied left to right in
     particle order, exactly as ``oracle_state`` sums its permutations, so
-    the two agree bit for bit. The sum is keyed by the walk's integer ket
-    code; each distinct ket becomes a string once, at the end, in the
-    order first seen, which is the oracle's order and the order
-    ``normalize`` sums the norm in. Exactly cancelled strings are dropped.
+    the two agree bit for bit. Codes keep the order they were first seen
+    in, which is the oracle's order; a code whose sum cancelled exactly is
+    dropped.
     """
     fermion = spec.statistics is Statistics.FERMION
     sums: dict[int, complex] = {}
@@ -158,9 +175,18 @@ def assemble_network_state(spec: NetworkSpec) -> NoBunchState:
             sums[key] = sums.get(key, 0j) + (
                 -1 if fermion and parity ^ odd else 1
             ) * (((prefix * w1) * w2) * w3)
+    return {k: v for k, v in sums.items() if v != 0}
+
+
+def assemble_network_state(spec: NetworkSpec) -> NoBunchState:
+    """Full pipeline: walk the matchings of ``spec`` and sum them as they come.
+
+    The sums come from ``_ket_sums``; each distinct ket becomes a string
+    once, at the end, in the order first seen, which is the oracle's order
+    and the order ``normalize`` sums the norm in.
+    """
     n = spec.n
-    amplitudes = {ket_of_code(k, n): v for k, v in sums.items() if v != 0}
-    return NoBunchState(n, amplitudes)
+    return NoBunchState(n, {ket_of_code(k, n): v for k, v in _ket_sums(spec).items()})
 
 
 def oracle_state(spec: NetworkSpec) -> NoBunchState:
@@ -217,7 +243,7 @@ def normalize(state: NoBunchState) -> NoBunchState:
     else:
         peak = max(max(abs(v.real), abs(v.imag)) for v in state.amplitudes.values())
         amplitudes = {k: v / peak for k, v in state.amplitudes.items()}
-        rest_sq = sum(abs(v) ** 2 for v in amplitudes.values())
+        rest_sq = _sum_squares(amplitudes.values())
         scale = rest_sq**-0.5
         amplitudes = {k: v * scale for k, v in amplitudes.items()}
         norm_sq = peak * peak * rest_sq

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 
-from lqngraph import graphs
+from lqngraph import entanglement, graphs, states
 from lqngraph.designers import design_ghz, design_w
 from lqngraph.entanglement import (
     Bipartition,
@@ -28,10 +28,12 @@ from lqngraph.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidArgument,
+    NonFiniteValue,
     NoPerfectMatching,
     ZeroState,
 )
 from lqngraph.graphs import diagram_of_network
+from lqngraph.io import parse_network
 from lqngraph.model import Color, NormalizationMode, validate_network
 from lqngraph.states import NoBunchState, assemble_network_state, normalize
 
@@ -329,6 +331,20 @@ class TestFinestPartition:
         state = NoBunchState(4, {"uuuu": 1.0}, normalized=True)
         assert finest_partition(state) == ((1,), (2,), (3,), (4,))
 
+    def test_codes_carry_detector_j_in_bit_j(self):
+        # X_1 and X_3 form a Bell pair, X_2 is pinned down
+        h = 1 / math.sqrt(2)
+        state = NoBunchState(3, {"udu": h, "ddd": h})
+        assert finest_partition(state) == ((1, 3), (2,))
+        assert entanglement._pair_test_partition(3, {0b0100: h, 0b1110: h}) == ((1, 3), (2,))
+
+    def test_code_route_keeps_the_state_checks(self):
+        with pytest.raises(ZeroState):
+            entanglement._pair_test_partition(2, {})
+        for amp in (complex(math.nan, 0.0), complex(0.0, math.inf)):
+            with pytest.raises(NonFiniteValue, match="ket 'du'"):
+                entanglement._pair_test_partition(2, {0b000: 1.0, 0b010: amp})
+
     def test_refines_structural_partition(self):
         rng = np.random.default_rng(83)
         draw = random.Random(83)
@@ -532,6 +548,31 @@ class TestReport:
             reject()
         again = build_report(spec, numeric_seed=other)
         assert again.numeric_finest_partition == report.numeric_finest_partition
+
+    def test_numeric_route_reads_codes_and_walks_multi_vertex_components(
+        self, fixtures_dir, monkeypatch
+    ):
+        # ghz:3 | W star n=3 | one loop, with a forward cross edge
+        path = fixtures_dir / "blocks7_ghz_wstar_single_boson.json"
+        spec = parse_network(path.read_text(encoding="utf-8"))
+        walked = []
+        walk = states.walk_prefixes
+
+        def counted_walk(sub):
+            walked.append(sub.n)
+            return walk(sub)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the numeric route built a state or a ket string")
+
+        monkeypatch.setattr(states, "walk_prefixes", counted_walk)
+        monkeypatch.setattr(NoBunchState, "__new__", refuse)
+        for module in (states, graphs, entanglement):
+            monkeypatch.setattr(module, "ket_of_code", refuse)
+        monkeypatch.setattr(entanglement, "_ket_code", refuse)
+        report = build_report(spec, numeric_seed=3)
+        assert report.numeric_finest_partition == ((1, 2, 3), (4, 5, 6), (7,))
+        assert walked == [3, 3]
 
     def test_pinned_vertices_are_numeric_singletons(self):
         rng = np.random.default_rng(89)

@@ -4,13 +4,16 @@
 each structural command, and of ``compute`` and ``verify``, on the
 n5 and tritter fixtures, the n5 fixture read as fermions, two dense
 fixtures (a Haar n=6 boson and an n=7 fermion network with all n² edges
-and mixed colors), two block unions (dicke2:5 + ghz:2 as bosons and
-cluster4 + W star n=3 as fermions, each with one forward cross edge, so
-``analyze --numeric`` splits components of size 3 to 5) and four designer
-networks.
+and mixed colors), three block unions (dicke2:5 + ghz:2 and ghz:3 + W
+star n=3 + one loop as bosons, cluster4 + W star n=3 as fermions, each
+with one forward cross edge, so ``analyze --numeric`` splits components
+of size 1 to 5) and four designer networks.
 To rewrite it after an intended output change, run from the repo root:
 
     PYTHONPATH=src python tests/test_golden.py
+
+To compare without rewriting, under an interpreter with or without
+pytest, add ``--check``: it exits 1 and names the first differing run.
 """
 
 import contextlib
@@ -68,6 +71,7 @@ def structural_outputs(workdir: Path) -> dict:
             "dense7_fermion.json",
             "blocks7_dicke2_ghz_boson.json",
             "blocks7_cluster4_wstar_fermion.json",
+            "blocks7_ghz_wstar_single_boson.json",
         )
     }
     doc = json.loads(inputs["n5_example.json"].read_text(encoding="utf-8"))
@@ -107,8 +111,24 @@ def test_structural_commands_match_golden(tmp_path):
         assert got == want, f"first differing run: {command!r} on {name!r}"
 
 
-if __name__ == "__main__":
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--check"]):
+        sys.stderr.write("usage: test_golden.py [--check]\n")
+        return 2
     with tempfile.TemporaryDirectory() as workdir:
         outputs = structural_outputs(Path(workdir))
-    GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    sys.stdout.write(f"wrote {GOLDEN}\n")
+    if not argv:
+        GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        sys.stdout.write(f"wrote {GOLDEN}\n")
+        return 0
+    differing = first_difference(outputs, json.loads(GOLDEN.read_text(encoding="utf-8")))
+    if differing is not None:
+        name, command = differing
+        sys.stdout.write(f"first differing run: {command!r} on {name!r}\n")
+        return 1
+    sys.stdout.write(f"{GOLDEN.name}: all {sum(map(len, outputs.values()))} runs match\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -14,12 +14,20 @@ from lqngraph.entanglement import Verdict, build_report
 from lqngraph.errors import NoPerfectMatching
 from lqngraph.graphs import (
     _base_matching,
+    _matching_assignment,
     _successors,
     diagram_of_network,
     walk_matchings,
 )
 from lqngraph.io import DotRenderOptions, View, export_dot
-from lqngraph.model import Color, NetworkSpec, NormalizationMode, validate_network
+from lqngraph.model import (
+    Color,
+    NetworkSpec,
+    NormalizationMode,
+    Statistics,
+    Transition,
+    validate_network,
+)
 
 from conftest import (
     N5_DEAD_EDGES,
@@ -133,6 +141,46 @@ class TestInitialMatching:
         spec = identity_network(3)
         assert _base_matching(spec) == (1, 2, 3)
         assert matchings(spec) == [((1, 2, 3), (Color.UP,) * 3)]
+
+
+class TestLoopLabeled:
+    """A loop at every vertex makes a spec its own base matching."""
+
+    @PROPERTY
+    @given(networks(modes=("design",)), st.data())
+    def test_base_matching_is_the_identity_the_search_finds(self, spec, data):
+        have = {t.source for t in spec.transitions if t.source == t.detector}
+        loops = [(v, v, 1.0, "u") for v in range(1, spec.n + 1) if v not in have]
+        edges = data.draw(st.permutations([*spec.transitions, *loops]), label="edges")
+        spec = validate_network(spec.n, spec.statistics, edges, "design")
+        identity = tuple(range(1, spec.n + 1))
+        assert _base_matching(spec) == identity
+        neighbors = [[] for _ in range(spec.n)]
+        for t in spec.transitions:
+            neighbors[t.source - 1].append(t.detector)
+        assert _matching_assignment(spec.n, [sorted(r) for r in neighbors]) == identity
+
+    def test_a_repeated_loop_does_not_stand_for_a_missing_one(self):
+        # built directly: three loop transitions, but vertex 3 has none
+        t = [
+            Transition(1, 1, 1.0, Color.UP),
+            Transition(1, 1, 1.0, Color.UP),
+            Transition(2, 2, 1.0, Color.UP),
+            Transition(2, 3, 1.0, Color.DOWN),
+            Transition(3, 2, 1.0, Color.UP),
+        ]
+        spec = NetworkSpec(3, Statistics.BOSON, tuple(t), NormalizationMode.DESIGN)
+        assert _base_matching(spec) == (1, 3, 2)
+        assert diagram_of_network(spec).relabeling == (1, 3, 2)
+
+    def test_diagram_holds_the_specs_own_transitions(self):
+        spec = n5_network()
+        assert {t.source for t in spec.transitions if t.source == t.detector} == {1, 2, 3, 4, 5}
+        diag = diagram_of_network(spec)
+        own = {id(t) for t in spec.transitions}
+        assert diag.removed
+        assert all(id(t) in own for t in diag.network.transitions)
+        assert diag.network.normalization_mode is NormalizationMode.DESIGN
 
 
 class TestRelabelToLoops:

@@ -253,6 +253,19 @@ def test_bad_state_argument_is_refused(args, error):
         NoBunchState(*args)
 
 
+@pytest.mark.parametrize("ket", ["ux", "u", "uuu", "u d", "UD", ""])
+def test_ket_of_other_length_or_characters_is_refused(ket):
+    with pytest.raises(InvalidArgument, match=f"bad ket {ket!r} for n=2"):
+        NoBunchState(2, {ket: 1.0})
+
+
+def test_squared_norm_adds_left_to_right():
+    # compensated summation (sum() of floats from Python 3.12 on) would
+    # give 1.0000000000000002e+16; the printed amplitudes rest on this sum
+    state = NoBunchState(3, {"uuu": 1e8, "uud": 1.0, "udu": 1.0})
+    assert state.norm_squared() == 1e16
+
+
 @pytest.mark.parametrize("p", [None, 0.0, 1e-320, 0.25, 1, 10**400])
 def test_state_accepts_any_finite_probability_at_least_zero(p):
     # 0.0 is an underflowed probability (a large network's 2**(1-n))
