@@ -1,8 +1,10 @@
 """Perfect matchings of a network and the PM diagram built from them.
 
 Matchings are enumerated by a depth-first search over particles in order
-(``walk_matchings``), with the last three placed from a table keyed by the
-detectors left free. It is the package's only enumeration, and it keeps no
+(``walk_matchings``), with the last five placed from a nested table,
+built once per set of detectors left free, whose rows share their partial
+weight products; a fermion's sign enters as exact negation of the odd
+placements' weights. It is the package's only enumeration, and it keeps no
 matching as an object: ``states`` sums the state inside it
 (``walk_prefixes``), and ``io`` stops it at the matching that a DOT
 export highlights. The walk reads the ``NetworkSpec`` itself and carries
@@ -36,7 +38,7 @@ from collections.abc import Iterator
 from itertools import compress
 
 from .errors import NoPerfectMatching
-from .model import Color, NetworkSpec, NormalizationMode, Transition
+from .model import Color, NetworkSpec, NormalizationMode, Statistics, Transition
 
 
 class PMDiagram(namedtuple("PMDiagram", "network relabeling removed components")):
@@ -206,9 +208,9 @@ def _tarjan_sccs(n: int, succ: list[list[int]]) -> list[list[int]]:
 
 
 #: particles at the bottom of the matching walk that are placed from a
-#: per-free-set table of completions instead of being searched; the row
-#: layout of ``_completion_rows`` is written for three
-TABLE_PARTICLES = 3
+#: nested per-free-set table of completions instead of being searched; the
+#: table loops of ``walk_matchings`` and ``states._ket_sums`` are written for five
+TABLE_PARTICLES = 5
 
 _ONE = complex(1.0)
 
@@ -224,80 +226,74 @@ def ket_of_code(code: int, n: int) -> str:
     return format(code >> 1, f"0{n}b")[::-1].translate(_UD)
 
 
-def _pair_rows(n: int, options: list, last: dict, free: int) -> list:
-    """Rows for particles n-1 and n taking the two detectors in ``free``.
+def _table(free: int, options: list, last: dict, tables: dict, negate: bool) -> list:
+    """The completion table of the last particles on the detectors in ``free``.
 
-    They have the layout of ``_completion_rows``, led by weight 1.
+    The rows are laid out as ``walk_prefixes`` describes; ``tables`` keeps
+    each table built, keyed by its free set, for the rest of the walk.
     """
-    rows = []
-    for bit, j, w, down in options[n - 2]:
-        if free & bit and free ^ bit in last:
-            _, k, v, down_k = last[free ^ bit]
-            odd = (n - j - (free >> (j + 1)).bit_count() + n - k) & 1
-            rows.append((_ONE, w, v, (j, k), odd, down | down_k))
-    return rows
-
-
-def _completion_rows(
-    n: int, options: list, last: dict, pairs: dict[int, list], free: int
-) -> list:
-    """Every way for the last particles to take the detectors in ``free``.
-
-    ``free`` is the bitmask a walk prefix left free, and the rows place the
-    last ``TABLE_PARTICLES`` particles (all n when n is smaller) on it in
-    lexicographic order. A row is ``(w1, w2, w3, detectors, odd, down)``:
-    the weights of the placements, their detectors in particle order, the
-    parity bit, and the down bits of the detectors they reach by a down
-    edge (see ``walk_prefixes``). Rows of fewer particles lead with weight
-    1, which does not change the product.
-
-    Each of the first particle's choices is extended by the two-particle
-    rows of the set it leaves, kept in ``pairs`` for the rest of the walk.
-    When particle a takes detector j, particles 1..a-1 hold exactly the
-    n - j detectors above j that are not free, so a row's parity bit
-    depends on the free set alone.
-    """
-    if n == 1:  # the up-front matching check found the one edge
-        _, _, w, down = last[free]
-        return [(_ONE, _ONE, w, (1,), 0, down)]
-    if n == 2:
-        return _pair_rows(n, options, last, free)
-    rows = []
-    for bit, j, w, down in options[n - 3]:
+    n = len(options)
+    rows = tables[free] = []
+    size = free.bit_count()
+    for bit, j, w, down in options[n - size]:
         if free & bit:
             rest = free ^ bit
             odd = (n - j - (free >> (j + 1)).bit_count()) & 1
-            pair_rows = pairs.get(rest)
-            if pair_rows is None:
-                pair_rows = pairs[rest] = _pair_rows(n, options, last, rest)
-            for _, w2, w3, (j2, j3), odd23, down23 in pair_rows:
-                rows.append((w, w2, w3, (j, j2, j3), odd ^ odd23, down | down23))
+            if negate and odd:
+                w = -w
+            if size > 2:
+                below = tables.get(rest)
+                if below is None:
+                    below = _table(rest, options, last, tables, negate)
+                if below:
+                    rows.append((w, down, below, j, odd))
+            elif size == 1:  # n == 1
+                rows.append((_ONE, w, down, (j,), odd))
+            elif rest in last:
+                _, k, v, down_k = last[rest]
+                odd_k = (n - k) & 1
+                if negate and odd_k:
+                    v = -v
+                rows.append((w, v, down | down_k, (j, k), odd ^ odd_k))
     return rows
 
 
-def walk_prefixes(spec: NetworkSpec) -> Iterator[tuple[list[int], int, complex, int, list]]:
+def walk_prefixes(
+    spec: NetworkSpec, signed: bool = True
+) -> Iterator[tuple[list[int], int, complex, int, list]]:
     """The matching walk down to its completion table (see ``walk_matchings``).
 
-    Particles 1..n-K, K = ``TABLE_PARTICLES`` (all of them when n <= K),
-    are placed by depth-first search. Per placement of them that the last
-    K particles can complete this yields ``(assignment, code, prefix,
-    parity, rows)``: the placement so far (a list updated in place), its
-    ket code, weight product and parity, and the completion rows of its
-    free detectors, as ``_completion_rows`` describes. A ket code has bit
-    j (the detector's bit in the free masks) set when detector X_j
-    receives a down edge; a matching's ket is ``ket_of_code(code | down,
-    n)`` with the ``down`` of its row.
+    Particles 1..n-K, K = ``TABLE_PARTICLES`` (none when n <= K), are
+    placed by depth-first search. Per placement of them that the last K
+    particles can complete this yields ``(assignment, code, prefix,
+    parity, table)``: the placement so far (a list updated in place), its
+    ket code (bit j set when detector X_j receives a down edge), weight
+    product and permutation parity, and the table of its free detectors.
+
+    The table, built once per free set, has a level per particle listing
+    its choices in ascending detector order as rows ``(w, down, table, j,
+    odd)``: the weight, detector j's bit if the edge is down, the next
+    particle's table on the detectors left free, the detector, and the
+    parity bit the placement adds (particles 1..a-1 hold exactly the n - j
+    detectors above j that are not free, so it depends on the free set
+    alone). The last two particles are pair rows ``(w, w', down, (j, j'),
+    odd)``. Below n = K, rows ``(1, 0, table, 0, 0)`` lead, and a lone
+    particle's pair row is ``(1, w, down, (j,), odd)``. A matching's weight
+    is the prefix times its rows' weights, left to right, and its code is
+    ``code`` OR their ``down`` bits. When ``signed``, a fermion's odd rows
+    and odd prefixes are negated, which is exact, so the product comes out
+    signed.
     """
     if _base_matching(spec) is None:
         return
     n = spec.n
     # (detector bit, detector, weight, detector bit if the edge is down else 0)
     options: list[list[tuple[int, int, complex, int]]] = [[] for _ in range(n)]
+    down_color = Color.DOWN
     for t in spec.transitions:
         bit = 1 << t.detector
-        options[t.source - 1].append(
-            (bit, t.detector, t.amplitude, bit if t.color is Color.DOWN else 0)
-        )
+        down = bit if t.color is down_color else 0
+        options[t.source - 1].append((bit, t.detector, t.amplitude, down))
     for opts in options:
         opts.sort(key=lambda o: o[1])
 
@@ -312,12 +308,11 @@ def walk_prefixes(spec: NetworkSpec) -> Iterator[tuple[list[int], int, complex, 
         due[last_neighbor[j]] |= 1 << j
     full = ((1 << n) - 1) << 1
     depth = max(n - TABLE_PARTICLES, 0)
+    padding = TABLE_PARTICLES - max(n - depth, 2)  # weight-1 levels led in below n = K
     by_bit = [{o[0]: o for o in opts} for opts in options[:depth]]
     last = {o[0]: o for o in options[-1]}
-    # completion rows per free set at the table depth, and the two-particle
-    # rows they are built from
-    table: dict[int, list] = {}
-    pairs: dict[int, list] = {}
+    negate = signed and spec.statistics is Statistics.FERMION
+    tables: dict[int, list] = {}  # completion table per free set, any size
     assignment = [0] * n
     # prefix[a], parity[a]: weight product and permutation parity of the
     # placements of particles 1..a
@@ -335,11 +330,16 @@ def walk_prefixes(spec: NetworkSpec) -> Iterator[tuple[list[int], int, complex, 
     while a >= 0:
         if a == depth:
             free = full ^ used
-            rows = table.get(free)
+            rows = tables.get(free)
             if rows is None:
-                rows = table[free] = _completion_rows(n, options, last, pairs, free)
+                rows = _table(free, options, last, tables, negate)
             if rows:
-                yield assignment, code & used, prefix[a], parity[a], rows
+                for _ in range(padding):
+                    rows = [(_ONE, 0, rows, 0, 0)]
+                p = prefix[a]
+                if negate and parity[a]:
+                    p = -p
+                yield assignment, code & used, p, parity[a], rows
             a -= 1
             continue
         if held[a]:
@@ -386,15 +386,22 @@ def walk_matchings(spec: NetworkSpec) -> Iterator[tuple[list[int], list[str], co
     ``_base_matching``. A branch is pruned as soon as a free detector has
     lost its last unassigned neighbor. The last ``TABLE_PARTICLES``
     particles are not searched: each placement of the others is completed
-    from a table of rows keyed by its free detectors (``walk_prefixes``).
+    by expanding the unsigned nested table of its free detectors
+    (``walk_prefixes``) level by level, in particle order; the loops are
+    written for five table particles.
     """
     n = spec.n
     depth = max(n - TABLE_PARTICLES, 0)
-    for assignment, code, prefix, parity, rows in walk_prefixes(spec):
-        for w1, w2, w3, detectors, odd, down in rows:
-            assignment[depth:] = detectors
-            ket = list(ket_of_code(code | down, n))
-            yield assignment, ket, ((prefix * w1) * w2) * w3, parity ^ odd
+    for assignment, code, prefix, parity, rows in walk_prefixes(spec, signed=False):
+        for w1, down1, rows2, j1, odd1 in rows:
+            for w2, down2, rows3, j2, odd2 in rows2:
+                for w3, down3, pairs, j3, odd3 in rows3:
+                    for w4, w5, down45, j45, odd45 in pairs:
+                        # rows that place nothing lead, so the last n - depth place
+                        assignment[depth:] = (j1, j2, j3, *j45)[depth - n :]
+                        ket = list(ket_of_code(code | down1 | down2 | down3 | down45, n))
+                        weight = ((((prefix * w1) * w2) * w3) * w4) * w5
+                        yield assignment, ket, weight, parity ^ odd1 ^ odd2 ^ odd3 ^ odd45
 
 
 def diagram_of_network(spec: NetworkSpec) -> PMDiagram:

@@ -21,7 +21,8 @@ rounding, which would change the printed amplitudes with the interpreter.
 
 Sign convention for fermions: output creation operators are ordered by
 detector index, so a matching with assignment permutation σ picks up the
-parity of σ. Bosonic contributions are always +1, which reproduces the
+parity of σ: an odd σ adds the exact negation of its weight, and a boson
+weight is added as it is, with no sign multiplied in. This reproduces the
 plus/minus pair of the two-particle beam-splitter state.
 """
 
@@ -145,36 +146,34 @@ def ket_glyphs(ket: str) -> str:
     return ket.translate(_GLYPHS)
 
 
-def _sign(assignment: tuple[int, ...], statistics: Statistics) -> int:
-    if statistics is Statistics.BOSON:
-        return 1
-    inv = 0
-    for i in range(len(assignment)):
-        for k in range(i + 1, len(assignment)):
-            if assignment[i] > assignment[k]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 def _ket_sums(spec: NetworkSpec) -> dict[int, complex]:
     """The state of ``spec`` keyed by the walk's ket codes, cancellations dropped.
 
-    This is the leaf loop of ``graphs.walk_matchings`` with the sum inside
-    it, which spares a generator step per matching. Matchings come in
-    lexicographic order with the edge weights multiplied left to right in
-    particle order, exactly as ``oracle_state`` sums its permutations, so
-    the two agree bit for bit. Codes keep the order they were first seen
-    in, which is the oracle's order; a code whose sum cancelled exactly is
-    dropped.
+    This is ``graphs.walk_matchings``' expansion of the tables with the sum
+    inside it, which spares a generator step per matching. Completions
+    below a row share its partial product (``p1 = prefix * w1``, then
+    ``p2 = p1 * w2``, ...), still the left fold in particle order, and
+    matchings come in lexicographic order, as ``oracle_state`` sums its
+    permutations. The fermion sign is in the signed weights: negation is
+    exact, and a ±0 difference never reaches a sum, which starts at
+    ``0j``. So the two agree bit for bit. Codes keep the order they were
+    first seen in, the oracle's order; a code whose sum cancelled exactly
+    is dropped.
     """
-    fermion = spec.statistics is Statistics.FERMION
     sums: dict[int, complex] = {}
-    for _, code, prefix, parity, rows in walk_prefixes(spec):
-        for w1, w2, w3, _, odd, down in rows:
-            key = code | down
-            sums[key] = sums.get(key, 0j) + (
-                -1 if fermion and parity ^ odd else 1
-            ) * (((prefix * w1) * w2) * w3)
+    for _, code, prefix, _, rows in walk_prefixes(spec):
+        for w1, down1, rows2, _, _ in rows:
+            p1 = prefix * w1
+            code1 = code | down1
+            for w2, down2, rows3, _, _ in rows2:
+                p2 = p1 * w2
+                code2 = code1 | down2
+                for w3, down3, pairs, _, _ in rows3:
+                    p3 = p2 * w3
+                    code3 = code2 | down3
+                    for w4, w5, down45, _, _ in pairs:
+                        key = code3 | down45
+                        sums[key] = sums.get(key, 0j) + (p3 * w4) * w5
     return {k: v for k, v in sums.items() if v != 0}
 
 
@@ -197,11 +196,13 @@ def oracle_state(spec: NetworkSpec) -> NoBunchState:
     edge, so it can vouch for the matching-based assembly. It shares no
     code with ``assemble_network_state`` on purpose: permutations come in
     lexicographic order and weights are multiplied in particle order, so it
-    equals the engine bit for bit.
+    equals the engine bit for bit. A fermion permutation of odd parity adds
+    ``-weight``, the exact negation the engine's signed weights give.
     """
     if spec.n > ORACLE_LIMIT:
         raise TooLarge(spec.n, ORACLE_LIMIT)
     edge_map = spec.transition_map()
+    fermion = spec.statistics is Statistics.FERMION
     amplitudes: dict[str, complex] = {}
     for perm in itertools.permutations(range(1, spec.n + 1)):
         ket = ["" for _ in range(spec.n)]
@@ -214,7 +215,9 @@ def oracle_state(spec: NetworkSpec) -> NoBunchState:
             weight *= t.amplitude
         else:
             key = "".join(ket)
-            amplitudes[key] = amplitudes.get(key, 0j) + _sign(perm, spec.statistics) * weight
+            if fermion and sum(x > y for x, y in itertools.combinations(perm, 2)) % 2:
+                weight = -weight  # odd permutation
+            amplitudes[key] = amplitudes.get(key, 0j) + weight
     amplitudes = {k: v for k, v in amplitudes.items() if v != 0}
     return NoBunchState(spec.n, amplitudes)
 

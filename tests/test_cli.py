@@ -347,13 +347,11 @@ class TestVerify:
         assert err == f"error: n={n} exceeds the exhaustive-enumeration limit 10\n"
         assert assembled == []
 
-    @pytest.mark.parametrize("command", ["verify", "compute"])
-    def test_overflowed_weight_is_validation_error(self, capsys, tmp_path, command):
-        # each matching weight 1e200 * 1e200 overflows on both engines, so
-        # there is no finite state to print or to compare
+    @staticmethod
+    def run_overflowed(capsys, tmp_path, command, statistics):
         doc = {
             "n": 2,
-            "statistics": "boson",
+            "statistics": statistics,
             "mode": "design",
             "edges": [
                 {"from": a, "to": j, "amp": {"re": 1e200, "im": 0.0}, "color": "up"}
@@ -366,7 +364,22 @@ class TestVerify:
         code, out, err = run(capsys, command, str(path))
         assert code == cli.EXIT_VALIDATION
         assert out == ""
-        assert err == "error: ket 'uu' has amplitude (inf+nanj)\n"
+        return err
+
+    @pytest.mark.parametrize("command", ["verify", "compute"])
+    def test_overflowed_weight_is_validation_error(self, capsys, tmp_path, command):
+        # each matching weight 1e200 * 1e200 overflows to inf+0j on both
+        # engines, so there is no finite state to print or to compare; a
+        # boson weight is summed as it is, with no sign multiplied in
+        err = self.run_overflowed(capsys, tmp_path, command, "boson")
+        assert err == "error: ket 'uu' has amplitude (inf+0j)\n"
+
+    @pytest.mark.parametrize("command", ["verify", "compute"])
+    def test_overflowed_fermion_weight_is_validation_error(self, capsys, tmp_path, command):
+        # the odd matching adds the exact negation of its inf+0j weight on
+        # both engines, so the sum is inf - inf
+        err = self.run_overflowed(capsys, tmp_path, command, "fermion")
+        assert err == "error: ket 'uu' has amplitude (nan+0j)\n"
 
 
 class TestDot:

@@ -13,6 +13,7 @@ from lqngraph.designers import design_cluster4, design_ghz, design_w, preset_tri
 from lqngraph.entanglement import Verdict, build_report
 from lqngraph.errors import NoPerfectMatching
 from lqngraph.graphs import (
+    TABLE_PARTICLES,
     _base_matching,
     _matching_assignment,
     _successors,
@@ -300,10 +301,11 @@ class TestEnumeratePMs:
                 spec = random_network(rng, n)
                 assert assignments_of(spec) == brute_force_assignments(spec)
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, TABLE_PARTICLES + 3))
     def test_walk_weight_and_parity_per_matching(self, n):
         # every field the walk yields, against a product and an inversion
-        # count taken straight from the brute-force assignment
+        # count taken straight from the brute-force assignment; n runs from
+        # a table led by weight-1 rows to two searched particles above it
         spec = random_network_with_pm(np.random.default_rng(31 + n), n)
         weight_of = {(t.source, t.detector): t.amplitude for t in spec.transitions}
         color_of = {(t.source, t.detector): t.color.value for t in spec.transitions}

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from lqngraph.designers import design_dicke2, preset_beamsplitter, preset_tritter
 from lqngraph.errors import InvalidArgument, NonFiniteValue, TooLarge, ZeroState
-from lqngraph.graphs import diagram_of_network
+from lqngraph.graphs import TABLE_PARTICLES, diagram_of_network
 from lqngraph.io import serialize_state
 from lqngraph.model import Color, Statistics, validate_network
 from lqngraph.states import (
@@ -131,10 +131,11 @@ class TestOracle:
 
     @pytest.mark.parametrize("statistics", ["boson", "fermion"])
     @pytest.mark.parametrize("density", [1.0, 0.5])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, TABLE_PARTICLES + 2))
     def test_table_covers_most_particles(self, n, density, statistics):
-        # the last three particles come from the completion table, so here
-        # it places all or all but one of them
+        # the last TABLE_PARTICLES particles come from the completion
+        # table, so here it places all of them (led by weight-1 rows below
+        # TABLE_PARTICLES) or all but one
         rng = np.random.default_rng(100 * n + int(10 * density))
         planted = {(a, int(j)) for a, j in enumerate(rng.permutation(n) + 1, start=1)}
         edges = [
@@ -149,6 +150,14 @@ class TestOracle:
     def test_complete_fermion_n8_is_bit_exact_with_oracle(self):
         rng = np.random.default_rng(53)
         spec = random_network(rng, 8, Statistics.FERMION, edge_prob=1.0)
+        assert len(spec.transitions) == 64
+        engine = assemble_network_state(spec)
+        assert len(engine.amplitudes) > 1
+        assert ket_reprs(engine) == ket_reprs(oracle_state(spec))
+
+    def test_complete_boson_n8_is_bit_exact_with_oracle(self):
+        rng = np.random.default_rng(61)
+        spec = random_network(rng, 8, Statistics.BOSON, edge_prob=1.0)
         assert len(spec.transitions) == 64
         engine = assemble_network_state(spec)
         assert len(engine.amplitudes) > 1
