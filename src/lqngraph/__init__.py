@@ -21,7 +21,6 @@ from .entanglement import (
     Verdict,
     build_report,
     finest_partition,
-    generic_amplitudes,
     lemma1_separable_vertices,
     lemma2_partition,
     schmidt_rank,

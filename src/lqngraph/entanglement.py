@@ -18,12 +18,13 @@ nonzero rows: rank 1 means the state factors there. ``finest_partition``
 finds the finest product partition, unique for pure states, without a
 search over cuts: two detectors lie in different blocks exactly when the
 amplitudes, read as a multilinear polynomial, have a vanishing 2x2
-coefficient determinant over that pair. ``build_report`` redraws the
-amplitudes of the PM diagram's kept transitions generically from a seed
-and applies it to each component's network, cut from
-``PMDiagram.network``, since the state is the product of the component
-states. Each component's sums go from the walk to the pair test as codes,
-with no ``NoBunchState`` and no ket string in between, and a one-vertex
+coefficient determinant over that pair. ``build_report`` asks that of
+generic amplitudes, a polynomial identity test, so it answers exactly: it
+draws a random integer weight per kept transition of the PM diagram and
+walks each component's network, cut from ``PMDiagram.network``, in Python
+integers, since the state is the product of the component states. Each
+component's sums go from the walk to the pair test as codes, with no
+``NoBunchState`` and no ket string in between, and a one-vertex
 component, whose state is one ket, is a block without a walk.
 """
 
@@ -48,6 +49,8 @@ from .graphs import PMDiagram, diagram_of_network, ket_of_code
 from .model import Color, NetworkSpec, NormalizationMode, Transition, _index
 from .states import NoBunchState, _ket_sums
 
+#: the most detectors in a component that ``build_report``'s numeric route
+#: walks: a bound on the walk's work, since its exact answer needs none
 PARTITION_LIMIT = 10
 #: singular values, and the row residuals of ``schmidt_rank``, at or below
 #: this fraction of the largest count as zero
@@ -313,50 +316,57 @@ def finest_partition(state: NoBunchState) -> Partition:
     partition: it raises ZeroState.
 
     Each ket string is read once as its code (bit j set when X_j is down),
-    and the test runs on the codes, as ``build_report`` runs it on the
-    sums of the matching walk.
+    and the test runs on the codes, as ``build_report`` runs its exact
+    form on the integer sums of the matching walk.
     """
     return _pair_test_partition(
         state.n, {_ket_code(ket): amp for ket, amp in state.amplitudes.items() if amp}
     )
 
 
-def _pair_test_partition(n: int, sums: dict[int, complex]) -> Partition:
+def _pair_test_partition(n: int, sums: dict[int, complex], exact: bool = False) -> Partition:
     """``finest_partition`` of a state given as its nonzero amplitudes by ket code.
 
-    ``sums`` keeps the kets in the order they were first seen. Each term
-    is multiplied by the probes of its down detectors in ascending
-    detector order, and every 2x2 sum adds the terms in the order of
-    ``sums``. No kets raises ZeroState and a NaN or infinite amplitude
-    NonFiniteValue, as building a ``NoBunchState`` of them would.
+    ``sums`` keeps the kets in the order they were first seen, and every
+    2x2 sum adds the terms in that order. With ``exact`` the sums are
+    integers, every other detector is set to 1, and a pair is entangled
+    when ad != bc. Otherwise each term is multiplied by the probes of its
+    down detectors in ascending detector order, and a NaN or infinite
+    amplitude raises NonFiniteValue, as building a ``NoBunchState`` of them
+    would. No kets raises ZeroState.
     """
     if not sums:
         raise ZeroState("state has zero norm (no kets to partition)")
-    while len(_PROBES) < n:
-        _PROBES.append(cmath.exp(2j * math.pi * _PROBE_DRAWS.random()))
-    for code, amp in sums.items():
-        if not cmath.isfinite(amp):
-            raise NonFiniteValue(f"ket {ket_of_code(code, n)!r} has amplitude {amp!r}")
-    peak = max(max(abs(v.real), abs(v.imag)) for v in sums.values())
-    # each term carries y_k for every down detector, i and j included: that
-    # scales a row and a column of the pair's matrix by unit-modulus
-    # factors, which keeps its singular values, so one list serves all pairs
-    terms = []
-    for code, amp in sums.items():
-        w = amp / peak
-        down = code
-        while down:
-            low = down & -down
-            w *= _PROBES[low.bit_length() - 2]  # bit j is detector X_j
-            down ^= low
-        terms.append((code, w))
+    terms = sums.items()
+    if not exact:
+        while len(_PROBES) < n:
+            _PROBES.append(cmath.exp(2j * math.pi * _PROBE_DRAWS.random()))
+        for code, amp in terms:
+            if not cmath.isfinite(amp):
+                raise NonFiniteValue(f"ket {ket_of_code(code, n)!r} has amplitude {amp!r}")
+        peak = max(max(abs(v.real), abs(v.imag)) for v in sums.values())
+        # each term carries y_k for every down detector, i and j included:
+        # that scales a row and a column of the pair's matrix by unit-modulus
+        # factors, which keeps its singular values, so one list serves all pairs
+        terms = []
+        for code, amp in sums.items():
+            w = amp / peak
+            down = code
+            while down:
+                low = down & -down
+                w *= _PROBES[low.bit_length() - 2]  # bit j is detector X_j
+                down ^= low
+            terms.append((code, w))
+    zero = 0 if exact else 0j
 
     def entangled(i: int, j: int) -> bool:
         # m[2 * bit i + bit j]: the uu, ud, du and dd sums
-        m = [0j, 0j, 0j, 0j]
+        m = [zero] * 4
         for code, w in terms:
             m[(code >> i & 1) << 1 | code >> j & 1] += w
         a, c, b, d = m
+        if exact:
+            return a * d != b * c
         det = abs(a * d - b * c)
         frob = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
         top_sq = (frob + math.sqrt(max(frob * frob - 4 * det * det, 0.0))) / 2
@@ -383,54 +393,38 @@ def _pair_test_partition(n: int, sums: dict[int, complex]) -> Partition:
     return tuple(map(tuple, blocks))
 
 
-def generic_amplitudes(spec: NetworkSpec, rng: random.Random) -> NetworkSpec:
-    """Redraw amplitudes generically, keeping everything else of ``spec``.
-
-    Per transition, in spec order, two ``rng.random()`` draws give a
-    magnitude 0.3 + 0.7u in [0.3, 1] and then a phase 2πu, and each row is
-    then normalized, which avoids both accidental cancellations and
-    accidental product structure beyond what the topology forces. The
-    drawn values are nonzero and finite, so the spec's validation still
-    holds and is not run again.
-    """
-    transitions = spec.transitions
-    drawn = [
-        cmath.rect(0.3 + 0.7 * rng.random(), 2.0 * math.pi * rng.random())
-        for _ in transitions
-    ]
-    row_norm = [0.0] * spec.n
-    for t, amp in zip(transitions, drawn):
-        row_norm[t.source - 1] += abs(amp) ** 2
-    transitions = tuple(
-        Transition(t.source, t.detector, amp / row_norm[t.source - 1] ** 0.5, t.color)
-        for t, amp in zip(transitions, drawn)
-    )
-    return NetworkSpec(spec.n, spec.statistics, transitions, spec.normalization_mode)
-
-
 def _partition_by_component(diag: PMDiagram, rng: random.Random) -> Partition:
     """Finest partition of a generic state of ``diag.network``, one component at a time.
 
-    The amplitudes of the diagram's kept transitions are redrawn by
-    ``generic_amplitudes``. Every kept edge lies inside one component, so
-    the state is, up to sign, the tensor product of the component states,
-    and its finest partition is the union of theirs. Vertex ``v`` is both
+    Each kept transition gets one weight, drawn uniformly from 1..2**61-1
+    in diagram order, and each component is walked and pair-tested in
+    exact integers. Every kept edge lies inside one component, so the
+    state is, up to sign, the tensor product of the component states, and
+    its finest partition is the union of theirs. Vertex ``v`` is both
     particle ``v`` and slot ``v``, so one table renumbers each component's
     vertices 1..m in ascending order, and a block of slots maps back to
-    detectors through ``diag.relabeling``. A component's sums stay keyed by
-    ket code from the walk to the pair test; a one-vertex component holds
+    detectors through ``diag.relabeling``. A one-vertex component holds
     only its loop, so its state is one ket and it is a block with no walk.
+
+    Read the weights w as variables: a pair's ad - bc is a polynomial of
+    degree at most 2m on an m-vertex component. Each detector k's variable
+    x_k comes with the one edge into k of each matching, when it is down,
+    so w_e -> w_e * x_k turns the polynomial at x = 1 into the one in (w, x):
+    one vanishes identically exactly when the other does. If it does, the
+    test reads 0 and never joins two blocks; if not, it reads 0 with
+    probability at most 2m / (2**61 - 1) (Schwartz 1980; Zippel 1979), and
+    only then splits a block.
     """
-    network = generic_amplitudes(diag.network, rng)
     # (component index, local label) of every vertex
     at = [(0, 0)] * (diag.n + 1)
     for k, comp in enumerate(diag.components):
         for local, v in enumerate(comp, start=1):
             at[v] = (k, local)
     inside: list[list[Transition]] = [[] for _ in diag.components]
-    for t in network.transitions:
+    for t in diag.network.transitions:
         k, a = at[t.source]
-        inside[k].append(Transition(a, at[t.detector][1], t.amplitude, t.color))
+        weight = rng.randint(1, 2**61 - 1)
+        inside[k].append(Transition(a, at[t.detector][1], weight, t.color))
 
     blocks = []
     for comp, transitions in zip(diag.components, inside):
@@ -438,9 +432,10 @@ def _partition_by_component(diag: PMDiagram, rng: random.Random) -> Partition:
             blocks.append((diag.detector_of_vertex(comp[0]),))
             continue
         sub = NetworkSpec(
-            len(comp), network.statistics, tuple(transitions), NormalizationMode.DESIGN
+            len(comp), diag.network.statistics, tuple(transitions), NormalizationMode.DESIGN
         )
-        for block in _pair_test_partition(len(comp), _ket_sums(sub)):
+        sums = _ket_sums(sub, exact=True)
+        for block in _pair_test_partition(len(comp), sums, exact=True):
             blocks.append(tuple(sorted(diag.detector_of_vertex(comp[d - 1]) for d in block)))
     return tuple(sorted(blocks))
 
@@ -448,16 +443,15 @@ def _partition_by_component(diag: PMDiagram, rng: random.Random) -> Partition:
 def build_report(spec: NetworkSpec, numeric_seed: int | None = None) -> SeparabilityReport:
     """Structural report for a network, optionally with a numeric partition.
 
-    The numeric part redraws the amplitudes of the PM diagram's kept
-    transitions, in diagram order, from ``random.Random(numeric_seed)``
+    The numeric part draws an integer weight for each of the PM diagram's
+    kept transitions, in diagram order, from ``random.Random(numeric_seed)``
     (structure-driven entanglement should not depend on amplitude
     coincidences, so the partition does not depend on the seed) and
-    computes the finest product partition of the resulting state, cutting
-    each component's network out of ``diag.network`` and assembling and
-    splitting it on its own. ``PARTITION_LIMIT`` bounds each component, not
-    the whole network, and is checked before the draw: the partition test
-    has no size limit, but the walk over a component's matchings grows
-    with its size. A seed that is not an integer (floats, bools and numeric
+    computes the finest product partition of that state exactly, one
+    component at a time (``_partition_by_component``). ``PARTITION_LIMIT``
+    bounds each component, not the whole network, and is checked before
+    the draw. It bounds work only: the exact test is right at any size,
+    but the walk over a component's matchings grows with its size. A seed that is not an integer (floats, bools and numeric
     strings included) raises IndexOutOfRange, as a non-integer ``n`` does
     in ``validate_network``; a negative one raises InvalidArgument.
     """

@@ -226,7 +226,7 @@ def ket_of_code(code: int, n: int) -> str:
     return format(code >> 1, f"0{n}b")[::-1].translate(_UD)
 
 
-def _table(free: int, options: list, last: dict, tables: dict, negate: bool) -> list:
+def _table(free: int, options: list, last: dict, tables: dict, negate: bool, one) -> list:
     """The completion table of the last particles on the detectors in ``free``.
 
     The rows are laid out as ``walk_prefixes`` describes; ``tables`` keeps
@@ -244,11 +244,11 @@ def _table(free: int, options: list, last: dict, tables: dict, negate: bool) -> 
             if size > 2:
                 below = tables.get(rest)
                 if below is None:
-                    below = _table(rest, options, last, tables, negate)
+                    below = _table(rest, options, last, tables, negate, one)
                 if below:
                     rows.append((w, down, below, j, odd))
             elif size == 1:  # n == 1
-                rows.append((_ONE, w, down, (j,), odd))
+                rows.append((one, w, down, (j,), odd))
             elif rest in last:
                 _, k, v, down_k = last[rest]
                 odd_k = (n - k) & 1
@@ -259,7 +259,7 @@ def _table(free: int, options: list, last: dict, tables: dict, negate: bool) -> 
 
 
 def walk_prefixes(
-    spec: NetworkSpec, signed: bool = True
+    spec: NetworkSpec, signed: bool = True, one=_ONE
 ) -> Iterator[tuple[list[int], int, complex, int, list]]:
     """The matching walk down to its completion table (see ``walk_matchings``).
 
@@ -277,12 +277,12 @@ def walk_prefixes(
     parity bit the placement adds (particles 1..a-1 hold exactly the n - j
     detectors above j that are not free, so it depends on the free set
     alone). The last two particles are pair rows ``(w, w', down, (j, j'),
-    odd)``. Below n = K, rows ``(1, 0, table, 0, 0)`` lead, and a lone
-    particle's pair row is ``(1, w, down, (j,), odd)``. A matching's weight
-    is the prefix times its rows' weights, left to right, and its code is
-    ``code`` OR their ``down`` bits. When ``signed``, a fermion's odd rows
-    and odd prefixes are negated, which is exact, so the product comes out
-    signed.
+    odd)``. Below n = K, rows ``(one, 0, table, 0, 0)`` lead, and a lone
+    particle's pair row is ``(one, w, down, (j,), odd)``. A matching's
+    weight is the prefix (from ``one``) times its rows' weights, left to
+    right, and its code is ``code`` OR their ``down`` bits. When
+    ``signed``, a fermion's odd rows and odd prefixes are negated, which is
+    exact, so the product comes out signed.
     """
     if _base_matching(spec) is None:
         return
@@ -316,7 +316,7 @@ def walk_prefixes(
     assignment = [0] * n
     # prefix[a], parity[a]: weight product and permutation parity of the
     # placements of particles 1..a
-    prefix = [_ONE] * n
+    prefix = [one] * n
     parity = [0] * n
     # down bits of the detectors as last placed, a free detector's stale;
     # a bit flips only when its detector's color changes, since an OR or a
@@ -332,10 +332,10 @@ def walk_prefixes(
             free = full ^ used
             rows = tables.get(free)
             if rows is None:
-                rows = _table(free, options, last, tables, negate)
+                rows = _table(free, options, last, tables, negate, one)
             if rows:
                 for _ in range(padding):
-                    rows = [(_ONE, 0, rows, 0, 0)]
+                    rows = [(one, 0, rows, 0, 0)]
                 p = prefix[a]
                 if negate and parity[a]:
                     p = -p

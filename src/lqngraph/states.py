@@ -65,10 +65,11 @@ class NoBunchState(
     a number, a ``normalized`` that is not a bool, a
     ``postselect_probability`` that is neither None nor a real number >= 0
     (bools refused). A NaN or infinite amplitude (an overflowed matching
-    weight) or probability raises NonFiniteValue instead. ``_replace`` and
-    ``_make`` check as the constructor does. ``amplitudes`` is kept as a
-    read-only copy, so a later change to the caller's mapping cannot undo
-    the checks; it still compares equal to a dict of the same items.
+    weight), an int one beyond floats, or a NaN or infinite probability
+    raises NonFiniteValue instead. ``_replace`` and ``_make`` check as the
+    constructor does. ``amplitudes`` is kept as a read-only copy, so a
+    later change to the caller's mapping cannot undo the checks; it still
+    compares equal to a dict of the same items.
     """
 
     __slots__ = ()
@@ -96,6 +97,8 @@ class NoBunchState(
                 raise InvalidArgument(
                     f"ket {ket!r} has amplitude {amp!r}, not a number"
                 ) from None
+            except OverflowError:  # an int beyond the float range
+                raise NonFiniteValue(f"ket {ket!r}: amplitude beyond floats") from None
         if not isinstance(normalized, bool):
             raise InvalidArgument(f"normalized must be a bool, got {normalized!r}")
         p = postselect_probability
@@ -146,7 +149,7 @@ def ket_glyphs(ket: str) -> str:
     return ket.translate(_GLYPHS)
 
 
-def _ket_sums(spec: NetworkSpec) -> dict[int, complex]:
+def _ket_sums(spec: NetworkSpec, exact: bool = False) -> dict[int, complex]:
     """The state of ``spec`` keyed by the walk's ket codes, cancellations dropped.
 
     This is ``graphs.walk_matchings``' expansion of the tables with the sum
@@ -158,10 +161,12 @@ def _ket_sums(spec: NetworkSpec) -> dict[int, complex]:
     exact, and a ±0 difference never reaches a sum, which starts at
     ``0j``. So the two agree bit for bit. Codes keep the order they were
     first seen in, the oracle's order; a code whose sum cancelled exactly
-    is dropped.
+    is dropped. ``exact`` starts from the integers 1 and 0 instead, so on
+    integer weights every product and sum is an exact integer.
     """
+    one, zero = (1, 0) if exact else (complex(1.0), 0j)
     sums: dict[int, complex] = {}
-    for _, code, prefix, _, rows in walk_prefixes(spec):
+    for _, code, prefix, _, rows in walk_prefixes(spec, one=one):
         for w1, down1, rows2, _, _ in rows:
             p1 = prefix * w1
             code1 = code | down1
@@ -173,7 +178,7 @@ def _ket_sums(spec: NetworkSpec) -> dict[int, complex]:
                     code3 = code2 | down3
                     for w4, w5, down45, _, _ in pairs:
                         key = code3 | down45
-                        sums[key] = sums.get(key, 0j) + (p3 * w4) * w5
+                        sums[key] = sums.get(key, zero) + (p3 * w4) * w5
     return {k: v for k, v in sums.items() if v != 0}
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from lqngraph.entanglement import SV_TOL
 from lqngraph.graphs import walk_matchings
-from lqngraph.model import Color, NetworkSpec, Statistics, validate_network
+from lqngraph.model import Color, NetworkSpec, Statistics, Transition, validate_network
 from lqngraph.states import NoBunchState
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -93,6 +95,30 @@ def random_network_with_pm(
         spec = random_network(rng, n, statistics)
         if next(walk_matchings(spec), None) is not None:
             return spec
+
+
+def generic_amplitudes(spec: NetworkSpec, rng: random.Random) -> NetworkSpec:
+    """Redraw amplitudes generically in floats, keeping everything else of ``spec``.
+
+    The float reference for ``build_report``'s exact numeric route. Per
+    transition, in spec order, two ``rng.random()`` draws give a magnitude
+    0.3 + 0.7u in [0.3, 1] and then a phase 2πu, and each row is then
+    normalized, which avoids both accidental cancellations and accidental
+    product structure beyond what the topology forces.
+    """
+    transitions = spec.transitions
+    drawn = [
+        cmath.rect(0.3 + 0.7 * rng.random(), 2.0 * math.pi * rng.random())
+        for _ in transitions
+    ]
+    row_norm = [0.0] * spec.n
+    for t, amp in zip(transitions, drawn):
+        row_norm[t.source - 1] += abs(amp) ** 2
+    transitions = tuple(
+        Transition(t.source, t.detector, amp / row_norm[t.source - 1] ** 0.5, t.color)
+        for t, amp in zip(transitions, drawn)
+    )
+    return NetworkSpec(spec.n, spec.statistics, transitions, spec.normalization_mode)
 
 
 def max_error_up_to_phase(state, target: dict) -> float:

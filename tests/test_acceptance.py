@@ -22,7 +22,6 @@ from lqngraph.entanglement import (
     Bipartition,
     Verdict,
     finest_partition,
-    generic_amplitudes,
     lemma1_separable_vertices,
     lemma2_partition,
     schmidt_rank,
@@ -39,6 +38,7 @@ from lqngraph.states import (
 )
 
 from conftest import (
+    generic_amplitudes,
     matchings,
     max_error_up_to_phase,
     n5_network,

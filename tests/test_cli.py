@@ -191,8 +191,11 @@ class TestAnalyze:
         assert "n=12 exceeds" in err
 
     def test_component_limit_is_checked_before_the_draw(self, capsys, tmp_path, monkeypatch):
+        # the numeric route draws its weights first thing
         drawn = []
-        monkeypatch.setattr(cli.entanglement, "generic_amplitudes", drawn.append)
+        monkeypatch.setattr(
+            cli.entanglement, "_partition_by_component", lambda *args: drawn.append(args)
+        )
         path = tmp_path / "ghz11.json"
         path.write_text(serialize_network(design_ghz(11)))
         code, out, err = run(capsys, "analyze", str(path), "--numeric", "1")

@@ -1,9 +1,9 @@
 """Structural criteria, Schmidt ranks, finest partitions."""
 
-import cmath
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from lqngraph.entanglement import (
     Verdict,
     build_report,
     finest_partition,
-    generic_amplitudes,
     lemma1_separable_vertices,
     lemma2_partition,
     schmidt_rank,
@@ -34,10 +33,11 @@ from lqngraph.errors import (
 )
 from lqngraph.graphs import diagram_of_network
 from lqngraph.io import parse_network
-from lqngraph.model import Color, NormalizationMode, validate_network
+from lqngraph.model import Color, Statistics, validate_network
 from lqngraph.states import NoBunchState, assemble_network_state, normalize
 
 from conftest import (
+    generic_amplitudes,
     matchings,
     n5_network,
     networks,
@@ -338,6 +338,15 @@ class TestFinestPartition:
         assert finest_partition(state) == ((1, 3), (2,))
         assert entanglement._pair_test_partition(3, {0b0100: h, 0b1110: h}) == ((1, 3), (2,))
 
+    def test_exact_route_compares_ad_with_bc(self):
+        # ad - bc = 1 beside products near 2**200, which no float tolerance
+        # resolves; and an integer product state, which splits
+        big = 2**100
+        near = {0b000: big, 0b100: big + 1, 0b010: big - 1, 0b110: big}
+        assert entanglement._pair_test_partition(2, near, exact=True) == ((1, 2),)
+        product = {0b000: 3, 0b100: 15, 0b010: 21, 0b110: 105}  # 3 (1 + 7 x1)(1 + 5 x2)
+        assert entanglement._pair_test_partition(2, product, exact=True) == ((1,), (2,))
+
     def test_code_route_keeps_the_state_checks(self):
         with pytest.raises(ZeroState):
             entanglement._pair_test_partition(2, {})
@@ -465,36 +474,51 @@ class TestReport:
             build_report(n5_network(), numeric_seed=seed)
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        networks(modes=("strict",)),
-        st.sampled_from(["strict", "design"]),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_generic_amplitudes_follow_the_seed(self, spec, mode, seed):
-        # recomputed from the same seed: per transition in spec order a
-        # magnitude, then a phase; then each row scaled to unit norm. A
-        # strict network has a transition in every row.
-        spec = spec._replace(normalization_mode=NormalizationMode(mode))
-        rng = random.Random(seed)
-        drawn = []
-        for _ in spec.transitions:
-            magnitude = 0.3 + 0.7 * rng.random()
-            phase = 2.0 * math.pi * rng.random()
-            drawn.append(cmath.rect(magnitude, phase))
-        row_sq = [0.0] * spec.n
-        for t, amp in zip(spec.transitions, drawn):
-            row_sq[t.source - 1] += abs(amp) ** 2
-        want = [amp / row_sq[t.source - 1] ** 0.5 for t, amp in zip(spec.transitions, drawn)]
-
-        generic = generic_amplitudes(spec, random.Random(seed))
-        got = [t.amplitude for t in generic.transitions]
-        assert got == want
-        assert [repr(z) for z in got] == [repr(z) for z in want]
-        assert [(t.source, t.detector, t.color) for t in generic.transitions] == [
-            (t.source, t.detector, t.color) for t in spec.transitions
+    @given(networks(modes=("strict", "design")), st.integers(0, 2**32 - 1))
+    def test_numeric_draw_follows_the_seed(self, spec, seed):
+        # recomputed from the same seed: one integer in 1..2**61-1 per kept
+        # transition, in diagram order, and each walked with its component
+        try:
+            diag = diagram_of_network(spec)
+        except NoPerfectMatching:
+            reject()
+        replay = random.Random(seed)
+        drawn = [
+            (t.source, t.detector, replay.randint(1, 2**61 - 1), t.color)
+            for t in diag.network.transitions
         ]
-        assert (generic.n, generic.statistics) == (spec.n, spec.statistics)
-        assert generic.normalization_mode is spec.normalization_mode
+        walked = []
+        ket_sums = entanglement._ket_sums
+
+        def recording(sub, exact=False):
+            walked.append(sub)
+            return ket_sums(sub, exact)
+
+        rng = random.Random(seed)
+        with mock.patch.object(entanglement, "_ket_sums", recording):
+            entanglement._partition_by_component(diag, rng)
+        assert rng.getstate() == replay.getstate()
+        walked_components = [comp for comp in diag.components if len(comp) > 1]
+        assert [sub.n for sub in walked] == [len(comp) for comp in walked_components]
+        for comp, sub in zip(walked_components, walked):
+            assert sub.statistics is diag.network.statistics
+            assert all(type(t.amplitude) is int for t in sub.transitions)
+            got = [
+                (comp[t.source - 1], comp[t.detector - 1], t.amplitude, t.color)
+                for t in sub.transitions
+            ]
+            assert got == [t for t in drawn if t[0] in comp]
+
+    @pytest.mark.parametrize("statistics", ["boson", "fermion"])
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_w_ring_256_is_one_block(self, seed, statistics):
+        # past PARTITION_LIMIT, so the route is called directly; floats
+        # split this ring into 7 to 122 blocks for these seeds, as a
+        # pair's determinant fell below the tolerance or underflowed
+        spec = design_w(256, "ring")._replace(statistics=Statistics(statistics))
+        diag = diagram_of_network(spec)
+        partition = entanglement._partition_by_component(diag, random.Random(seed))
+        assert partition == (tuple(range(1, 257)),)
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
@@ -558,9 +582,9 @@ class TestReport:
         walked = []
         walk = states.walk_prefixes
 
-        def counted_walk(sub):
+        def counted_walk(sub, **kwargs):
             walked.append(sub.n)
-            return walk(sub)
+            return walk(sub, **kwargs)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the numeric route built a state or a ket string")

@@ -2,6 +2,7 @@
 
 import cmath
 import copy
+import itertools
 import math
 import pickle
 
@@ -14,9 +15,17 @@ from lqngraph.designers import design_dicke2, preset_beamsplitter, preset_tritte
 from lqngraph.errors import InvalidArgument, NonFiniteValue, TooLarge, ZeroState
 from lqngraph.graphs import TABLE_PARTICLES, diagram_of_network
 from lqngraph.io import serialize_state
-from lqngraph.model import Color, Statistics, validate_network
+from lqngraph.model import (
+    Color,
+    NetworkSpec,
+    NormalizationMode,
+    Statistics,
+    Transition,
+    validate_network,
+)
 from lqngraph.states import (
     NoBunchState,
+    _ket_sums,
     assemble_network_state,
     ket_glyphs,
     max_amplitude_difference,
@@ -179,6 +188,59 @@ class TestOracle:
             oracle_state(spec)
 
 
+class TestIntegerWeights:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(networks(), st.data())
+    def test_exact_sums_equal_a_permutation_sum(self, spec, data):
+        # the numeric route's walk: every product and sum an exact integer;
+        # small weights make fermion sums cancel, large ones pass 2**53
+        weights = data.draw(
+            st.lists(
+                st.integers(1, 2) | st.integers(1, 2**61 - 1),
+                min_size=len(spec.transitions),
+                max_size=len(spec.transitions),
+            )
+        )
+        spec = spec._replace(
+            transitions=tuple(t._replace(amplitude=w) for t, w in zip(spec.transitions, weights))
+        )
+        edge = spec.transition_map()
+        want = {}
+        for perm in itertools.permutations(range(1, spec.n + 1)):
+            ts = [edge.get(pair) for pair in enumerate(perm, start=1)]
+            if None in ts:
+                continue
+            weight = math.prod(t.amplitude for t in ts)
+            if spec.statistics is Statistics.FERMION and sum(
+                x > y for x, y in itertools.combinations(perm, 2)
+            ) % 2:
+                weight = -weight
+            code = sum(1 << t.detector for t in ts if t.color is Color.DOWN)
+            want[code] = want.get(code, 0) + weight
+        sums = _ket_sums(spec, exact=True)
+        assert sums == {code: v for code, v in want.items() if v}
+        assert all(type(v) is int for v in sums.values())
+
+    def test_int_amplitude_spec_still_assembles_a_complex_state(self):
+        # only the numeric route walks in integers; a spec built directly
+        # with int amplitudes is multiplied from complex(1.0), as the oracle is
+        edges = [(a, j, 3 * a + j, "ud"[(a + j) % 2]) for a in (1, 2, 3) for j in (1, 2, 3)]
+        spec = NetworkSpec(
+            3,
+            Statistics.FERMION,
+            tuple(Transition(a, j, w, Color(c)) for a, j, w, c in edges),
+            NormalizationMode.DESIGN,
+        )
+        state = assemble_network_state(spec)
+        assert ket_reprs(state) == ket_reprs(oracle_state(spec))
+        assert state.amplitudes and all(type(v) is complex for v in state.amplitudes.values())
+        # three factors of 1e200 leave the float range, as they do in the oracle
+        huge = spec._replace(transitions=tuple(t._replace(amplitude=10**200) for t in spec.transitions))
+        for assemble in (assemble_network_state, oracle_state):
+            with pytest.raises(NonFiniteValue):
+                assemble(huge)
+
+
 class TestNormalize:
     def test_tritter_probability_and_uniformity(self):
         state = normalize(assemble_network_state(preset_tritter()))
@@ -243,6 +305,7 @@ def test_non_finite_amplitude_is_rejected(amp):
         ((2, {"uu": 1.0}, True, -0.5), InvalidArgument),
         ((2, {"uu": 1.0}, True, math.nan), NonFiniteValue),
         ((2, {"uu": 1.0}, True, math.inf), NonFiniteValue),
+        ((2, {"ud": 10**400}), NonFiniteValue),
     ],
     ids=[
         "amplitudes-list",
@@ -255,6 +318,7 @@ def test_non_finite_amplitude_is_rejected(amp):
         "probability-negative",
         "probability-nan",
         "probability-inf",
+        "amplitude-int-beyond-float",
     ],
 )
 def test_bad_state_argument_is_refused(args, error):
