@@ -159,12 +159,12 @@ def lemma1_separable_vertices(diag: PMDiagram) -> list[tuple[int, Color]]:
     The detector sitting at such a vertex receives the same internal state
     in every matching, so it is separable and pinned to that color.
     """
+    return _lemma1(_incoming_colors(diag))
+
+
+def _lemma1(incoming: list[int]) -> list[tuple[int, Color]]:
     pinned = {_UP_BIT: Color.UP, _DOWN_BIT: Color.DOWN}
-    return [
-        (v, pinned[mask])
-        for v, mask in enumerate(_incoming_colors(diag), start=1)
-        if mask in pinned
-    ]
+    return [(v, pinned[mask]) for v, mask in enumerate(incoming, start=1) if mask in pinned]
 
 
 def lemma2_partition(diag: PMDiagram) -> Partition:
@@ -186,8 +186,12 @@ def theorem1_check(diag: PMDiagram) -> Theorem1Report:
     strongly connected piece. Failing either means the state cannot be
     genuinely N-partite entangled; passing both guarantees nothing.
     """
+    return _theorem1(diag, _incoming_colors(diag))
+
+
+def _theorem1(diag: PMDiagram, incoming: list[int]) -> Theorem1Report:
     both = _UP_BIT | _DOWN_BIT
-    color_ok = tuple(mask == both for mask in _incoming_colors(diag))
+    color_ok = tuple(mask == both for mask in incoming)
     strong = len(diag.components) == 1
     verdict = (
         Verdict.MAY_BE_GENUINE
@@ -465,10 +469,11 @@ def build_report(spec: NetworkSpec, numeric_seed: int | None = None) -> Separabi
         if largest > PARTITION_LIMIT:
             raise TooLarge(largest, PARTITION_LIMIT, "partition-search", "component size n")
         numeric = _partition_by_component(diag, random.Random(seed))
+    incoming = _incoming_colors(diag)  # read by lemma 1 and theorem 1 alike
     return SeparabilityReport(
-        tuple(lemma1_separable_vertices(diag)),
+        tuple(_lemma1(incoming)),
         lemma2_partition(diag),
-        theorem1_check(diag),
+        _theorem1(diag, incoming),
         numeric,
         diag,
     )

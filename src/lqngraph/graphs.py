@@ -25,14 +25,16 @@ cycle edges (the "PM diagram") contains exactly the edges that
 participate in some matching: those whose two ends share a strongly
 connected component. ``diagram_of_network`` keeps it as a ``NetworkSpec``
 in the relabeled coordinates, with the SCCs, found in one pass; they are
-also its weak components. Those components and the edge colors are what
-the entanglement criteria inspect.
+also its weak components; with one SCC, as in every designer ring, the
+relabeled spec is the diagram. Those components and the edge colors are
+what the entanglement criteria inspect.
 
 All vertices are 1-based to match the external index convention.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import compress
@@ -180,22 +182,24 @@ def _tarjan_sccs(n: int, succ: list[list[int]]) -> list[list[int]]:
         frames = [(root, iter(succ[root - 1]))]
         while frames:
             v, untried = frames[-1]
+            low = lowlink[v]  # kept here while v's successors are scanned
             for w in untried:
                 if not index_of[w]:
+                    lowlink[v] = low
                     counter += 1
                     index_of[w] = lowlink[w] = counter
                     stack.append(w)
                     on_stack[w] = True
                     frames.append((w, iter(succ[w - 1])))
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index_of[w])
+                if on_stack[w] and index_of[w] < low:
+                    low = index_of[w]
             else:
                 frames.pop()
                 if frames:
                     u = frames[-1][0]
-                    lowlink[u] = min(lowlink[u], lowlink[v])
-                if lowlink[v] == index_of[v]:
+                    lowlink[u] = min(lowlink[u], low)
+                if low == index_of[v]:
                     comp = []
                     while True:
                         w = stack.pop()
@@ -290,26 +294,29 @@ def walk_prefixes(
     # (detector bit, detector, weight, detector bit if the edge is down else 0)
     options: list[list[tuple[int, int, complex, int]]] = [[] for _ in range(n)]
     down_color = Color.DOWN
-    for t in spec.transitions:
-        bit = 1 << t.detector
-        down = bit if t.color is down_color else 0
-        options[t.source - 1].append((bit, t.detector, t.amplitude, down))
+    for a, j, w, color in spec.transitions:
+        bit = 1 << j
+        options[a - 1].append((bit, j, w, bit if color is down_color else 0))
+    detector = operator.itemgetter(1)  # not the weight, which may not compare
     for opts in options:
-        opts.sort(key=lambda o: o[1])
+        opts.sort(key=detector)
 
     # due[a-1]: detectors whose last neighbor is particle a, so a must take
-    # any of them still free
+    # any of them still free; by_bit[a-1] maps each to a's option on it
     last_neighbor = [0] * (n + 1)
+    last_option: list = [None] * (n + 1)
     for a, opts in enumerate(options):
         for o in opts:
             last_neighbor[o[1]] = a
+            last_option[o[1]] = o
     due = [0] * n
-    for j in range(1, n + 1):
-        due[last_neighbor[j]] |= 1 << j
+    by_bit: list[dict] = [{} for _ in range(n)]
+    for a, o in zip(last_neighbor[1:], last_option[1:]):
+        due[a] |= o[0]
+        by_bit[a][o[0]] = o
     full = ((1 << n) - 1) << 1
     depth = max(n - TABLE_PARTICLES, 0)
     padding = TABLE_PARTICLES - max(n - depth, 2)  # weight-1 levels led in below n = K
-    by_bit = [{o[0]: o for o in opts} for opts in options[:depth]]
     last = {o[0]: o for o in options[-1]}
     negate = signed and spec.statistics is Statistics.FERMION
     tables: dict[int, list] = {}  # completion table per free set, any size
@@ -413,11 +420,12 @@ def diagram_of_network(spec: NetworkSpec) -> PMDiagram:
     permutation whose moved vertices form disjoint cycles, so an edge is in
     a matching exactly when its ends share an SCC (Dulmage–Mendelsohn). One
     Tarjan pass gives those edges and the components; dropping the edges
-    between SCCs leaves the SCCs as they are. A loop-labeled spec is
+    between SCCs leaves the SCCs as they are. With one SCC nothing is
+    dropped, and the relabeled spec is the diagram. A loop-labeled spec is
     relabeled by the identity, so its diagram keeps the spec's own
-    ``Transition`` records. Raises NoPerfectMatching when the network has
-    no matching (without one there is no loop labeling to define the
-    diagram).
+    ``Transition`` records (with one SCC, their very tuple). Raises
+    NoPerfectMatching when the network has no matching (without one there
+    is no loop labeling to define the diagram).
     """
     relabeling = _base_matching(spec)
     if relabeling is None:
@@ -432,14 +440,18 @@ def diagram_of_network(spec: NetworkSpec) -> PMDiagram:
         for a, j in enumerate(relabeling, start=1):
             slot_of[j] = a
         transitions = tuple(
-            Transition(t.source, slot_of[t.detector], t.amplitude, t.color)
-            for t in transitions
+            [tuple.__new__(Transition, (a, slot_of[j], w, c)) for a, j, w, c in transitions]
         )
     relabeled = NetworkSpec(n, spec.statistics, transitions, NormalizationMode.DESIGN)
     sccs = _tarjan_sccs(n, _successors(relabeled))
-    scc_of = {v: k for k, comp in enumerate(sccs) for v in comp}
-    inside = [scc_of[t.source] == scc_of[t.detector] for t in relabeled.transitions]
-    network = relabeled._replace(transitions=tuple(compress(relabeled.transitions, inside)))
-    removed = tuple(t for t, keep in zip(spec.transitions, inside) if not keep)
+    if len(sccs) == 1:  # every edge lies inside the one SCC
+        return PMDiagram(relabeled, relabeling, (), (tuple(sccs[0]),))
+    scc_of = [0] * (n + 1)
+    for k, comp in enumerate(sccs):
+        for v in comp:
+            scc_of[v] = k
+    inside = [scc_of[t.source] == scc_of[t.detector] for t in transitions]
+    network = relabeled._replace(transitions=tuple(compress(transitions, inside)))
+    removed = tuple(compress(spec.transitions, map(operator.not_, inside)))
     components = tuple(sorted(tuple(c) for c in sccs))
     return PMDiagram(network, relabeling, removed, components)

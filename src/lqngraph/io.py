@@ -31,6 +31,7 @@ from .model import (
     DEFAULT_TOL,
     Color,
     NetworkSpec,
+    Transition,
     _index,
     polar_amplitude,
     validate_network,
@@ -90,6 +91,8 @@ def parse_network(text: str, row_tol: float = DEFAULT_TOL) -> NetworkSpec:
     ``validate_network`` check what the values mean: ``n``, then each edge
     in turn, then the rows. So a shape defect in any edge is reported
     before a bad ``n`` or a meaning defect in an earlier edge.
+    An edge with float re/im parts and an up/down color becomes a ``Transition``
+    here, which ``validate_network`` keeps when its ends are ints: one record per edge.
     """
     try:
         doc = json.loads(text)
@@ -111,6 +114,8 @@ def parse_network(text: str, row_tol: float = DEFAULT_TOL) -> NetworkSpec:
         raise ParseError(f"mode must be strict or design, got {mode!r}")
 
     transitions = []
+    add = transitions.append
+    new = tuple.__new__
     for i, edge in enumerate(doc["edges"]):
         # an edge of the usual form, with a re/im amplitude of two floats,
         # takes lookups and exact-type tests only; any other edge (int or
@@ -120,13 +125,12 @@ def parse_network(text: str, row_tol: float = DEFAULT_TOL) -> NetworkSpec:
             amp = edge["amp"]
             re, im = amp["re"], amp["im"]
             if type(re) is float and type(im) is float and len(amp) == 2:
-                transitions.append(
-                    (edge["from"], edge["to"], complex(re, im), _COLORS[edge["color"]])
-                )
+                color = _COLORS[edge["color"]]
+                add(new(Transition, (edge["from"], edge["to"], complex(re, im), color)))
                 continue
         except (KeyError, TypeError):  # not an object, a missing key, a bad color
             pass
-        transitions.append(_parse_edge(edge, f"edges[{i}]"))
+        add(_parse_edge(edge, f"edges[{i}]"))
 
     return validate_network(doc["n"], statistics, transitions, mode, row_tol=row_tol)
 

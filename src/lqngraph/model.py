@@ -165,8 +165,12 @@ def validate_network(
     Last, in strict mode, every particle row must satisfy
     sum_j |T_aj|^2 = 1 within ``row_tol``; the lowest failing row raises
     RowNotNormalized. Design mode skips the row check.
+    The checks run alike on every edge; a ``Transition`` whose fields have
+    their exact types (int, int, complex, Color) is kept as the record, so
+    ``validate_network(*spec)`` returns the spec's own records.
     """
-    n = _index(n, "n")
+    if type(n) is not int:
+        n = _index(n, "n")
     if n < 1:
         raise IndexOutOfRange(f"n must be >= 1, got {n}")
     statistics = _member(Statistics, statistics, "statistics")
@@ -185,8 +189,11 @@ def validate_network(
             f"transitions must be an iterable of edges, got {transitions!r}"
         ) from None
 
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()  # pair (a, j) as a * (n + 1) + j
+    width = n + 1
     cooked: list[Transition] = []
+    keep = cooked.append
+    new = tuple.__new__
     # each row's squared sum, added in edge order
     sums: dict[int, float] = {}
     for edge in edges:
@@ -196,25 +203,27 @@ def validate_network(
             raise InvalidArgument(
                 f"transition {edge!r} is not (source, detector, amplitude, color)"
             ) from None
-        # values of the exact type need no coercion (a bool is not an int here)
+        # exact types need no coercion (a bool is not an int here); an uncoerced Transition is kept
+        built = type(edge) is not Transition
         if type(a) is not int:
-            a = _index(a, "transition source")
+            a, built = _index(a, "transition source"), True
         if type(j) is not int:
-            j = _index(j, "transition detector")
+            j, built = _index(j, "transition detector"), True
         if not (1 <= a <= n and 1 <= j <= n):
             raise IndexOutOfRange(f"transition ({a}, {j}) outside 1..{n}")
-        if (a, j) in seen:
+        key = a * width + j
+        if key in seen:
             raise DuplicateEdge(f"more than one transition on ({a}, {j})")
-        seen.add((a, j))
+        seen.add(key)
         if type(amp) is not complex:
-            amp = _amplitude(amp, a, j)
-        if amp == 0:
-            raise ZeroAmplitude(f"transition ({a}, {j}) has zero amplitude")
-        if not cmath.isfinite(amp):
+            amp, built = _amplitude(amp, a, j), True
+        if not (amp and cmath.isfinite(amp)):
+            if not amp:
+                raise ZeroAmplitude(f"transition ({a}, {j}) has zero amplitude")
             raise NonFiniteValue(f"transition ({a}, {j}) has amplitude {amp!r}")
         if type(color) is not Color:
-            color = _coerce_color(color)
-        cooked.append(Transition(a, j, amp, color))
+            color, built = _coerce_color(color), True
+        keep(new(Transition, (a, j, amp, color)) if built else edge)
         if strict:
             try:
                 sums[a] = sums.get(a, 0.0) + abs(amp) ** 2

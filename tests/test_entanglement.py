@@ -474,6 +474,19 @@ class TestReport:
             build_report(n5_network(), numeric_seed=seed)
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(networks(modes=("strict", "design")), st.none() | st.integers(0, 2**32 - 1))
+    def test_structural_parts_equal_the_public_checks(self, spec, seed):
+        # build_report reads the incoming colors once for lemma 1 and theorem 1
+        try:
+            report = build_report(spec, numeric_seed=seed)
+        except NoPerfectMatching:
+            reject()
+        diag = report.diagram
+        assert report.lemma1_vertices == tuple(lemma1_separable_vertices(diag))
+        assert report.theorem1 == theorem1_check(diag)
+        assert report.lemma2_partition == lemma2_partition(diag)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(networks(modes=("strict", "design")), st.integers(0, 2**32 - 1))
     def test_numeric_draw_follows_the_seed(self, spec, seed):
         # recomputed from the same seed: one integer in 1..2**61-1 per kept

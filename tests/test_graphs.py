@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from lqngraph.graphs import (
     _base_matching,
     _matching_assignment,
     _successors,
+    _tarjan_sccs,
     diagram_of_network,
     walk_matchings,
 )
@@ -182,6 +184,17 @@ class TestLoopLabeled:
         assert diag.removed
         assert all(id(t) in own for t in diag.network.transitions)
         assert diag.network.normalization_mode is NormalizationMode.DESIGN
+
+    def test_strongly_connected_diagram_is_the_spec_itself(self):
+        # loops and the ring 1 -> 3 -> 2 -> 1: one SCC, so no edge is dropped
+        edges = [(1, 1, 1.0, "u"), (2, 2, 1.0, "d"), (3, 3, 1.0, "u")]
+        edges += [(1, 3, 1j, "d"), (3, 2, -1.0, "u"), (2, 1, 0.5, "d")]
+        spec = validate_network(3, "fermion", edges, "design")
+        diag = diagram_of_network(spec)
+        assert diag.network.transitions is spec.transitions
+        assert diag.removed == ()
+        assert diag.components == ((1, 2, 3),)
+        assert diag.relabeling == (1, 2, 3)
 
 
 class TestRelabelToLoops:
@@ -465,6 +478,32 @@ class TestConnectivity:
                     frontier.append(w)
             components.append(tuple(sorted(component)))
         assert diag.components == tuple(components)
+
+
+def mutual_reachability_classes(n, succ):
+    """Classes of vertices 1..n that reach each other, by a search from each."""
+    reach = []
+    for v in range(1, n + 1):
+        seen, frontier = {v}, [v]
+        while frontier:
+            for w in succ[frontier.pop() - 1]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        reach.append(seen)
+    return {frozenset(w for w in reach[v - 1] if v in reach[w - 1]) for v in range(1, n + 1)}
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9]), st.integers(0, 2**32 - 1))
+def test_tarjan_sccs_are_the_mutual_reachability_classes(n, density, seed):
+    # loops, isolated vertices and vertices without out-edges all occur
+    rng = random.Random(seed)
+    succ = [[w for w in range(1, n + 1) if rng.random() < density] for _ in range(n)]
+    sccs = _tarjan_sccs(n, succ)
+    assert all(comp == sorted(comp) for comp in sccs)
+    assert sorted(v for comp in sccs for v in comp) == list(range(1, n + 1))
+    assert {frozenset(comp) for comp in sccs} == mutual_reachability_classes(n, succ)
 
 
 class TestBeyondRecursionLimit:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lqngraph import io
+from lqngraph import io, model
 from lqngraph.designers import (
     design_cluster4,
     design_dicke2,
@@ -40,7 +40,7 @@ from lqngraph.io import (
     serialize_report,
     serialize_state,
 )
-from lqngraph.model import Color, NetworkSpec, validate_network
+from lqngraph.model import Color, NetworkSpec, Transition, validate_network
 from lqngraph.states import (
     NoBunchState,
     assemble_network_state,
@@ -350,6 +350,26 @@ class TestParseNetwork:
         spec = parse_network((fixtures_dir / "n5_example.json").read_text())
         assert spec.n == 5
         assert len(spec.transitions) == 14
+
+    def test_exact_typed_document_takes_the_fast_path(self, monkeypatch):
+        # int indices, float re/im parts and up/down colors: no edge is
+        # coerced, and each becomes the one Transition the spec keeps
+        spec = design_w(6, form="ring", colors="udduud")
+        text = serialize_network(spec)
+
+        def refuse(*args):
+            raise AssertionError("the fast path coerced a value")
+
+        for module, name in [
+            (io, "_parse_edge"),
+            (model, "_index"),
+            (model, "_amplitude"),
+            (model, "_coerce_color"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+        parsed = parse_network(text)
+        assert parsed == spec
+        assert all(type(t) is Transition for t in parsed.transitions)
 
     def test_polar_amplitudes(self):
         doc = {

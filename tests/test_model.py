@@ -269,6 +269,15 @@ def test_spec_fields_validate_back_to_the_spec(spec):
     assert validate_network(*spec) == spec
 
 
+@settings(suppress_health_check=[HealthCheck.too_slow])
+@given(networks(max_n=8, modes=("design", "strict")))
+def test_validated_spec_keeps_its_own_records(spec):
+    # every field of a validated Transition has its exact type already
+    again = validate_network(*spec).transitions
+    assert len(again) == len(spec.transitions)
+    assert all(made is given_edge for made, given_edge in zip(again, spec.transitions))
+
+
 CUT = Bipartition(frozenset({1}), 3)
 STATE = NoBunchState(2, {"ud": 1.0})
 OPTS = DotRenderOptions()
@@ -321,3 +330,80 @@ def test_records_are_immutable_tuples():
         t.source = 2
     with pytest.raises(AttributeError):
         STATE.n = 3
+
+
+class _Index:
+    """An integer-like object: ``operator.index`` reads it, ``int`` is not its type."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"_Index({self.value})"
+
+
+@pytest.mark.parametrize(
+    "edges, error, message",
+    [
+        ([(2, 2, 1.0)], InvalidArgument, "transition (2, 2, 1.0) is not (source, "
+         "detector, amplitude, color)"),
+        ([(True, 2.0, 1.0, "up")], IndexOutOfRange,
+         "transition source must be an integer, got True"),
+        ([(2, 2.0, 1.0, "up")], IndexOutOfRange, "transition detector must be an integer, got 2.0"),
+        ([(_Index(1), _Index(1), 1.0, "up")], DuplicateEdge, "more than one transition on (1, 1)"),
+        ([(2, 2, -0.0, "up")], ZeroAmplitude, "transition (2, 2) has zero amplitude"),
+        ([(2, 2, 0j, "up")], ZeroAmplitude, "transition (2, 2) has zero amplitude"),
+        ([(2, 2, complex(math.nan, 0), "up")], NonFiniteValue,
+         "transition (2, 2) has amplitude (nan+0j)"),
+        ([(2, 2, complex(0, -math.inf), "up")], NonFiniteValue,
+         "transition (2, 2) has amplitude -infj"),
+        ([(2, 2, 10**400, "up")], NonFiniteValue,
+         "transition (2, 2) has an amplitude beyond the float range"),
+        ([(2, 2, "1", "up")], InvalidArgument, "transition (2, 2) has amplitude '1', not a number"),
+        ([(2, 2, 1.0, "sideways")], InvalidArgument, "not a color: 'sideways'"),
+        # two defects: the first in check order is the one raised
+        ([(1, 1, 0.0, "up")], DuplicateEdge, "more than one transition on (1, 1)"),
+        ([(2, 2, 0.0, "x")], ZeroAmplitude, "transition (2, 2) has zero amplitude"),
+    ],
+    ids=[
+        "three-items",
+        "bool-source-before-float-detector",
+        "float-detector",
+        "index-objects-on-a-seen-pair",
+        "minus-zero",
+        "complex-zero",
+        "nan-real-part",
+        "minus-inf-imaginary-part",
+        "int-beyond-float",
+        "numeric-string",
+        "bad-color",
+        "duplicate-before-zero-amplitude",
+        "zero-amplitude-before-bad-color",
+    ],
+)
+def test_first_defect_of_a_raw_edge_is_raised(edges, error, message):
+    # the defect sits in the second edge, after a valid loop on (1, 1)
+    with pytest.raises(error) as info:
+        validate_network(3, "boson", [(1, 1, 1.0, "up"), *edges], "design")
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_transition_with_a_coerced_field_is_built_anew():
+    given_edges = (
+        Transition(1, 1, 1 + 0j, "down"),
+        Transition(_Index(2), 2, 1j, Color.UP),
+        Transition(3, 3, 1.0, Color.UP),
+    )
+    spec = validate_network(3, "boson", given_edges, "design")
+    assert spec.transitions == (
+        (1, 1, 1 + 0j, Color.DOWN),
+        (2, 2, 1j, Color.UP),
+        (3, 3, 1 + 0j, Color.UP),
+    )
+    for made, given_edge in zip(spec.transitions, given_edges):
+        assert type(made) is Transition and made is not given_edge
+        assert type(made.amplitude) is complex and type(made.source) is int
