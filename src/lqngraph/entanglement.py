@@ -11,21 +11,21 @@ diagram's SCCs are its weak components, so lemma 2, theorem 1 and the
 numeric route all read the one partition ``PMDiagram.components``.
 
 The numerical route works on an assembled state directly, in pure Python
-on the sparse kets, each read as the walk's integer ket code (bit j set
-when detector X_j is down). ``schmidt_rank`` takes the rank of the
-amplitude matrix across a detector bipartition by Gram-Schmidt over its
-nonzero rows: rank 1 means the state factors there. ``finest_partition``
-finds the finest product partition, unique for pure states, without a
-search over cuts: two detectors lie in different blocks exactly when the
+on the sparse kets, each read as an integer ket code (bit j set when
+detector X_j is down). ``schmidt_rank`` takes the rank of the amplitude
+matrix across a detector bipartition by Gram-Schmidt over its nonzero
+rows: rank 1 means the state factors there. ``finest_partition`` finds
+the finest product partition, unique for pure states, without a search
+over cuts: two detectors lie in different blocks exactly when the
 amplitudes, read as a multilinear polynomial, have a vanishing 2x2
-coefficient determinant over that pair. ``build_report`` asks that of
-generic amplitudes, a polynomial identity test, so it answers exactly: it
-draws a random integer weight per kept transition of the PM diagram and
-walks each component's network, cut from ``PMDiagram.network``, in Python
-integers, since the state is the product of the component states. Each
-component's sums go from the walk to the pair test as codes, with no
-``NoBunchState`` and no ket string in between, and a one-vertex
-component, whose state is one ket, is a block without a walk.
+coefficient determinant over that pair.
+
+``build_report``'s numeric partition asks that question of generic
+amplitudes, and for them the PM diagram answers it exactly, with no walk
+and no weight draw: in each component, the vertices with both incoming
+colors form one block and every other vertex is a block of its own. Its
+docstring proves this; a corollary is that for generic amplitudes
+theorem 1's two conditions are sufficient as well as necessary.
 """
 
 from __future__ import annotations
@@ -38,20 +38,11 @@ from collections import Counter, namedtuple
 from enum import Enum
 from functools import reduce
 
-from .errors import (
-    DimensionMismatch,
-    InvalidArgument,
-    NonFiniteValue,
-    TooLarge,
-    ZeroState,
-)
-from .graphs import PMDiagram, diagram_of_network, ket_of_code
-from .model import Color, NetworkSpec, NormalizationMode, Transition, _index
-from .states import NoBunchState, _ket_sums
+from .errors import DimensionMismatch, InvalidArgument, ZeroState
+from .graphs import PMDiagram, diagram_of_network
+from .model import Color, NetworkSpec, _index
+from .states import NoBunchState
 
-#: the most detectors in a component that ``build_report``'s numeric route
-#: walks: a bound on the walk's work, since its exact answer needs none
-PARTITION_LIMIT = 10
 #: singular values, and the row residuals of ``schmidt_rank``, at or below
 #: this fraction of the largest count as zero
 SV_TOL = 1e-8
@@ -317,68 +308,47 @@ def finest_partition(state: NoBunchState) -> Partition:
     with no size limit, where blocks counts only those blocks. The
     amplitudes are divided by their largest real or imaginary part first,
     so no scale overflows or underflows the test. The zero state has no
-    partition: it raises ZeroState.
+    partition: it raises ZeroState; a ``NoBunchState`` has already refused
+    NaN and infinite amplitudes.
 
     Each ket string is read once as its code (bit j set when X_j is down),
-    and the test runs on the codes, as ``build_report`` runs its exact
-    form on the integer sums of the matching walk.
+    and the kets keep the state's order, in which every 2x2 sum adds its
+    terms.
     """
-    return _pair_test_partition(
-        state.n, {_ket_code(ket): amp for ket, amp in state.amplitudes.items() if amp}
-    )
-
-
-def _pair_test_partition(n: int, sums: dict[int, complex], exact: bool = False) -> Partition:
-    """``finest_partition`` of a state given as its nonzero amplitudes by ket code.
-
-    ``sums`` keeps the kets in the order they were first seen, and every
-    2x2 sum adds the terms in that order. With ``exact`` the sums are
-    integers, every other detector is set to 1, and a pair is entangled
-    when ad != bc. Otherwise each term is multiplied by the probes of its
-    down detectors in ascending detector order, and a NaN or infinite
-    amplitude raises NonFiniteValue, as building a ``NoBunchState`` of them
-    would. No kets raises ZeroState.
-    """
-    if not sums:
+    n = state.n
+    kets = {_ket_code(ket): amp for ket, amp in state.amplitudes.items() if amp}
+    if not kets:
         raise ZeroState("state has zero norm (no kets to partition)")
-    terms = sums.items()
-    if not exact:
-        while len(_PROBES) < n:
-            _PROBES.append(cmath.exp(2j * math.pi * _PROBE_DRAWS.random()))
-        for code, amp in terms:
-            if not cmath.isfinite(amp):
-                raise NonFiniteValue(f"ket {ket_of_code(code, n)!r} has amplitude {amp!r}")
-        peak = max(max(abs(v.real), abs(v.imag)) for v in sums.values())
-        # each term carries y_k for every down detector, i and j included:
-        # that scales a row and a column of the pair's matrix by unit-modulus
-        # factors, which keeps its singular values, so one list serves all pairs
-        terms = []
-        for code, amp in sums.items():
-            w = amp / peak
-            down = code
-            while down:
-                low = down & -down
-                w *= _PROBES[low.bit_length() - 2]  # bit j is detector X_j
-                down ^= low
-            terms.append((code, w))
-    zero = 0 if exact else 0j
+    while len(_PROBES) < n:
+        _PROBES.append(cmath.exp(2j * math.pi * _PROBE_DRAWS.random()))
+    peak = max(max(abs(v.real), abs(v.imag)) for v in kets.values())
+    # each term carries y_k for every down detector, i and j included:
+    # that scales a row and a column of the pair's matrix by unit-modulus
+    # factors, which keeps its singular values, so one list serves all pairs
+    terms = []
+    for code, amp in kets.items():
+        w = amp / peak
+        down = code
+        while down:
+            low = down & -down
+            w *= _PROBES[low.bit_length() - 2]  # bit j is detector X_j
+            down ^= low
+        terms.append((code, w))
 
     def entangled(i: int, j: int) -> bool:
         # m[2 * bit i + bit j]: the uu, ud, du and dd sums
-        m = [zero] * 4
+        m = [0j] * 4
         for code, w in terms:
             m[(code >> i & 1) << 1 | code >> j & 1] += w
         a, c, b, d = m
-        if exact:
-            return a * d != b * c
         det = abs(a * d - b * c)
         frob = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
         top_sq = (frob + math.sqrt(max(frob * frob - 4 * det * det, 0.0))) / 2
         return det > SV_TOL * top_sq
 
-    first = next(iter(sums))
+    first = next(iter(kets))
     varying = 0
-    for code in sums:
+    for code in kets:
         varying |= code ^ first
     blocks: list[list[int]] = []
     # the blocks a later detector may join: not those of constant detectors
@@ -397,79 +367,68 @@ def _pair_test_partition(n: int, sums: dict[int, complex], exact: bool = False) 
     return tuple(map(tuple, blocks))
 
 
-def _partition_by_component(diag: PMDiagram, rng: random.Random) -> Partition:
-    """Finest partition of a generic state of ``diag.network``, one component at a time.
-
-    Each kept transition gets one weight, drawn uniformly from 1..2**61-1
-    in diagram order, and each component is walked and pair-tested in
-    exact integers. Every kept edge lies inside one component, so the
-    state is, up to sign, the tensor product of the component states, and
-    its finest partition is the union of theirs. Vertex ``v`` is both
-    particle ``v`` and slot ``v``, so one table renumbers each component's
-    vertices 1..m in ascending order, and a block of slots maps back to
-    detectors through ``diag.relabeling``. A one-vertex component holds
-    only its loop, so its state is one ket and it is a block with no walk.
-
-    Read the weights w as variables: a pair's ad - bc is a polynomial of
-    degree at most 2m on an m-vertex component. Each detector k's variable
-    x_k comes with the one edge into k of each matching, when it is down,
-    so w_e -> w_e * x_k turns the polynomial at x = 1 into the one in (w, x):
-    one vanishes identically exactly when the other does. If it does, the
-    test reads 0 and never joins two blocks; if not, it reads 0 with
-    probability at most 2m / (2**61 - 1) (Schwartz 1980; Zippel 1979), and
-    only then splits a block.
-    """
-    # (component index, local label) of every vertex
-    at = [(0, 0)] * (diag.n + 1)
-    for k, comp in enumerate(diag.components):
-        for local, v in enumerate(comp, start=1):
-            at[v] = (k, local)
-    inside: list[list[Transition]] = [[] for _ in diag.components]
-    for t in diag.network.transitions:
-        k, a = at[t.source]
-        weight = rng.randint(1, 2**61 - 1)
-        inside[k].append(Transition(a, at[t.detector][1], weight, t.color))
-
-    blocks = []
-    for comp, transitions in zip(diag.components, inside):
-        if len(comp) == 1:  # its loop alone: one ket, a block of its own
-            blocks.append((diag.detector_of_vertex(comp[0]),))
-            continue
-        sub = NetworkSpec(
-            len(comp), diag.network.statistics, tuple(transitions), NormalizationMode.DESIGN
-        )
-        sums = _ket_sums(sub, exact=True)
-        for block in _pair_test_partition(len(comp), sums, exact=True):
-            blocks.append(tuple(sorted(diag.detector_of_vertex(comp[d - 1]) for d in block)))
-    return tuple(sorted(blocks))
-
-
 def build_report(spec: NetworkSpec, numeric_seed: int | None = None) -> SeparabilityReport:
-    """Structural report for a network, optionally with a numeric partition.
+    """Structural report for a network, optionally with its generic finest partition.
 
-    The numeric part draws an integer weight for each of the PM diagram's
-    kept transitions, in diagram order, from ``random.Random(numeric_seed)``
-    (structure-driven entanglement should not depend on amplitude
-    coincidences, so the partition does not depend on the seed) and
-    computes the finest product partition of that state exactly, one
-    component at a time (``_partition_by_component``). ``PARTITION_LIMIT``
-    bounds each component, not the whole network, and is checked before
-    the draw. It bounds work only: the exact test is right at any size,
-    but the walk over a component's matchings grows with its size. A seed that is not an integer (floats, bools and numeric
-    strings included) raises IndexOutOfRange, as a non-integer ``n`` does
-    in ``validate_network``; a negative one raises InvalidArgument.
+    With a numeric seed, ``numeric_finest_partition`` is the finest product
+    partition of the state for generic amplitudes on the network's edges,
+    read off the PM diagram: in each component, the vertices whose
+    incoming edges have both colors form one block, and every other
+    vertex, one that lemma 1 pins, is a block of its own. Blocks are mapped
+    to detectors through ``diag.relabeling`` and sorted. There is no walk,
+    no weight draw and no size limit.
+
+    Why this is exact. Take one component C, an SCC of the diagram. Give
+    every kept edge (a, j) an independent weight variable w_aj and every
+    detector a variable x_j. C's state is the polynomial
+    F(w, x) = sum over C's matchings s of +-prod_a w_a,s(a) * prod_(j down
+    in s) x_j, the sign being the parity of s for fermions and + for bosons.
+
+    1. Each matching has its own w-monomial, whose coefficient is
+       +-x^down(s), for bosons and fermions alike.
+    2. F has degree 1 in each row's weights and degree 1 in each column's
+       weights. So in any factorization F = P * Q each row and each column
+       belongs to exactly one factor, and w_aj lies in the factor that owns
+       row a and column j. C's bipartite graph is connected (the loop of v
+       joins row v to column v, and the SCC's edges join the rest), so one
+       factor holds every w and the other lies in Q[x].
+    3. A factor in Q[x] divides every +-x^down(s), so it is a monomial in
+       the detectors that are down in every matching: lemma 1's pinned-down
+       vertices.
+    4. Every edge of C lies in some matching (Dulmage-Mendelsohn; the
+       diagram keeps exactly those edges), so a vertex that receives both
+       colors is up in one matching and down in another: it varies.
+    5. Write a split of F over Q(w) as G(x_S) * H(x_T). Gauss's lemma
+       carries it to Q[w, x], so by 2 and 3 one of G and H is a monomial,
+       and its side holds no vertex that varies. So the two-colored
+       vertices of C share a block. Components factor by lemma 2, and
+       pinned vertices are constant, so each is a block of its own.
+
+    A corollary changes no output: for generic amplitudes, theorem 1's two
+    conditions are also sufficient for genuine N-partite entanglement.
+
+    The seed is checked, after the diagram's NoPerfectMatching, but cannot
+    change the answer: one that is not an integer (floats, bools and
+    numeric strings included) raises IndexOutOfRange, as a non-integer
+    ``n`` does in ``validate_network``; a negative one raises
+    InvalidArgument.
     """
     diag = diagram_of_network(spec)
+    incoming = _incoming_colors(diag)  # read by lemma 1, theorem 1 and the partition
     numeric = None
     if numeric_seed is not None:
         seed = _index(numeric_seed, "numeric seed")
         if seed < 0:
             raise InvalidArgument(f"numeric seed must be >= 0, got {seed}")
-        largest = max(len(c) for c in diag.components)
-        if largest > PARTITION_LIMIT:
-            raise TooLarge(largest, PARTITION_LIMIT, "partition-search", "component size n")
-        numeric = _partition_by_component(diag, random.Random(seed))
-    incoming = _incoming_colors(diag)  # read by lemma 1 and theorem 1 alike
+        both = _UP_BIT | _DOWN_BIT
+        relabeling = diag.relabeling
+        blocks = []
+        for comp in diag.components:
+            varying = tuple(sorted(relabeling[v - 1] for v in comp if incoming[v - 1] == both))
+            if varying:
+                blocks.append(varying)
+            blocks.extend((relabeling[v - 1],) for v in comp if incoming[v - 1] != both)
+        numeric = tuple(sorted(blocks))
     return SeparabilityReport(
         tuple(_lemma1(incoming)),
         lemma2_partition(diag),

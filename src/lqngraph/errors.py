@@ -43,19 +43,12 @@ class ZeroState(LQNError):
 
 
 class TooLarge(LQNError):
-    """A size ``n`` above the limit named ``limit_name``; ``subject`` names
-    what has that size in the message."""
+    """A size ``n`` above the exhaustive-enumeration limit ``limit``."""
 
-    def __init__(
-        self,
-        n: int,
-        limit: int,
-        limit_name: str = "exhaustive-enumeration",
-        subject: str = "n",
-    ):
+    def __init__(self, n: int, limit: int):
         self.n = n
         self.limit = limit
-        super().__init__(f"{subject}={n} exceeds the {limit_name} limit {limit}")
+        super().__init__(f"n={n} exceeds the exhaustive-enumeration limit {limit}")
 
 
 class DimensionMismatch(LQNError):

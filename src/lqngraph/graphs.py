@@ -13,7 +13,7 @@ receives a down edge), which ``walk_matchings`` spells out as color
 characters (``ket_of_code``). The walk and the PM diagram take
 their reference perfect matching, or the answer that there is none, from
 one check (``_base_matching``); a loop-labeled spec, such as a PM diagram
-or a component cut from one, is its own, the identity, with no search.
+or a designer ring, is its own, the identity, with no search.
 The structural picture: merging particle
 ``a`` and detector ``X_a`` into one vertex ``w_a`` turns each transition
 a → X_j into a digraph edge w_a → w_j, so a ``NetworkSpec`` is read as
@@ -230,7 +230,7 @@ def ket_of_code(code: int, n: int) -> str:
     return format(code >> 1, f"0{n}b")[::-1].translate(_UD)
 
 
-def _table(free: int, options: list, last: dict, tables: dict, negate: bool, one) -> list:
+def _table(free: int, options: list, last: dict, tables: dict, negate: bool) -> list:
     """The completion table of the last particles on the detectors in ``free``.
 
     The rows are laid out as ``walk_prefixes`` describes; ``tables`` keeps
@@ -248,11 +248,11 @@ def _table(free: int, options: list, last: dict, tables: dict, negate: bool, one
             if size > 2:
                 below = tables.get(rest)
                 if below is None:
-                    below = _table(rest, options, last, tables, negate, one)
+                    below = _table(rest, options, last, tables, negate)
                 if below:
                     rows.append((w, down, below, j, odd))
             elif size == 1:  # n == 1
-                rows.append((one, w, down, (j,), odd))
+                rows.append((_ONE, w, down, (j,), odd))
             elif rest in last:
                 _, k, v, down_k = last[rest]
                 odd_k = (n - k) & 1
@@ -263,7 +263,7 @@ def _table(free: int, options: list, last: dict, tables: dict, negate: bool, one
 
 
 def walk_prefixes(
-    spec: NetworkSpec, signed: bool = True, one=_ONE
+    spec: NetworkSpec, signed: bool = True
 ) -> Iterator[tuple[list[int], int, complex, int, list]]:
     """The matching walk down to its completion table (see ``walk_matchings``).
 
@@ -281,12 +281,15 @@ def walk_prefixes(
     parity bit the placement adds (particles 1..a-1 hold exactly the n - j
     detectors above j that are not free, so it depends on the free set
     alone). The last two particles are pair rows ``(w, w', down, (j, j'),
-    odd)``. Below n = K, rows ``(one, 0, table, 0, 0)`` lead, and a lone
-    particle's pair row is ``(one, w, down, (j,), odd)``. A matching's
-    weight is the prefix (from ``one``) times its rows' weights, left to
-    right, and its code is ``code`` OR their ``down`` bits. When
-    ``signed``, a fermion's odd rows and odd prefixes are negated, which is
-    exact, so the product comes out signed.
+    odd)``. Below n = K, rows ``(1, 0, table, 0, 0)`` lead, and a lone
+    particle's pair row is ``(1, w, down, (j,), odd)``, with 1 as
+    ``complex(1.0)``. A matching's weight is the prefix (from
+    ``complex(1.0)``) times its rows' weights, left to right, and its code
+    is ``code`` OR their ``down`` bits. When ``signed``, a fermion's odd
+    rows and odd prefixes are negated, which is exact, so the product comes
+    out signed. The walk has this one arithmetic: the state's sums and the
+    DOT highlight read it, and the numeric partition reads the PM diagram
+    instead (``entanglement.build_report``).
     """
     if _base_matching(spec) is None:
         return
@@ -323,7 +326,7 @@ def walk_prefixes(
     assignment = [0] * n
     # prefix[a], parity[a]: weight product and permutation parity of the
     # placements of particles 1..a
-    prefix = [one] * n
+    prefix = [_ONE] * n
     parity = [0] * n
     # down bits of the detectors as last placed, a free detector's stale;
     # a bit flips only when its detector's color changes, since an OR or a
@@ -339,10 +342,10 @@ def walk_prefixes(
             free = full ^ used
             rows = tables.get(free)
             if rows is None:
-                rows = _table(free, options, last, tables, negate, one)
+                rows = _table(free, options, last, tables, negate)
             if rows:
                 for _ in range(padding):
-                    rows = [(one, 0, rows, 0, 0)]
+                    rows = [(_ONE, 0, rows, 0, 0)]
                 p = prefix[a]
                 if negate and parity[a]:
                     p = -p

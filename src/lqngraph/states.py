@@ -10,8 +10,7 @@ the ``NetworkSpec`` and hands back each ket as an integer of down bits,
 bit j set when detector X_j receives a down edge), the only route from a
 network to its state; ``oracle_state`` is the independent n! reference it
 is checked against. The sums stay keyed by those codes (``_ket_sums``)
-until ``assemble_network_state`` spells each ket out once; the numeric
-partition of ``entanglement`` reads the codes themselves. A
+until ``assemble_network_state`` spells each ket out once. A
 ``NoBunchState`` checks its fields whenever one is built, through
 ``_replace`` and ``_make`` as well.
 
@@ -149,7 +148,7 @@ def ket_glyphs(ket: str) -> str:
     return ket.translate(_GLYPHS)
 
 
-def _ket_sums(spec: NetworkSpec, exact: bool = False) -> dict[int, complex]:
+def _ket_sums(spec: NetworkSpec) -> dict[int, complex]:
     """The state of ``spec`` keyed by the walk's ket codes, cancellations dropped.
 
     This is ``graphs.walk_matchings``' expansion of the tables with the sum
@@ -161,12 +160,10 @@ def _ket_sums(spec: NetworkSpec, exact: bool = False) -> dict[int, complex]:
     exact, and a ±0 difference never reaches a sum, which starts at
     ``0j``. So the two agree bit for bit. Codes keep the order they were
     first seen in, the oracle's order; a code whose sum cancelled exactly
-    is dropped. ``exact`` starts from the integers 1 and 0 instead, so on
-    integer weights every product and sum is an exact integer.
+    is dropped. ``assemble_network_state`` is its only caller.
     """
-    one, zero = (1, 0) if exact else (complex(1.0), 0j)
     sums: dict[int, complex] = {}
-    for _, code, prefix, _, rows in walk_prefixes(spec, one=one):
+    for _, code, prefix, _, rows in walk_prefixes(spec):
         for w1, down1, rows2, _, _ in rows:
             p1 = prefix * w1
             code1 = code | down1
@@ -178,7 +175,7 @@ def _ket_sums(spec: NetworkSpec, exact: bool = False) -> dict[int, complex]:
                     code3 = code2 | down3
                     for w4, w5, down45, _, _ in pairs:
                         key = code3 | down45
-                        sums[key] = sums.get(key, zero) + (p3 * w4) * w5
+                        sums[key] = sums.get(key, 0j) + (p3 * w4) * w5
     return {k: v for k, v in sums.items() if v != 0}
 
 

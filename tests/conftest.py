@@ -100,7 +100,9 @@ def random_network_with_pm(
 def generic_amplitudes(spec: NetworkSpec, rng: random.Random) -> NetworkSpec:
     """Redraw amplitudes generically in floats, keeping everything else of ``spec``.
 
-    The float reference for ``build_report``'s exact numeric route. Per
+    The float reference for ``build_report``'s numeric partition, which is
+    read off the PM diagram: the assembled state's ``finest_partition``
+    must give the same blocks. Per
     transition, in spec order, two ``rng.random()`` draws give a magnitude
     0.3 + 0.7u in [0.3, 1] and then a phase 2πu, and each row is then
     normalized, which avoids both accidental cancellations and accidental
@@ -119,6 +121,49 @@ def generic_amplitudes(spec: NetworkSpec, rng: random.Random) -> NetworkSpec:
         for t, amp in zip(transitions, drawn)
     )
     return NetworkSpec(spec.n, spec.statistics, transitions, spec.normalization_mode)
+
+
+def reference_generic_partition(spec: NetworkSpec, rng: random.Random):
+    """Finest partition of ``spec``'s state for generic amplitudes, by brute force.
+
+    One integer weight in 1..2**61-1 per transition, in spec order, then an
+    exact integer sum over every permutation of the whole network (n <= 8):
+    no PM diagram, no per-component cut and no matching walk. A fermion
+    term takes the sign of its permutation's inversions. Two varying
+    detectors share a block when some chain of pairs has ad != bc, every
+    other detector at 1; a detector with the same bit in every ket is a
+    block of its own. A pair splits wrongly with probability at most
+    2n/(2**61 - 1) (Schwartz 1980; Zippel 1979).
+    """
+    n = spec.n
+    assert n <= 8, "the permutation sum is for small networks"
+    weight = {(t.source, t.detector): (rng.randint(1, 2**61 - 1), t.color) for t in spec.transitions}
+    fermion = spec.statistics is Statistics.FERMION
+    sums: dict[int, int] = {}
+    for perm in itertools.permutations(range(1, n + 1)):
+        edges = [weight.get(pair) for pair in enumerate(perm, start=1)]
+        if None in edges:
+            continue
+        term = math.prod(w for w, _ in edges)
+        if fermion and sum(x > y for x, y in itertools.combinations(perm, 2)) % 2:
+            term = -term
+        code = sum(1 << j for j, (_, c) in zip(perm, edges) if c is Color.DOWN)
+        sums[code] = sums.get(code, 0) + term
+    kets = {code: v for code, v in sums.items() if v}
+    assert kets, "generic weights on a network with a matching leave a ket"
+    first = next(iter(kets))
+    varying = [j for j in range(1, n + 1) if any((code ^ first) >> j & 1 for code in kets)]
+    block_of = {j: {j} for j in range(1, n + 1)}
+    for i, j in itertools.combinations(varying, 2):
+        m = [0] * 4  # uu, ud, du, dd sums over the other detectors at 1
+        for code, v in kets.items():
+            m[(code >> i & 1) << 1 | code >> j & 1] += v
+        a, c, b, d = m
+        if a * d != b * c and block_of[i] is not block_of[j]:
+            merged = block_of[i] | block_of[j]
+            for k in merged:
+                block_of[k] = merged
+    return tuple(sorted({tuple(sorted(block)) for block in block_of.values()}))
 
 
 def max_error_up_to_phase(state, target: dict) -> float:

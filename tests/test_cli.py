@@ -167,8 +167,8 @@ class TestAnalyze:
         assert doc["numeric_finest_partition"] == [[1, 4], [2, 5], [3]]
 
     def test_numeric_partition_beyond_ten_detectors(self, capsys, tmp_path):
-        # each PM-diagram component is split on its own, so only components
-        # are bound by the ten-detector limit, not the whole network
+        # each PM-diagram component is split on its own: sixteen detectors
+        # in five planted blocks
         specs = [design_w(4, form="ring")] + [
             design_ghz(3, colors=c) for c in ("uud", "udu", "duu", "ddd")
         ]
@@ -182,27 +182,23 @@ class TestAnalyze:
         assert doc["lemma2_partition"] == planted
         assert doc["numeric_finest_partition"] == planted
 
-    def test_component_beyond_limit_is_validation_error(self, capsys, tmp_path):
+    def test_w_ring_12_is_one_block(self, capsys, tmp_path):
+        # a twelve-detector component, once refused with exit 2
         path = tmp_path / "w12.json"
         path.write_text(serialize_network(design_w(12, form="ring")))
         code, out, err = run(capsys, "analyze", str(path), "--numeric", "1", "--json")
-        assert code == cli.EXIT_VALIDATION
-        assert out == ""
-        assert "n=12 exceeds" in err
+        assert code == 0, err
+        assert json.loads(out)["numeric_finest_partition"] == [list(range(1, 13))]
 
-    def test_component_limit_is_checked_before_the_draw(self, capsys, tmp_path, monkeypatch):
-        # the numeric route draws its weights first thing
-        drawn = []
-        monkeypatch.setattr(
-            cli.entanglement, "_partition_by_component", lambda *args: drawn.append(args)
-        )
-        path = tmp_path / "ghz11.json"
-        path.write_text(serialize_network(design_ghz(11)))
-        code, out, err = run(capsys, "analyze", str(path), "--numeric", "1")
-        assert code == cli.EXIT_VALIDATION
-        assert out == ""
-        assert err == "error: component size n=11 exceeds the partition-search limit 10\n"
-        assert drawn == []
+    def test_complete_boson_12_is_one_block(self, capsys, tmp_path):
+        # 12! matchings, none walked
+        edges = [(a, j, 1.0, "ud"[(a + j) % 2]) for a in range(1, 13) for j in range(1, 13)]
+        path = tmp_path / "complete12.json"
+        path.write_text(serialize_network(validate_network(12, "boson", edges, "design")))
+        code, out, err = run(capsys, "analyze", str(path), "--numeric", "5")
+        assert (code, err) == (0, "")
+        blocks = "(" + ",".join(f"X{d}" for d in range(1, 13)) + ")"
+        assert out.endswith(f"numeric finest partition (seed 5): {blocks}\n")
 
 
 class TestPMDiagram:
@@ -708,6 +704,7 @@ def _cold_start_commands(fixtures_dir, tmp_path) -> list[list[str]]:
         ["dot", n5, "--view", "pm", "--highlight", "0"],
         ["design", "ghz", "--n", "4"],
         ["analyze", str(ghz11), "--numeric", "1"],
+        ["verify", str(ghz11)],
         ["analyze", n5, "--numeric", "3", "--json"],
     ]
 
@@ -717,7 +714,7 @@ class TestColdStart:
         # fresh interpreters: this one imported numpy with the test modules
         commands = _cold_start_commands(fixtures_dir, tmp_path)
         in_process = [list(run(capsys, *argv)) for argv in commands]
-        assert [r[0] for r in in_process] == [0] * 6 + [cli.EXIT_VALIDATION, 0]
+        assert [r[0] for r in in_process] == [0] * 7 + [cli.EXIT_VALIDATION, 0]
         src = str(Path(lqngraph.__file__).resolve().parents[1])
         for numpy in ("load", "block"):
             proc = subprocess.run(
@@ -749,5 +746,5 @@ class TestColdStart:
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        codes = [None] + [0] * 6 + [cli.EXIT_VALIDATION, 0]
+        codes = [None] + [0] * 7 + [cli.EXIT_VALIDATION, 0]
         assert json.loads(proc.stdout) == [[code, [], True] for code in codes]

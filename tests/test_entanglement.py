@@ -3,14 +3,14 @@
 import itertools
 import math
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 
-from lqngraph import entanglement, graphs, states
+from lqngraph import graphs, states
+from lqngraph.cli import cli_main
 from lqngraph.designers import design_ghz, design_w
 from lqngraph.entanglement import (
     Bipartition,
@@ -32,7 +32,6 @@ from lqngraph.errors import (
     ZeroState,
 )
 from lqngraph.graphs import diagram_of_network
-from lqngraph.io import parse_network
 from lqngraph.model import Color, Statistics, validate_network
 from lqngraph.states import NoBunchState, assemble_network_state, normalize
 
@@ -44,9 +43,54 @@ from conftest import (
     planted_product_states,
     random_network_with_pm,
     reference_finest_partition,
+    reference_generic_partition,
     reference_schmidt_rank,
     superposed_subsystem_network,
 )
+
+
+def _complete(n, statistics):
+    """Every edge, colored so each detector receives both colors."""
+    edges = [(a, j, 1.0, "ud"[(a + j) % 2]) for a in range(1, n + 1) for j in range(1, n + 1)]
+    return validate_network(n, statistics, edges, "design")
+
+
+@st.composite
+def _matchable_networks(draw, max_n=8):
+    """Design networks of up to three planted blocks, each with a perfect matching.
+
+    Each block's vertices are shuffled among the labels, and each block
+    holds a random perfect matching of its own plus random edges inside
+    it. An edge between blocks goes only from an earlier block to a later
+    one, so it lies on no cycle and the PM diagram removes it. Colors are
+    skewed toward one color in some draws, so some vertices are pinned.
+    """
+    sizes = draw(
+        st.lists(st.sampled_from([3, 4, 2, 1]), min_size=1, max_size=3).filter(
+            lambda s: sum(s) <= max_n
+        ),
+        label="block sizes",
+    )
+    n = sum(sizes)
+    statistics = draw(st.sampled_from(["boson", "fermion"]))
+    density = draw(st.sampled_from([1.0, 0.7, 0.4]), label="density")
+    down = draw(st.sampled_from([0.5, 0.3, 0.7]), label="down share")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    order = [int(v) for v in rng.permutation(n) + 1]
+    block = [0] * (n + 1)
+    planted = set()
+    for k, size in enumerate(sizes):
+        members, order = order[:size], order[size:]
+        for v in members:
+            block[v] = k
+        planted.update(zip(members, (int(j) for j in rng.permutation(members))))
+    edges = [
+        (a, j, 1.0, "d" if rng.random() < down else "u")
+        for a in range(1, n + 1)
+        for j in range(1, n + 1)
+        if (a, j) in planted or (block[a] <= block[j] and rng.random() < density)
+    ]
+    return validate_network(n, statistics, edges, "design")
 
 
 def cut(n, *detectors):
@@ -336,23 +380,18 @@ class TestFinestPartition:
         h = 1 / math.sqrt(2)
         state = NoBunchState(3, {"udu": h, "ddd": h})
         assert finest_partition(state) == ((1, 3), (2,))
-        assert entanglement._pair_test_partition(3, {0b0100: h, 0b1110: h}) == ((1, 3), (2,))
-
-    def test_exact_route_compares_ad_with_bc(self):
-        # ad - bc = 1 beside products near 2**200, which no float tolerance
-        # resolves; and an integer product state, which splits
-        big = 2**100
-        near = {0b000: big, 0b100: big + 1, 0b010: big - 1, 0b110: big}
-        assert entanglement._pair_test_partition(2, near, exact=True) == ((1, 2),)
-        product = {0b000: 3, 0b100: 15, 0b010: 21, 0b110: 105}  # 3 (1 + 7 x1)(1 + 5 x2)
-        assert entanglement._pair_test_partition(2, product, exact=True) == ((1,), (2,))
+        # (0.6|u> + 0.8i|d>) on X_1, a Bell pair on X_2 and X_4, X_3 pinned up
+        kets = {"uuuu": 0.6, "udud": 0.6, "duuu": 0.8j, "ddud": 0.8j}
+        assert finest_partition(NoBunchState(4, kets)) == ((1,), (2, 4), (3,))
 
     def test_code_route_keeps_the_state_checks(self):
+        # an empty state has no partition; a NaN or infinite amplitude never
+        # reaches the pair test, since the state refuses it
         with pytest.raises(ZeroState):
-            entanglement._pair_test_partition(2, {})
+            finest_partition(NoBunchState(2, {}))
         for amp in (complex(math.nan, 0.0), complex(0.0, math.inf)):
             with pytest.raises(NonFiniteValue, match="ket 'du'"):
-                entanglement._pair_test_partition(2, {0b000: 1.0, 0b010: amp})
+                finest_partition(NoBunchState(2, {"uu": 1.0, "du": amp}))
 
     def test_refines_structural_partition(self):
         rng = np.random.default_rng(83)
@@ -486,52 +525,45 @@ class TestReport:
         assert report.theorem1 == theorem1_check(diag)
         assert report.lemma2_partition == lemma2_partition(diag)
 
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(networks(modes=("strict", "design")), st.integers(0, 2**32 - 1))
-    def test_numeric_draw_follows_the_seed(self, spec, seed):
-        # recomputed from the same seed: one integer in 1..2**61-1 per kept
-        # transition, in diagram order, and each walked with its component
-        try:
-            diag = diagram_of_network(spec)
-        except NoPerfectMatching:
-            reject()
-        replay = random.Random(seed)
-        drawn = [
-            (t.source, t.detector, replay.randint(1, 2**61 - 1), t.color)
-            for t in diag.network.transitions
-        ]
-        walked = []
-        ket_sums = entanglement._ket_sums
-
-        def recording(sub, exact=False):
-            walked.append(sub)
-            return ket_sums(sub, exact)
-
-        rng = random.Random(seed)
-        with mock.patch.object(entanglement, "_ket_sums", recording):
-            entanglement._partition_by_component(diag, rng)
-        assert rng.getstate() == replay.getstate()
-        walked_components = [comp for comp in diag.components if len(comp) > 1]
-        assert [sub.n for sub in walked] == [len(comp) for comp in walked_components]
-        for comp, sub in zip(walked_components, walked):
-            assert sub.statistics is diag.network.statistics
-            assert all(type(t.amplitude) is int for t in sub.transitions)
-            got = [
-                (comp[t.source - 1], comp[t.detector - 1], t.amplitude, t.color)
-                for t in sub.transitions
-            ]
-            assert got == [t for t in drawn if t[0] in comp]
-
     @pytest.mark.parametrize("statistics", ["boson", "fermion"])
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_w_ring_256_is_one_block(self, seed, statistics):
-        # past PARTITION_LIMIT, so the route is called directly; floats
-        # split this ring into 7 to 122 blocks for these seeds, as a
-        # pair's determinant fell below the tolerance or underflowed
+        # a float walk split this ring into 7 to 122 blocks for these seeds,
+        # as a pair's determinant fell below the tolerance or underflowed
         spec = design_w(256, "ring")._replace(statistics=Statistics(statistics))
-        diag = diagram_of_network(spec)
-        partition = entanglement._partition_by_component(diag, random.Random(seed))
-        assert partition == (tuple(range(1, 257)),)
+        report = build_report(spec, numeric_seed=seed)
+        assert report.numeric_finest_partition == (tuple(range(1, 257)),)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: design_w(12, "ring"),
+            lambda: design_w(12, "ring")._replace(statistics=Statistics.FERMION),
+            lambda: design_w(2048, "ring"),
+            lambda: design_w(2048, "star"),
+            lambda: design_ghz(10**4),
+            lambda: _complete(12, "boson"),
+            lambda: _complete(40, "fermion"),
+        ],
+        ids=[
+            "w-ring-12", "w-ring-12-fermion", "w-ring-2048", "w-star-2048", "ghz-10000",
+            "complete-12-boson", "complete-40-fermion",
+        ],
+    )
+    def test_past_ten_detectors_is_one_block(self, make):
+        # each was refused above a 10-detector component; no walk, so no limit
+        spec = make()
+        report = build_report(spec, numeric_seed=7)
+        assert report.numeric_finest_partition == (tuple(range(1, spec.n + 1)),)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_matchable_networks(), st.integers(0, 2**32 - 1))
+    def test_numeric_partition_equals_brute_force_reference(self, spec, numeric_seed):
+        # the reference sums every permutation of the whole network in
+        # exact integers, dead edges included, and pair-tests the sums
+        report = build_report(spec, numeric_seed=numeric_seed)
+        reference = reference_generic_partition(spec, random.Random(numeric_seed))
+        assert report.numeric_finest_partition == reference
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
@@ -586,30 +618,25 @@ class TestReport:
         again = build_report(spec, numeric_seed=other)
         assert again.numeric_finest_partition == report.numeric_finest_partition
 
-    def test_numeric_route_reads_codes_and_walks_multi_vertex_components(
-        self, fixtures_dir, monkeypatch
+    def test_numeric_route_walks_nothing_and_builds_no_state(
+        self, capsys, fixtures_dir, monkeypatch
     ):
-        # ghz:3 | W star n=3 | one loop, with a forward cross edge
+        # ghz:3 | W star n=3 | one loop, with a forward cross edge: the
+        # partition comes from the diagram, with no matching and no state
         path = fixtures_dir / "blocks7_ghz_wstar_single_boson.json"
-        spec = parse_network(path.read_text(encoding="utf-8"))
-        walked = []
-        walk = states.walk_prefixes
-
-        def counted_walk(sub, **kwargs):
-            walked.append(sub.n)
-            return walk(sub, **kwargs)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the numeric route built a state or a ket string")
+            raise AssertionError("the numeric route walked or built a state")
 
-        monkeypatch.setattr(states, "walk_prefixes", counted_walk)
+        for module in (states, graphs):
+            monkeypatch.setattr(module, "walk_prefixes", refuse)
         monkeypatch.setattr(NoBunchState, "__new__", refuse)
-        for module in (states, graphs, entanglement):
-            monkeypatch.setattr(module, "ket_of_code", refuse)
-        monkeypatch.setattr(entanglement, "_ket_code", refuse)
-        report = build_report(spec, numeric_seed=3)
-        assert report.numeric_finest_partition == ((1, 2, 3), (4, 5, 6), (7,))
-        assert walked == [3, 3]
+        assert cli_main(["analyze", str(path), "--numeric", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.endswith(
+            "numeric finest partition (seed 3): (X1,X2,X3) | (X4,X5,X6) | (X7)\n"
+        )
 
     def test_pinned_vertices_are_numeric_singletons(self):
         rng = np.random.default_rng(89)

@@ -7,7 +7,9 @@ fixtures (a Haar n=6 boson and an n=7 fermion network with all n² edges
 and mixed colors), three block unions (dicke2:5 + ghz:2 and ghz:3 + W
 star n=3 + one loop as bosons, cluster4 + W star n=3 as fermions, each
 with one forward cross edge, so ``analyze --numeric`` splits components
-of size 1 to 5) and four designer networks.
+of size 1 to 5) and five designer networks. The W ring n=12 pins a
+twelve-detector ``analyze --numeric`` answer and the ``verify`` size
+limit message.
 To rewrite it after an intended output change, run from the repo root:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -31,6 +33,7 @@ GOLDEN = FIXTURES / "structural_golden.json"
 DESIGNS = {
     "ghz5-udduu": ["ghz", "--n", "5", "--colors", "udduu"],
     "w6-ring": ["w", "--n", "6", "--form", "ring"],
+    "w12-ring": ["w", "--n", "12", "--form", "ring"],
     "cluster4": ["cluster4"],
     "dicke5-paper": ["dicke", "--n", "5", "--preset", "paper-n5"],
 }
