@@ -638,6 +638,28 @@ class TestReport:
             "numeric finest partition (seed 3): (X1,X2,X3) | (X4,X5,X6) | (X7)\n"
         )
 
+    def test_numeric_seed_is_only_echoed(self, capsys, fixtures_dir, monkeypatch):
+        # no weight is drawn: whatever the seed, the report reads the same
+        # blocks and differs only in the seed it echoes
+        path = fixtures_dir / "blocks7_ghz_wstar_single_boson.json"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the numeric route walked or built a state")
+
+        monkeypatch.setattr(graphs, "walk_prefixes", refuse)
+        monkeypatch.setattr(NoBunchState, "__new__", refuse)
+        outs = []
+        for seed in (0, 3, 2**64 + 1):
+            assert cli_main(["analyze", str(path), "--numeric", str(seed)]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            outs.append(out.replace(f"(seed {seed})", "(seed S)"))
+            assert f"(seed {seed})" in out
+        assert outs[0].endswith(
+            "numeric finest partition (seed S): (X1,X2,X3) | (X4,X5,X6) | (X7)\n"
+        )
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
     def test_pinned_vertices_are_numeric_singletons(self):
         rng = np.random.default_rng(89)
         seen = 0
