@@ -87,9 +87,13 @@ def _cmd_compute(args) -> int:
 def _cmd_analyze(args) -> int:
     """The separability report as text, or with ``--json`` as the document
     ``io.serialize_report`` writes, byte for byte what
-    ``json.dumps(doc, indent=2)`` and a newline would give."""
+    ``json.dumps(doc, indent=2)`` and a newline would give. The generic
+    finest partition is shown only with ``--numeric``; its SEED is read
+    and ignored."""
     spec = _load(args.file)
-    report = entanglement.build_report(spec, numeric_seed=args.numeric)
+    report = entanglement.build_report(spec)
+    if args.numeric is None:
+        report = report._replace(numeric_finest_partition=None)
     if args.json:
         sys.stdout.write(io.serialize_report(report))
         return EXIT_OK
@@ -117,10 +121,7 @@ def _cmd_analyze(args) -> int:
     )
     print(f"verdict: {report.theorem1.verdict.value}")
     if report.numeric_finest_partition is not None:
-        print(
-            f"numeric finest partition (seed {args.numeric}): "
-            + _blocks_text(report.numeric_finest_partition)
-        )
+        print(f"numeric finest partition: {_blocks_text(report.numeric_finest_partition)}")
     return EXIT_OK
 
 
@@ -232,7 +233,8 @@ def _parser() -> _Parser:
         default=None,
         type=int,
         metavar="SEED",
-        help="also compute the finest partition with generic amplitudes",
+        help="also show the finest partition for generic amplitudes "
+        "(SEED is accepted and ignored)",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_analyze)

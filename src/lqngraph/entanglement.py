@@ -5,10 +5,12 @@ diagram only: a vertex whose incoming edges all share one color pins its
 detector to a computational-basis state; a weakly disconnected diagram
 forces the state to factor across the component blocks; and genuine
 N-partite entanglement requires both incoming colors at every vertex and a
-strongly connected diagram (necessary conditions only: a structurally healthy
-diagram can still produce a separable state for special amplitudes). The
-diagram's SCCs are its weak components, so lemma 2, theorem 1 and the
-numeric route all read the one partition ``PMDiagram.components``.
+strongly connected diagram. These conditions are sufficient for generic
+amplitudes, but only necessary for the network's own: a structurally
+healthy diagram can still produce a separable state for special
+amplitudes. The diagram's SCCs are its weak components, so lemma 2,
+theorem 1 and the numeric route all read the one partition
+``PMDiagram.components``.
 
 The numerical route works on an assembled state directly, in pure Python
 on the sparse kets, each read as an integer ket code (bit j set when
@@ -76,10 +78,6 @@ class Bipartition(namedtuple("Bipartition", "subset n")):
     def _make(cls, iterable):
         return cls(*iterable)
 
-    @property
-    def complement(self) -> frozenset[int]:
-        return frozenset(range(1, self.n + 1)) - self.subset
-
 
 class Verdict(Enum):
     MAY_BE_GENUINE = "may_be_genuine"
@@ -89,7 +87,7 @@ class Verdict(Enum):
 class Theorem1Report(
     namedtuple("Theorem1Report", "color_condition_ok strongly_connected verdict")
 ):
-    """Necessary-condition check for genuine N-partite entanglement.
+    """Theorem 1's check for genuine N-partite entanglement.
 
     Fields: ``color_condition_ok`` (tuple of bool, one per vertex),
     ``strongly_connected`` (bool), ``verdict`` (Verdict).
@@ -120,8 +118,8 @@ class SeparabilityReport(
 
     Fields: ``lemma1_vertices`` (tuple of (vertex, Color)),
     ``lemma2_partition`` (Partition), ``theorem1`` (Theorem1Report),
-    ``numeric_finest_partition`` (Partition, or None without a numeric
-    seed), ``diagram`` (PMDiagram).
+    ``numeric_finest_partition`` (Partition: the finest product partition
+    for generic amplitudes), ``diagram`` (PMDiagram).
     """
 
     __slots__ = ()
@@ -175,7 +173,10 @@ def theorem1_check(diag: PMDiagram) -> Theorem1Report:
 
     Every vertex must see both incoming colors and the diagram must be one
     strongly connected piece. Failing either means the state cannot be
-    genuinely N-partite entangled; passing both guarantees nothing.
+    genuinely N-partite entangled. Passing both makes the state genuinely
+    entangled for generic amplitudes (a corollary proved in
+    ``build_report``), but not for every choice of the network's own
+    amplitudes: special values can still cancel it into a product.
     """
     return _theorem1(diag, _incoming_colors(diag))
 
@@ -367,16 +368,16 @@ def finest_partition(state: NoBunchState) -> Partition:
     return tuple(map(tuple, blocks))
 
 
-def build_report(spec: NetworkSpec, numeric_seed: int | None = None) -> SeparabilityReport:
-    """Structural report for a network, optionally with its generic finest partition.
+def build_report(spec: NetworkSpec) -> SeparabilityReport:
+    """Structural report for a network, with its generic finest partition.
 
-    With a numeric seed, ``numeric_finest_partition`` is the finest product
-    partition of the state for generic amplitudes on the network's edges,
-    read off the PM diagram: in each component, the vertices whose
-    incoming edges have both colors form one block, and every other
-    vertex, one that lemma 1 pins, is a block of its own. Blocks are mapped
-    to detectors through ``diag.relabeling`` and sorted. There is no walk,
-    no weight draw and no size limit.
+    ``numeric_finest_partition`` is the finest product partition of the
+    state for generic amplitudes on the network's edges, read off the PM
+    diagram: in each component, the vertices whose incoming edges have
+    both colors form one block, and every other vertex, one that lemma 1
+    pins, is a block of its own. Blocks are mapped to detectors through
+    ``diag.relabeling`` and sorted. There is no walk, no weight draw and no
+    size limit.
 
     Why this is exact. Take one component C, an SCC of the diagram. Give
     every kept edge (a, j) an independent weight variable w_aj and every
@@ -406,33 +407,21 @@ def build_report(spec: NetworkSpec, numeric_seed: int | None = None) -> Separabi
 
     A corollary changes no output: for generic amplitudes, theorem 1's two
     conditions are also sufficient for genuine N-partite entanglement.
-
-    The seed is checked, after the diagram's NoPerfectMatching, but cannot
-    change the answer: one that is not an integer (floats, bools and
-    numeric strings included) raises IndexOutOfRange, as a non-integer
-    ``n`` does in ``validate_network``; a negative one raises
-    InvalidArgument.
     """
     diag = diagram_of_network(spec)
     incoming = _incoming_colors(diag)  # read by lemma 1, theorem 1 and the partition
-    numeric = None
-    if numeric_seed is not None:
-        seed = _index(numeric_seed, "numeric seed")
-        if seed < 0:
-            raise InvalidArgument(f"numeric seed must be >= 0, got {seed}")
-        both = _UP_BIT | _DOWN_BIT
-        relabeling = diag.relabeling
-        blocks = []
-        for comp in diag.components:
-            varying = tuple(sorted(relabeling[v - 1] for v in comp if incoming[v - 1] == both))
-            if varying:
-                blocks.append(varying)
-            blocks.extend((relabeling[v - 1],) for v in comp if incoming[v - 1] != both)
-        numeric = tuple(sorted(blocks))
+    both = _UP_BIT | _DOWN_BIT
+    relabeling = diag.relabeling
+    blocks = []
+    for comp in diag.components:
+        varying = tuple(sorted(relabeling[v - 1] for v in comp if incoming[v - 1] == both))
+        if varying:
+            blocks.append(varying)
+        blocks.extend((relabeling[v - 1],) for v in comp if incoming[v - 1] != both)
     return SeparabilityReport(
         tuple(_lemma1(incoming)),
         lemma2_partition(diag),
         _theorem1(diag, incoming),
-        numeric,
+        tuple(sorted(blocks)),
         diag,
     )

@@ -211,8 +211,9 @@ def serialize_report(report: SeparabilityReport) -> str:
     The document is ``{"lemma1_vertices": [{"vertex", "color"}],
     "lemma2_partition", "theorem1": {"color_condition_ok",
     "strongly_connected", "verdict"}, "numeric_finest_partition"}``, the
-    last null without a numeric seed. It is written directly rather than
-    through the pure-Python indenting encoder; every value is an int, a
+    last null when the report carries none (``analyze`` without
+    ``--numeric``). It is written directly rather than through the
+    pure-Python indenting encoder; every value is an int, a
     bool, null or one of a few fixed ASCII strings, so each is written as
     ``json`` writes it without escaping.
     """

@@ -152,7 +152,7 @@ class TestAnalyze:
         assert "guaranteed separability blocks: (X1,X3,X4) | (X2,X5)" in out
         assert "strongly connected: no" in out
         assert "verdict: cannot_be_genuine" in out
-        assert "numeric finest partition (seed 3): (X1,X4) | (X2,X5) | (X3)" in out
+        assert out.endswith("numeric finest partition: (X1,X4) | (X2,X5) | (X3)\n")
 
     def test_json_report(self, capsys, fixtures_dir):
         code, out, _ = run(
@@ -198,7 +198,25 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", str(path), "--numeric", "5")
         assert (code, err) == (0, "")
         blocks = "(" + ",".join(f"X{d}" for d in range(1, 13)) + ")"
-        assert out.endswith(f"numeric finest partition (seed 5): {blocks}\n")
+        assert out.endswith(f"numeric finest partition: {blocks}\n")
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_numeric_seed_is_accepted_and_ignored(self, capsys, fixtures_dir, as_json):
+        # no weight is drawn, so whatever SEED is given, or none, the
+        # output is the same bytes
+        path = str(fixtures_dir / "blocks7_ghz_wstar_single_boson.json")
+        tail = ["--json"] if as_json else []
+        runs = {
+            run(capsys, "analyze", path, "--numeric", *seed, *tail)
+            for seed in ([], ["0"], ["3"], ["-1"], [str(2**64 + 1)])
+        }
+        assert len(runs) == 1
+        code, out, err = runs.pop()
+        assert (code, err) == (0, "")
+        if as_json:
+            assert json.loads(out)["numeric_finest_partition"] == [[1, 2, 3], [4, 5, 6], [7]]
+        else:
+            assert out.endswith("numeric finest partition: (X1,X2,X3) | (X4,X5,X6) | (X7)\n")
 
 
 class TestPMDiagram:
@@ -447,7 +465,7 @@ class TestBadFlagValues:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("analyze", "{tritter}", "--numeric", "-1"), "numeric seed must be >= 0"),
+            (("design", "w", "--n", "3", "--colors", "ud"), "color vector has length 2"),
             (("dot", "{tritter}", "--view", "pm", "--highlight", "99"), "matching index 99"),
             (("dot", "{tritter}", "--view", "pm", "--highlight", "-1"), "matching index -1"),
             (("design", "w", "--n", "3", "--colors", "xyz"), "color 'x'"),
@@ -464,6 +482,7 @@ class TestBadFlagValues:
     def test_valid_values_still_answer(self, capsys, fixtures_dir):
         tritter = str(fixtures_dir / "tritter.json")
         assert run(capsys, "analyze", tritter, "--numeric", "0")[0] == 0
+        assert run(capsys, "analyze", tritter, "--numeric", "-1")[0] == 0
         code, out, _ = run(capsys, "dot", tritter, "--view", "pm", "--highlight", "5")
         assert code == 0 and out.startswith("digraph")
         assert run(capsys, "design", "w", "--n", "3", "--colors", "udu")[0] == 0

@@ -1,6 +1,7 @@
 """Structural criteria, Schmidt ranks, finest partitions."""
 
 import itertools
+import json
 import math
 import random
 
@@ -32,6 +33,7 @@ from lqngraph.errors import (
     ZeroState,
 )
 from lqngraph.graphs import diagram_of_network
+from lqngraph.io import serialize_network
 from lqngraph.model import Color, Statistics, validate_network
 from lqngraph.states import NoBunchState, assemble_network_state, normalize
 
@@ -230,7 +232,7 @@ def test_report_finds_the_diagram_components_once(monkeypatch):
 
     tarjan = graphs._tarjan_sccs
     monkeypatch.setattr(graphs, "_tarjan_sccs", counting)
-    build_report(loops_only(3), numeric_seed=0)
+    build_report(loops_only(3))
     assert calls == [3]
 
 
@@ -288,7 +290,7 @@ class TestSchmidtRank:
             size = int(rng.integers(1, n))
             subset = frozenset(rng.choice(range(1, n + 1), size, replace=False).tolist())
             c = Bipartition(subset, n)
-            cbar = Bipartition(c.complement, n)
+            cbar = Bipartition(frozenset(range(1, n + 1)) - subset, n)
             assert schmidt_rank(state, c) == schmidt_rank(state, cbar)
 
     def test_dimension_mismatch(self):
@@ -492,32 +494,38 @@ class TestFinestPartition:
 
 class TestReport:
     def test_n5_report_structural_and_numeric(self):
-        report = build_report(n5_network(), numeric_seed=0)
+        report = build_report(n5_network())
         assert report.lemma1_vertices == ((3, Color.UP),)
         assert report.lemma2_partition == ((1, 3, 4), (2, 5))
         assert report.theorem1.verdict is Verdict.CANNOT_BE_GENUINE
         assert report.numeric_finest_partition == ((1, 4), (2, 5), (3,))
 
-    def test_numeric_part_is_optional(self):
-        report = build_report(n5_network())
-        assert report.numeric_finest_partition is None
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(InvalidArgument):
-            build_report(n5_network(), numeric_seed=-1)
-
-    @pytest.mark.parametrize("seed", [2.5, "3", True], ids=["float", "str", "bool"])
-    def test_non_integer_seed_rejected(self, seed):
-        # read as model._index reads n: no silent bool, no bare TypeError
-        with pytest.raises(IndexOutOfRange):
-            build_report(n5_network(), numeric_seed=seed)
+    @pytest.mark.parametrize("seed", ["2.5", "three", "True"], ids=["float", "str", "bool"])
+    def test_non_integer_seed_rejected(self, capsys, fixtures_dir, seed):
+        # the seed is ignored, but the CLI still reads it as an integer
+        path = str(fixtures_dir / "n5_example.json")
+        assert cli_main(["analyze", path, "--numeric", seed]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error: ")
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(networks(modes=("strict", "design")), st.none() | st.integers(0, 2**32 - 1))
-    def test_structural_parts_equal_the_public_checks(self, spec, seed):
+    @given(networks(modes=("strict", "design")))
+    def test_partition_is_always_present(self, spec):
+        # no flag or seed asks for it: every report partitions the detectors
+        try:
+            report = build_report(spec)
+        except NoPerfectMatching:
+            reject()
+        blocks = report.numeric_finest_partition
+        assert blocks == tuple(sorted(blocks))
+        assert sorted(d for block in blocks for d in block) == list(range(1, spec.n + 1))
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(networks(modes=("strict", "design")))
+    def test_structural_parts_equal_the_public_checks(self, spec):
         # build_report reads the incoming colors once for lemma 1 and theorem 1
         try:
-            report = build_report(spec, numeric_seed=seed)
+            report = build_report(spec)
         except NoPerfectMatching:
             reject()
         diag = report.diagram
@@ -525,14 +533,37 @@ class TestReport:
         assert report.theorem1 == theorem1_check(diag)
         assert report.lemma2_partition == lemma2_partition(diag)
 
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(networks(min_n=2, modes=("strict", "design")))
+    def test_theorem1_verdict_is_one_generic_block(self, spec):
+        # the corollary in build_report's docstring: for generic amplitudes
+        # theorem 1's two conditions are sufficient as well as necessary
+        try:
+            report = build_report(spec)
+        except NoPerfectMatching:
+            reject()
+        one_block = report.numeric_finest_partition == (tuple(range(1, spec.n + 1)),)
+        assert (report.theorem1.verdict is Verdict.MAY_BE_GENUINE) == one_block
+
+    def test_single_detector_is_one_block_but_cannot_be_genuine(self):
+        # n = 1 is the corollary's one exception: the loop pins the detector
+        report = build_report(loops_only(1))
+        assert (report.numeric_finest_partition, report.theorem1.verdict) == (
+            ((1,),), Verdict.CANNOT_BE_GENUINE
+        )
+
     @pytest.mark.parametrize("statistics", ["boson", "fermion"])
     @pytest.mark.parametrize("seed", [0, 1, 3])
-    def test_w_ring_256_is_one_block(self, seed, statistics):
-        # a float walk split this ring into 7 to 122 blocks for these seeds,
-        # as a pair's determinant fell below the tolerance or underflowed
+    def test_w_ring_256_is_one_block(self, capsys, tmp_path, seed, statistics):
+        # a float walk split this ring into 7 to 122 blocks for these seeds
+        # of --numeric, as a pair's determinant fell below the tolerance or
+        # underflowed; the CLI reads the seed and ignores it
+        path = tmp_path / "w256.json"
         spec = design_w(256, "ring")._replace(statistics=Statistics(statistics))
-        report = build_report(spec, numeric_seed=seed)
-        assert report.numeric_finest_partition == (tuple(range(1, 257)),)
+        path.write_text(serialize_network(spec))
+        assert cli_main(["analyze", str(path), "--numeric", str(seed), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["numeric_finest_partition"] == [list(range(1, 257))]
 
     @pytest.mark.parametrize(
         "make",
@@ -553,16 +584,16 @@ class TestReport:
     def test_past_ten_detectors_is_one_block(self, make):
         # each was refused above a 10-detector component; no walk, so no limit
         spec = make()
-        report = build_report(spec, numeric_seed=7)
+        report = build_report(spec)
         assert report.numeric_finest_partition == (tuple(range(1, spec.n + 1)),)
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_matchable_networks(), st.integers(0, 2**32 - 1))
-    def test_numeric_partition_equals_brute_force_reference(self, spec, numeric_seed):
+    def test_numeric_partition_equals_brute_force_reference(self, spec, seed):
         # the reference sums every permutation of the whole network in
         # exact integers, dead edges included, and pair-tests the sums
-        report = build_report(spec, numeric_seed=numeric_seed)
-        reference = reference_generic_partition(spec, random.Random(numeric_seed))
+        report = build_report(spec)
+        reference = reference_generic_partition(spec, random.Random(seed))
         assert report.numeric_finest_partition == reference
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -591,32 +622,16 @@ class TestReport:
             amps = {(a, j): amp / rows[a] ** 0.5 for (a, j), amp in amps.items()}
         edges = [(a, j, amp, "ud"[rng.integers(0, 2)]) for (a, j), amp in amps.items()]
         spec = validate_network(n, statistics, edges, mode)
-        numeric_seed = data.draw(st.integers(0, 2**32 - 1), label="numeric_seed")
-        report = build_report(spec, numeric_seed=numeric_seed)
-        # the report draws over the diagram's kept transitions, in slots
+        generic_seed = data.draw(st.integers(0, 2**32 - 1), label="generic_seed")
+        report = build_report(spec)
+        # the reference draws over the diagram's kept transitions, in slots
         diag = report.diagram
-        generic = generic_amplitudes(diag.network, random.Random(numeric_seed))
+        generic = generic_amplitudes(diag.network, random.Random(generic_seed))
         slots = finest_partition(assemble_network_state(generic))
         full = tuple(
             sorted(tuple(sorted(diag.detector_of_vertex(v) for v in b)) for b in slots)
         )
         assert report.numeric_finest_partition == full
-
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        networks(max_n=8, modes=("strict", "design")),
-        st.integers(0, 2**32 - 1),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_numeric_partition_does_not_depend_on_the_seed(self, spec, seed, other):
-        # the partition of generic amplitudes is the topology's, so the
-        # generator behind the seed cannot change what the CLI reports
-        try:
-            report = build_report(spec, numeric_seed=seed)
-        except NoPerfectMatching:
-            reject()
-        again = build_report(spec, numeric_seed=other)
-        assert again.numeric_finest_partition == report.numeric_finest_partition
 
     def test_numeric_route_walks_nothing_and_builds_no_state(
         self, capsys, fixtures_dir, monkeypatch
@@ -634,31 +649,7 @@ class TestReport:
         assert cli_main(["analyze", str(path), "--numeric", "3"]) == 0
         out, err = capsys.readouterr()
         assert err == ""
-        assert out.endswith(
-            "numeric finest partition (seed 3): (X1,X2,X3) | (X4,X5,X6) | (X7)\n"
-        )
-
-    def test_numeric_seed_is_only_echoed(self, capsys, fixtures_dir, monkeypatch):
-        # no weight is drawn: whatever the seed, the report reads the same
-        # blocks and differs only in the seed it echoes
-        path = fixtures_dir / "blocks7_ghz_wstar_single_boson.json"
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the numeric route walked or built a state")
-
-        monkeypatch.setattr(graphs, "walk_prefixes", refuse)
-        monkeypatch.setattr(NoBunchState, "__new__", refuse)
-        outs = []
-        for seed in (0, 3, 2**64 + 1):
-            assert cli_main(["analyze", str(path), "--numeric", str(seed)]) == 0
-            out, err = capsys.readouterr()
-            assert err == ""
-            outs.append(out.replace(f"(seed {seed})", "(seed S)"))
-            assert f"(seed {seed})" in out
-        assert outs[0].endswith(
-            "numeric finest partition (seed S): (X1,X2,X3) | (X4,X5,X6) | (X7)\n"
-        )
-        assert outs[1] == outs[0] and outs[2] == outs[0]
+        assert out.endswith("numeric finest partition: (X1,X2,X3) | (X4,X5,X6) | (X7)\n")
 
     def test_pinned_vertices_are_numeric_singletons(self):
         rng = np.random.default_rng(89)
@@ -670,7 +661,7 @@ class TestReport:
             if not pinned:
                 continue
             seen += 1
-            report = build_report(spec, numeric_seed=int(rng.integers(1 << 16)))
+            report = build_report(spec)
             for vertex, _ in pinned:
                 detector = diag.detector_of_vertex(vertex)
                 assert (detector,) in report.numeric_finest_partition
@@ -723,6 +714,3 @@ class TestBipartition:
         c = Bipartition({np.int64(1), 3}, np.int64(4))
         assert c == cut(4, 1, 3) and hash(c) == hash(cut(4, 1, 3))
         assert type(c.n) is int and all(type(d) is int for d in c.subset)
-
-    def test_complement(self):
-        assert cut(5, 1, 3).complement == frozenset({2, 4, 5})

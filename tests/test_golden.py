@@ -41,6 +41,7 @@ DESIGNS = {
 COMMANDS = (
     ["analyze"],
     ["analyze", "--json"],
+    ["analyze", "--numeric", "3"],
     ["analyze", "--numeric", "3", "--json"],
     ["pm-diagram"],
     ["pm-diagram", "--dot"],
