@@ -53,13 +53,7 @@ def color_vector(value: Iterable[Color | str] | str | None, n: int) -> ColorVect
     return tuple(out)
 
 
-def _apply_overrides(edges: RawEdges, amplitudes: AmplitudeOverrides | None) -> RawEdges:
-    if not amplitudes:
-        return edges
-    known = {(a, j) for a, j, _, _ in edges}
-    unknown = set(amplitudes) - known
-    if unknown:
-        raise InvalidArgument(f"amplitude overrides for absent edges: {sorted(unknown)}")
+def _apply_overrides(edges: RawEdges, amplitudes: AmplitudeOverrides) -> RawEdges:
     return [
         (a, j, amplitudes.get((a, j), amp), color)
         for a, j, amp, color in edges
@@ -149,11 +143,7 @@ def _dicke_preset_n5() -> AmplitudeOverrides:
     return amps
 
 
-def design_dicke2(
-    n: int,
-    preset: str | None = None,
-    amplitudes: AmplitudeOverrides | None = None,
-) -> NetworkSpec:
+def design_dicke2(n: int, preset: str | None = None) -> NetworkSpec:
     """Two red-loop hubs feeding two-cycles: the two-excitation Dicke family.
 
     Vertices 1 and 2 carry red loops; every other vertex k carries a blue
@@ -164,7 +154,7 @@ def design_dicke2(
 
     ``preset`` accepts "paper-n4" (n=4, row-normalized) or "paper-n5"
     (n=5, hub rows normalized only). Without a preset, amplitudes default
-    to balanced row magnitudes, or to explicit per-edge overrides.
+    to balanced row magnitudes.
     """
     n = _index(n, "n")
     if n < 4:
@@ -182,24 +172,17 @@ def design_dicke2(
             edges.append((k, hub, leaf_amp, Color.UP))
 
     mode = NormalizationMode.STRICT
-    if preset is not None:
-        if amplitudes is not None:
-            raise InvalidArgument("pass either preset or amplitudes, not both")
-        if preset == "paper-n4":
-            if n != 4:
-                raise NoPresetForN(f"preset {preset!r} is defined for n=4, got {n}")
-            amplitudes = _dicke_preset_n4()
-        elif preset == "paper-n5":
-            if n != 5:
-                raise NoPresetForN(f"preset {preset!r} is defined for n=5, got {n}")
-            amplitudes = _dicke_preset_n5()
-            mode = NormalizationMode.DESIGN
-        else:
-            raise NoPresetForN(f"unknown preset {preset!r}")
-    elif amplitudes is not None:
+    if preset == "paper-n4":
+        if n != 4:
+            raise NoPresetForN(f"preset {preset!r} is defined for n=4, got {n}")
+        edges = _apply_overrides(edges, _dicke_preset_n4())
+    elif preset == "paper-n5":
+        if n != 5:
+            raise NoPresetForN(f"preset {preset!r} is defined for n=5, got {n}")
+        edges = _apply_overrides(edges, _dicke_preset_n5())
         mode = NormalizationMode.DESIGN
-
-    edges = _apply_overrides(edges, amplitudes)
+    elif preset is not None:
+        raise NoPresetForN(f"unknown preset {preset!r}")
     return validate_network(n, Statistics.BOSON, edges, mode)
 
 

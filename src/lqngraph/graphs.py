@@ -5,12 +5,14 @@ Matchings are enumerated by a depth-first search over particles in order
 built once per set of detectors left free, whose rows share their partial
 weight products; a fermion's sign enters as exact negation of the odd
 placements' weights. It is the package's only enumeration, and it keeps no
-matching as an object: ``states`` sums the state inside it
-(``walk_prefixes``), and ``io`` stops it at the matching that a DOT
-export highlights. The walk reads the ``NetworkSpec`` itself and carries
-each ket as an integer code of down bits (bit j set when detector X_j
-receives a down edge), which ``walk_matchings`` spells out as color
-characters (``ket_of_code``). The walk and the PM diagram take
+matching as an object: ``_ket_sums`` sums the state inside it for
+``states``, and ``io`` stops it at the matching that a DOT export
+highlights; only this module reads the tables. The walk reads the
+``NetworkSpec`` itself and carries each ket as an integer code of down
+bits (bit j set when detector X_j receives a down edge), which
+``walk_matchings`` spells out as the state's ``u``/``d`` string
+(``ket_of_code``), yielded with the signed term the state adds to it.
+The walk and the PM diagram take
 their reference perfect matching, or the answer that there is none, from
 one check (``_base_matching``); a loop-labeled spec, such as a PM diagram
 or a designer ring, is its own, the identity, with no search.
@@ -213,7 +215,7 @@ def _tarjan_sccs(n: int, succ: list[list[int]]) -> list[list[int]]:
 
 #: particles at the bottom of the matching walk that are placed from a
 #: nested per-free-set table of completions instead of being searched; the
-#: table loops of ``walk_matchings`` and ``states._ket_sums`` are written for five
+#: table loops of ``walk_matchings`` and ``_ket_sums`` are written for five
 TABLE_PARTICLES = 5
 
 _ONE = complex(1.0)
@@ -233,8 +235,8 @@ def ket_of_code(code: int, n: int) -> str:
 def _table(free: int, options: list, last: dict, tables: dict, negate: bool) -> list:
     """The completion table of the last particles on the detectors in ``free``.
 
-    The rows are laid out as ``walk_prefixes`` describes; ``tables`` keeps
-    each table built, keyed by its free set, for the rest of the walk.
+    The rows are laid out as ``_walk_prefixes`` describes; ``tables``
+    keeps each table built, keyed by its free set, for the rest of the walk.
     """
     n = len(options)
     rows = tables[free] = []
@@ -242,53 +244,48 @@ def _table(free: int, options: list, last: dict, tables: dict, negate: bool) -> 
     for bit, j, w, down in options[n - size]:
         if free & bit:
             rest = free ^ bit
-            odd = (n - j - (free >> (j + 1)).bit_count()) & 1
-            if negate and odd:
+            if negate and (n - j - (free >> (j + 1)).bit_count()) & 1:
                 w = -w
             if size > 2:
                 below = tables.get(rest)
                 if below is None:
                     below = _table(rest, options, last, tables, negate)
                 if below:
-                    rows.append((w, down, below, j, odd))
+                    rows.append((w, down, below, j))
             elif size == 1:  # n == 1
-                rows.append((_ONE, w, down, (j,), odd))
+                rows.append((_ONE, w, down, (j,)))
             elif rest in last:
                 _, k, v, down_k = last[rest]
-                odd_k = (n - k) & 1
-                if negate and odd_k:
+                if negate and (n - k) & 1:
                     v = -v
-                rows.append((w, v, down | down_k, (j, k), odd ^ odd_k))
+                rows.append((w, v, down | down_k, (j, k)))
     return rows
 
 
-def walk_prefixes(
-    spec: NetworkSpec, signed: bool = True
-) -> Iterator[tuple[list[int], int, complex, int, list]]:
+def _walk_prefixes(spec: NetworkSpec) -> Iterator[tuple[list[int], int, complex, list]]:
     """The matching walk down to its completion table (see ``walk_matchings``).
 
     Particles 1..n-K, K = ``TABLE_PARTICLES`` (none when n <= K), are
     placed by depth-first search. Per placement of them that the last K
     particles can complete this yields ``(assignment, code, prefix,
-    parity, table)``: the placement so far (a list updated in place), its
-    ket code (bit j set when detector X_j receives a down edge), weight
-    product and permutation parity, and the table of its free detectors.
+    table)``: the placement so far (a list updated in place), its ket code
+    (bit j set when detector X_j receives a down edge), its signed weight
+    product, and the table of its free detectors.
 
     The table, built once per free set, has a level per particle listing
-    its choices in ascending detector order as rows ``(w, down, table, j,
-    odd)``: the weight, detector j's bit if the edge is down, the next
-    particle's table on the detectors left free, the detector, and the
-    parity bit the placement adds (particles 1..a-1 hold exactly the n - j
-    detectors above j that are not free, so it depends on the free set
-    alone). The last two particles are pair rows ``(w, w', down, (j, j'),
-    odd)``. Below n = K, rows ``(1, 0, table, 0, 0)`` lead, and a lone
-    particle's pair row is ``(1, w, down, (j,), odd)``, with 1 as
-    ``complex(1.0)``. A matching's weight is the prefix (from
-    ``complex(1.0)``) times its rows' weights, left to right, and its code
-    is ``code`` OR their ``down`` bits. When ``signed``, a fermion's odd
-    rows and odd prefixes are negated, which is exact, so the product comes
-    out signed. The walk has this one arithmetic: the state's sums and the
-    DOT highlight read it, and the numeric partition reads the PM diagram
+    its choices in ascending detector order as rows ``(w, down, table,
+    j)``: the signed weight, detector j's bit if the edge is down, the next
+    particle's table on the detectors left free, and the detector. The last
+    two particles are pair rows ``(w, w', down, (j, j'))``. Below n = K,
+    rows ``(1, 0, table, 0)`` lead, and a lone particle's pair row is ``(1,
+    w, down, (j,))``, with 1 as ``complex(1.0)``. A matching's term is the
+    prefix (from ``complex(1.0)``) times its rows' weights, left to right,
+    and its code is ``code`` OR their ``down`` bits. A fermion's sign is in
+    the weights: the rows and prefixes that add an odd parity are negated,
+    which is exact (particles 1..a-1 hold exactly the n - j detectors above
+    j that are not free, so a row's parity depends on the free set alone).
+    The walk has this one arithmetic, which ``walk_matchings`` and
+    ``_ket_sums`` expand; the numeric partition reads the PM diagram
     instead (``entanglement.build_report``).
     """
     if _base_matching(spec) is None:
@@ -321,7 +318,7 @@ def walk_prefixes(
     depth = max(n - TABLE_PARTICLES, 0)
     padding = TABLE_PARTICLES - max(n - depth, 2)  # weight-1 levels led in below n = K
     last = {o[0]: o for o in options[-1]}
-    negate = signed and spec.statistics is Statistics.FERMION
+    negate = spec.statistics is Statistics.FERMION
     tables: dict[int, list] = {}  # completion table per free set, any size
     assignment = [0] * n
     # prefix[a], parity[a]: weight product and permutation parity of the
@@ -345,11 +342,11 @@ def walk_prefixes(
                 rows = _table(free, options, last, tables, negate)
             if rows:
                 for _ in range(padding):
-                    rows = [(_ONE, 0, rows, 0, 0)]
+                    rows = [(_ONE, 0, rows, 0)]
                 p = prefix[a]
                 if negate and parity[a]:
                     p = -p
-                yield assignment, code & used, p, parity[a], rows
+                yield assignment, code & used, p, rows
             a -= 1
             continue
         if held[a]:
@@ -378,40 +375,72 @@ def walk_prefixes(
         a += 1
 
 
-def walk_matchings(spec: NetworkSpec) -> Iterator[tuple[list[int], list[str], complex, int]]:
+def walk_matchings(spec: NetworkSpec) -> Iterator[tuple[list[int], str, complex]]:
     """Every perfect matching of ``spec``, by depth-first search over particles 1..n.
 
     Each particle tries its free detectors in ascending order, so matchings
     come out in lexicographic order of assignment, whatever the order of
     ``spec.transitions``. Per matching this yields ``(assignment, ket,
-    weight, odd)``: ``assignment[a-1]`` is particle a's detector,
-    ``ket[j-1]`` the color character (``'u'`` or ``'d'``) of the edge
-    reaching detector j, ``weight`` the product of the edge amplitudes
-    multiplied left to right in particle order from ``complex(1.0)``, and
-    ``odd`` the parity (0 or 1) of the assignment permutation.
-    ``assignment`` is updated in place between matchings; copy it to keep
-    it. ``ket`` is a new list per matching.
+    term)``: ``assignment[a-1]`` is particle a's detector, ``ket`` the
+    state's ``u``/``d`` string (character j-1 the color of the edge
+    reaching detector j), and ``term`` exactly what
+    ``states.assemble_network_state`` adds to that ket: the product of the
+    edge amplitudes multiplied left to right in particle order from
+    ``complex(1.0)``, negated for a fermion matching whose assignment
+    permutation is odd. ``assignment`` is updated in place between
+    matchings; copy it to keep it.
 
     A network without a perfect matching is detected up front by
     ``_base_matching``. A branch is pruned as soon as a free detector has
     lost its last unassigned neighbor. The last ``TABLE_PARTICLES``
     particles are not searched: each placement of the others is completed
-    by expanding the unsigned nested table of its free detectors
-    (``walk_prefixes``) level by level, in particle order; the loops are
+    by expanding the nested table of its free detectors
+    (``_walk_prefixes``) level by level, in particle order; the loops are
     written for five table particles.
     """
     n = spec.n
     depth = max(n - TABLE_PARTICLES, 0)
-    for assignment, code, prefix, parity, rows in walk_prefixes(spec, signed=False):
-        for w1, down1, rows2, j1, odd1 in rows:
-            for w2, down2, rows3, j2, odd2 in rows2:
-                for w3, down3, pairs, j3, odd3 in rows3:
-                    for w4, w5, down45, j45, odd45 in pairs:
+    for assignment, code, prefix, rows in _walk_prefixes(spec):
+        for w1, down1, rows2, j1 in rows:
+            for w2, down2, rows3, j2 in rows2:
+                for w3, down3, pairs, j3 in rows3:
+                    for w4, w5, down45, j45 in pairs:
                         # rows that place nothing lead, so the last n - depth place
                         assignment[depth:] = (j1, j2, j3, *j45)[depth - n :]
-                        ket = list(ket_of_code(code | down1 | down2 | down3 | down45, n))
-                        weight = ((((prefix * w1) * w2) * w3) * w4) * w5
-                        yield assignment, ket, weight, parity ^ odd1 ^ odd2 ^ odd3 ^ odd45
+                        ket = ket_of_code(code | down1 | down2 | down3 | down45, n)
+                        yield assignment, ket, ((((prefix * w1) * w2) * w3) * w4) * w5
+
+
+def _ket_sums(spec: NetworkSpec) -> dict[int, complex]:
+    """The state of ``spec`` keyed by the walk's ket codes, cancellations dropped.
+
+    This is ``walk_matchings``' expansion of the tables with the sum inside
+    it, which spares a generator step per matching. Completions below a row
+    share its partial product (``p1 = prefix * w1``, then ``p2 = p1 * w2``,
+    ...), the same left fold in particle order, so each term is the one
+    ``walk_matchings`` yields, and matchings come in lexicographic order,
+    as ``states.oracle_state`` sums its permutations.
+    The fermion sign is in the signed weights: negation is exact, and a ±0
+    difference never reaches a sum, which starts at ``0j``. So the two
+    agree bit for bit. Codes keep the order they were first seen in, the
+    oracle's order; a code whose sum cancelled exactly is dropped.
+    ``states.assemble_network_state`` is its only caller.
+    """
+    sums: dict[int, complex] = {}
+    for _, code, prefix, rows in _walk_prefixes(spec):
+        for w1, down1, rows2, _ in rows:
+            p1 = prefix * w1
+            code1 = code | down1
+            for w2, down2, rows3, _ in rows2:
+                p2 = p1 * w2
+                code2 = code1 | down2
+                for w3, down3, pairs, _ in rows3:
+                    p3 = p2 * w3
+                    code3 = code2 | down3
+                    for w4, w5, down45, _ in pairs:
+                        key = code3 | down45
+                        sums[key] = sums.get(key, 0j) + (p3 * w4) * w5
+    return {k: v for k, v in sums.items() if v != 0}
 
 
 def diagram_of_network(spec: NetworkSpec) -> PMDiagram:

@@ -325,7 +325,7 @@ def _matching_pairs(spec: NetworkSpec, index: int) -> set[tuple[int, int]]:
     if index < 0:
         raise InvalidArgument(f"matching index {index} out of range (must be >= 0)")
     found = 0
-    for found, (assignment, _, _, _) in enumerate(walk_matchings(spec), start=1):
+    for found, (assignment, _, _) in enumerate(walk_matchings(spec), start=1):
         if found == index + 1:
             return set(enumerate(assignment, start=1))
     raise InvalidArgument(f"matching index {index} out of range ({found} found)")

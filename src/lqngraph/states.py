@@ -5,12 +5,12 @@ detectors' internal states form an N-character string over {u, d} (position
 j-1 holds detector X_j). Each perfect matching contributes the product of
 its edge weights to the string determined by its edge colors; matchings
 landing on the same string add coherently. ``assemble_network_state`` sums
-them during the matching walk itself (``graphs.walk_prefixes``, which takes
-the ``NetworkSpec`` and hands back each ket as an integer of down bits,
-bit j set when detector X_j receives a down edge), the only route from a
+them during the matching walk itself (``graphs._ket_sums``, which takes
+the ``NetworkSpec`` and keys each ket by an integer of down bits, bit j
+set when detector X_j receives a down edge), the only route from a
 network to its state; ``oracle_state`` is the independent n! reference it
-is checked against. The sums stay keyed by those codes (``_ket_sums``)
-until ``assemble_network_state`` spells each ket out once. A
+is checked against. The sums stay keyed by those codes until
+``assemble_network_state`` spells each ket out once. A
 ``NoBunchState`` checks its fields whenever one is built, through
 ``_replace`` and ``_make`` as well.
 
@@ -44,7 +44,7 @@ from .errors import (
     TooLarge,
     ZeroState,
 )
-from .graphs import ket_of_code, walk_prefixes
+from .graphs import _ket_sums, ket_of_code
 from .model import Color, NetworkSpec, Statistics
 
 ORACLE_LIMIT = 10
@@ -148,41 +148,10 @@ def ket_glyphs(ket: str) -> str:
     return ket.translate(_GLYPHS)
 
 
-def _ket_sums(spec: NetworkSpec) -> dict[int, complex]:
-    """The state of ``spec`` keyed by the walk's ket codes, cancellations dropped.
-
-    This is ``graphs.walk_matchings``' expansion of the tables with the sum
-    inside it, which spares a generator step per matching. Completions
-    below a row share its partial product (``p1 = prefix * w1``, then
-    ``p2 = p1 * w2``, ...), still the left fold in particle order, and
-    matchings come in lexicographic order, as ``oracle_state`` sums its
-    permutations. The fermion sign is in the signed weights: negation is
-    exact, and a ±0 difference never reaches a sum, which starts at
-    ``0j``. So the two agree bit for bit. Codes keep the order they were
-    first seen in, the oracle's order; a code whose sum cancelled exactly
-    is dropped. ``assemble_network_state`` is its only caller.
-    """
-    sums: dict[int, complex] = {}
-    for _, code, prefix, _, rows in walk_prefixes(spec):
-        for w1, down1, rows2, _, _ in rows:
-            p1 = prefix * w1
-            code1 = code | down1
-            for w2, down2, rows3, _, _ in rows2:
-                p2 = p1 * w2
-                code2 = code1 | down2
-                for w3, down3, pairs, _, _ in rows3:
-                    p3 = p2 * w3
-                    code3 = code2 | down3
-                    for w4, w5, down45, _, _ in pairs:
-                        key = code3 | down45
-                        sums[key] = sums.get(key, 0j) + (p3 * w4) * w5
-    return {k: v for k, v in sums.items() if v != 0}
-
-
 def assemble_network_state(spec: NetworkSpec) -> NoBunchState:
     """Full pipeline: walk the matchings of ``spec`` and sum them as they come.
 
-    The sums come from ``_ket_sums``; each distinct ket becomes a string
+    The sums come from ``graphs._ket_sums``; each distinct ket becomes a string
     once, at the end, in the order first seen, which is the oracle's order
     and the order ``normalize`` sums the norm in.
     """

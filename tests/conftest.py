@@ -84,7 +84,7 @@ def matchings(spec: NetworkSpec) -> list[tuple[tuple[int, ...], tuple[Color, ...
     """(assignment, colors by particle) of every perfect matching, lexicographic."""
     return [
         (tuple(assignment), tuple(Color(ket[j - 1]) for j in assignment))
-        for assignment, ket, _, _ in walk_matchings(spec)
+        for assignment, ket, _ in walk_matchings(spec)
     ]
 
 

@@ -29,7 +29,7 @@ from lqngraph.errors import (
 )
 from lqngraph.graphs import diagram_of_network
 from lqngraph.io import parse_network, serialize_network
-from lqngraph.model import Color, Statistics
+from lqngraph.model import Color, Statistics, validate_network
 from lqngraph.states import assemble_network_state, max_amplitude_difference, normalize
 
 from conftest import brute_force_cycles, matchings, max_error_up_to_phase
@@ -208,7 +208,15 @@ class TestDicke:
             overrides[(t.source, t.detector)] = complex(
                 rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.random())
             )
-        generic = design_dicke2(4, amplitudes=overrides)
+        generic = validate_network(
+            4,
+            "boson",
+            [
+                (t.source, t.detector, overrides[t.source, t.detector], t.color)
+                for t in design_dicke2(4).transitions
+            ],
+            "design",
+        )
         T = overrides
         state = assemble_network_state(generic)
         expected = (

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 
-from lqngraph import graphs, states
+from lqngraph import graphs
 from lqngraph.cli import cli_main
 from lqngraph.designers import design_ghz, design_w
 from lqngraph.entanglement import (
@@ -643,8 +643,7 @@ class TestReport:
         def refuse(*args, **kwargs):
             raise AssertionError("the numeric route walked or built a state")
 
-        for module in (states, graphs):
-            monkeypatch.setattr(module, "walk_prefixes", refuse)
+        monkeypatch.setattr(graphs, "_walk_prefixes", refuse)
         monkeypatch.setattr(NoBunchState, "__new__", refuse)
         assert cli_main(["analyze", str(path), "--numeric", "3"]) == 0
         out, err = capsys.readouterr()

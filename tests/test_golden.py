@@ -50,6 +50,7 @@ COMMANDS = (
     ["dot", "--view", "d"],
     ["dot", "--view", "d", "--weights"],
     ["dot", "--view", "d", "--highlight", "0"],
+    ["dot", "--view", "d", "--highlight", "5"],
     ["dot", "--view", "bb", "--highlight", "0"],
     ["compute"],
     ["compute", "--json"],

@@ -23,6 +23,7 @@ from lqngraph.graphs import (
     walk_matchings,
 )
 from lqngraph.io import DotRenderOptions, View, export_dot
+from lqngraph.states import assemble_network_state
 from lqngraph.model import (
     Color,
     NetworkSpec,
@@ -53,17 +54,17 @@ def assignments_of(spec):
 
 
 def walk_of(spec):
-    """(assignment, transitions by particle, weight, parity) per matching.
+    """(assignment, transitions by particle, term) per matching.
 
     The transitions are looked up by (particle, detector); the ket the walk
     yields must hold the color of the transition reaching each detector.
     """
     by_pair = spec.transition_map()
     out = []
-    for assignment, ket, weight, odd in walk_matchings(spec):
+    for assignment, ket, term in walk_matchings(spec):
         used = tuple(by_pair[a, j] for a, j in enumerate(assignment, start=1))
-        assert ket == [t.color.value for t in sorted(used, key=lambda t: t.detector)]
-        out.append((tuple(assignment), used, weight, odd))
+        assert ket == "".join(t.color.value for t in sorted(used, key=lambda t: t.detector))
+        out.append((tuple(assignment), used, term))
     return out
 
 
@@ -316,28 +317,44 @@ class TestEnumeratePMs:
 
     @pytest.mark.parametrize("n", range(1, TABLE_PARTICLES + 3))
     def test_walk_weight_and_parity_per_matching(self, n):
-        # every field the walk yields, against a product and an inversion
-        # count taken straight from the brute-force assignment; n runs from
-        # a table led by weight-1 rows to two searched particles above it
-        spec = random_network_with_pm(np.random.default_rng(31 + n), n)
-        weight_of = {(t.source, t.detector): t.amplitude for t in spec.transitions}
-        color_of = {(t.source, t.detector): t.color.value for t in spec.transitions}
-        got = [
-            (tuple(assignment), list(ket), weight, odd)
-            for assignment, ket, weight, odd in walk_matchings(spec)
-        ]
-        want = []
-        for perm in brute_force_assignments(spec):
-            weight = complex(1.0)
-            for a, j in enumerate(perm, start=1):
-                weight *= weight_of[(a, j)]
-            ket = [""] * n
-            for a, j in enumerate(perm, start=1):
-                ket[j - 1] = color_of[(a, j)]
-            inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
-            want.append((perm, ket, weight, inversions % 2))
+        # every field the walk yields, for both statistics, against a
+        # product and an inversion count taken straight from the
+        # brute-force assignment; n runs from a table led by weight-1 rows
+        # to two searched particles above it. The term is the weight,
+        # negated for an odd fermion permutation; terms compare with ==, as
+        # a negated product may differ from the signed fold in the sign of
+        # a zero part, which no sum from 0j keeps
+        for statistics in Statistics:
+            spec = random_network_with_pm(np.random.default_rng(31 + n), n, statistics)
+            weight_of = {(t.source, t.detector): t.amplitude for t in spec.transitions}
+            color_of = {(t.source, t.detector): t.color.value for t in spec.transitions}
+            got = [(tuple(assignment), ket, term) for assignment, ket, term in walk_matchings(spec)]
+            want = []
+            for perm in brute_force_assignments(spec):
+                term = complex(1.0)
+                for a, j in enumerate(perm, start=1):
+                    term *= weight_of[(a, j)]
+                inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+                if statistics is Statistics.FERMION and inversions % 2:
+                    term = -term
+                ket = [""] * n
+                for a, j in enumerate(perm, start=1):
+                    ket[j - 1] = color_of[(a, j)]
+                want.append((perm, "".join(ket), term))
+            assert got == want
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(networks(max_n=9))
+    def test_terms_folded_by_ket_are_the_state(self, spec):
+        # folding the yielded terms by ket from 0j, in yield order, and
+        # dropping exact cancellations gives the assembled state: the same
+        # kets in the same order, every amplitude with the same repr
+        folded: dict[str, complex] = {}
+        for _, ket, term in walk_matchings(spec):
+            folded[ket] = folded.get(ket, 0j) + term
+        got = [(k, repr(v)) for k, v in folded.items() if v != 0]
+        want = [(k, repr(v)) for k, v in assemble_network_state(spec).amplitudes.items()]
         assert got == want
-        assert [repr(g[2]) for g in got] == [repr(w[2]) for w in want]
 
     def test_dense_seven_detector_network(self):
         # thousands of elementary cycles; all 7! matchings must come out
@@ -365,7 +382,7 @@ class TestEnumeratePMs:
         for _ in range(20):
             spec = random_network_with_pm(rng, int(rng.integers(2, 6)))
             present = {(t.source, t.detector): t for t in spec.transitions}
-            for assignment, by_particle, _, _ in walk_of(spec):
+            for assignment, by_particle, _ in walk_of(spec):
                 assert sorted(assignment) == list(range(1, spec.n + 1))
                 for a, j in enumerate(assignment, start=1):
                     assert by_particle[a - 1] == present[(a, j)]

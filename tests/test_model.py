@@ -153,15 +153,11 @@ def test_beamsplitter_preset_drops_zero_edges():
         lambda: NoBunchState(-1, {}),
         lambda: NoBunchState(0, {"": 1.0}),
         lambda: design_w(3, form="tri"),
-        lambda: design_dicke2(4, preset="paper-n4", amplitudes={(1, 1): 1.0}),
-        lambda: design_dicke2(4, amplitudes={(1, 2): 1.0}),
         lambda: validate_network(1, "boson", [(1, 1, "x", "up")], "design"),
         lambda: validate_network(1, "boson", [(1, 1, None, "up")], "design"),
         lambda: validate_network(1, "boson", [(1, 1, "1", "up")], "design"),
         lambda: validate_network(1, "boson", [(1, 1, True, "up")], "strict"),
         lambda: validate_network(1, "boson", [(1, 1, 1.0)], "design"),
-        lambda: design_dicke2(4, amplitudes={(1, 1): "x"}),
-        lambda: design_dicke2(4, amplitudes={(1, 1): None}),
         lambda: preset_beamsplitter("x", 1, 1, 1),
         lambda: preset_beamsplitter(None, 1, 1, 1),
         lambda: design_ghz(3, colors=123),
@@ -184,15 +180,11 @@ def test_beamsplitter_preset_drops_zero_edges():
         "state-n-negative",
         "state-n-zero",
         "w-form",
-        "dicke-preset-and-amplitudes",
-        "override-on-absent-edge",
         "edge-amplitude-string",
         "edge-amplitude-none",
         "edge-amplitude-numeric-string",
         "edge-amplitude-bool",
         "edge-of-three-items",
-        "dicke-override-string",
-        "dicke-override-none",
         "beamsplitter-string",
         "beamsplitter-none",
         "ghz-colors-not-iterable",

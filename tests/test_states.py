@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from lqngraph.designers import design_dicke2, preset_beamsplitter, preset_tritter
 from lqngraph.errors import InvalidArgument, NonFiniteValue, TooLarge, ZeroState
-from lqngraph.graphs import TABLE_PARTICLES, diagram_of_network
+from lqngraph.graphs import TABLE_PARTICLES, _ket_sums, diagram_of_network
 from lqngraph.io import serialize_state
 from lqngraph.model import (
     Color,
@@ -25,7 +25,6 @@ from lqngraph.model import (
 )
 from lqngraph.states import (
     NoBunchState,
-    _ket_sums,
     assemble_network_state,
     ket_glyphs,
     max_amplitude_difference,
