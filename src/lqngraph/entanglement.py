@@ -55,7 +55,7 @@ Partition = tuple[tuple[int, ...], ...]
 class Bipartition(namedtuple("Bipartition", "subset n")):
     """A nonempty proper subset of detector indices.
 
-    ``n`` and each detector are read as ``validate_network`` reads ``n``: a
+    ``n`` and each detector are read as ``NetworkSpec`` reads ``n``: a
     float, bool or numeric string raises IndexOutOfRange. A ``subset`` that
     is not a set raises InvalidArgument; a ``set`` is kept as a frozenset.
     ``_replace`` and ``_make`` check as the constructor does.

@@ -71,9 +71,7 @@ class PMDiagram(namedtuple("PMDiagram", "network relabeling removed components")
 
     def kept_bipartite_pairs(self) -> tuple[tuple[int, int], ...]:
         """Maximally matchable edges as original (particle, detector) pairs."""
-        pairs = {
-            (t.source, self.relabeling[t.detector - 1]) for t in self.network.transitions
-        }
+        pairs = ((t.source, self.relabeling[t.detector - 1]) for t in self.network.transitions)
         return tuple(sorted(pairs))
 
     def removed_bipartite_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -147,11 +145,11 @@ def _base_matching(spec: NetworkSpec) -> tuple[int, ...] | None:
     lists are sorted, so the matching ignores the order of the transitions.
     A loop-labeled spec, with a loop at each of its vertices 1..n, is its
     own base matching: the identity, which the augmenting search, seeding
-    loops first, would return too. A repeated loop counts once.
+    loops first, would return too. A spec's pairs are distinct, so n loops
+    are one at each vertex.
     """
     n = spec.n
-    loops = {t.source for t in spec.transitions if t.source == t.detector}
-    if len(loops) == n and all(0 < v <= n for v in loops):
+    if sum(1 for a, j, _, _ in spec.transitions if a == j) == n:
         return tuple(range(1, n + 1))
     particles = {t.source for t in spec.transitions}
     detectors = {t.detector for t in spec.transitions}
@@ -297,9 +295,8 @@ def _walk_prefixes(spec: NetworkSpec) -> Iterator[tuple[list[int], int, complex,
     for a, j, w, color in spec.transitions:
         bit = 1 << j
         options[a - 1].append((bit, j, w, bit if color is down_color else 0))
-    detector = operator.itemgetter(1)  # not the weight, which may not compare
     for opts in options:
-        opts.sort(key=detector)
+        opts.sort()  # by detector bit: a spec's pairs are distinct, so no weight is compared
 
     # due[a-1]: detectors whose last neighbor is particle a, so a must take
     # any of them still free; by_bit[a-1] maps each to a's option on it
@@ -465,16 +462,16 @@ def diagram_of_network(spec: NetworkSpec) -> PMDiagram:
 
     n = spec.n
     transitions = spec.transitions
+    # records built from a checked spec need no second check
+    new, design = tuple.__new__, NormalizationMode.DESIGN
     if any(a != j for a, j in enumerate(relabeling, start=1)):
         # permute detector labels so the base matching becomes the
         # diagonal: detector relabeling[v-1] moves to slot v
         slot_of = [0] * (n + 1)
         for a, j in enumerate(relabeling, start=1):
             slot_of[j] = a
-        transitions = tuple(
-            [tuple.__new__(Transition, (a, slot_of[j], w, c)) for a, j, w, c in transitions]
-        )
-    relabeled = NetworkSpec(n, spec.statistics, transitions, NormalizationMode.DESIGN)
+        transitions = tuple([new(Transition, (a, slot_of[j], w, c)) for a, j, w, c in transitions])
+    relabeled = new(NetworkSpec, (n, spec.statistics, transitions, design))
     sccs = _tarjan_sccs(n, _successors(relabeled))
     if len(sccs) == 1:  # every edge lies inside the one SCC
         return PMDiagram(relabeled, relabeling, (), (tuple(sccs[0]),))
@@ -483,7 +480,7 @@ def diagram_of_network(spec: NetworkSpec) -> PMDiagram:
         for v in comp:
             scc_of[v] = k
     inside = [scc_of[t.source] == scc_of[t.detector] for t in transitions]
-    network = relabeled._replace(transitions=tuple(compress(transitions, inside)))
+    network = new(NetworkSpec, (n, spec.statistics, tuple(compress(transitions, inside)), design))
     removed = tuple(compress(spec.transitions, map(operator.not_, inside)))
     components = tuple(sorted(tuple(c) for c in sccs))
     return PMDiagram(network, relabeling, removed, components)

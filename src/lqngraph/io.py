@@ -92,11 +92,11 @@ def parse_network(text: str, row_tol: float = DEFAULT_TOL) -> NetworkSpec:
     in turn, then the rows. So a shape defect in any edge is reported
     before a bad ``n`` or a meaning defect in an earlier edge.
     An edge with float re/im parts and an up/down color becomes a ``Transition``
-    here, which ``validate_network`` keeps when its ends are ints: one record per edge.
+    here, which the ``NetworkSpec`` keeps when its ends are ints: one record per edge.
     """
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, int digit limit, nesting
+    except (ValueError, RecursionError, TypeError) as exc:  # bad JSON, digits, nesting, not text
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")

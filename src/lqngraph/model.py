@@ -16,8 +16,8 @@ The records, here and in the other modules, are immutable named tuples
 (``collections.namedtuple`` subclasses with empty ``__slots__``): they
 iterate, index and compare as tuples, and ``._replace`` returns a changed
 copy. So a ``Transition`` is itself the (source, detector, amplitude,
-color) edge that ``validate_network`` reads, and a spec's fields rebuild
-it: ``validate_network(*spec)`` gives back ``spec``.
+color) edge that a ``NetworkSpec`` checks whenever one is built, and a
+spec's fields rebuild it: ``NetworkSpec(*spec)`` gives back ``spec``.
 """
 
 from __future__ import annotations
@@ -81,13 +81,84 @@ class Transition(namedtuple("Transition", "source detector amplitude color")):
 class NetworkSpec(
     namedtuple("NetworkSpec", "n statistics transitions normalization_mode")
 ):
-    """A validated LQN: particle count, statistics, and its sparse edges.
+    """A checked LQN: particle count, statistics, and its sparse edges.
 
     Fields: ``n`` (int), ``statistics`` (Statistics), ``transitions``
     (tuple of Transition), ``normalization_mode`` (NormalizationMode).
+    They are checked in order whenever a spec is built, through ``_replace``
+    and ``_make`` as well, and the first defect raises: ``n``
+    (IndexOutOfRange if not an integer of at least 1), the statistics and
+    the mode (InvalidArgument if unknown), ``transitions`` (InvalidArgument
+    if not iterable), then each edge in turn:
+
+    - InvalidArgument if it is not (source, detector, amplitude, color);
+    - IndexOutOfRange if the source, then the detector, is not an integer
+      (bools included), or either lies outside 1..n;
+    - DuplicateEdge on a second transition on the same pair;
+    - InvalidArgument if the amplitude is not a number (strings and bools
+      included), NonFiniteValue if it is an int beyond the float range;
+    - ZeroAmplitude, then NonFiniteValue (NaN or infinite);
+    - InvalidArgument on an unknown color.
+
+    A ``Transition`` with exact field types (int, int, complex, Color) is
+    kept, so ``NetworkSpec(*spec)`` gives back ``spec`` with its own
+    records. The row check needs a tolerance: ``validate_network`` has it.
     """
 
     __slots__ = ()
+
+    def __new__(cls, n, statistics, transitions, normalization_mode):
+        if type(n) is not int:
+            n = _index(n, "n")
+        if n < 1:
+            raise IndexOutOfRange(f"n must be >= 1, got {n}")
+        statistics = _member(Statistics, statistics, "statistics")
+        normalization_mode = _member(NormalizationMode, normalization_mode, "mode")
+        try:
+            edges = iter(transitions)
+        except TypeError:
+            raise InvalidArgument(
+                f"transitions must be an iterable of edges, got {transitions!r}"
+            ) from None
+        seen: set[int] = set()  # pair (a, j) as a * (n + 1) + j
+        width = n + 1
+        cooked: list[Transition] = []
+        keep = cooked.append
+        new = tuple.__new__
+        for edge in edges:
+            try:
+                a, j, amp, color = edge
+            except (TypeError, ValueError):
+                raise InvalidArgument(
+                    f"transition {edge!r} is not (source, detector, amplitude, color)"
+                ) from None
+            # exact types need no coercion (a bool is not an int here); an
+            # uncoerced Transition is kept
+            built = type(edge) is not Transition
+            if type(a) is not int:
+                a, built = _index(a, "transition source"), True
+            if type(j) is not int:
+                j, built = _index(j, "transition detector"), True
+            if not (1 <= a <= n and 1 <= j <= n):
+                raise IndexOutOfRange(f"transition ({a}, {j}) outside 1..{n}")
+            key = a * width + j
+            if key in seen:
+                raise DuplicateEdge(f"more than one transition on ({a}, {j})")
+            seen.add(key)
+            if type(amp) is not complex:
+                amp, built = _amplitude(amp, a, j), True
+            if not (amp and cmath.isfinite(amp)):
+                if not amp:
+                    raise ZeroAmplitude(f"transition ({a}, {j}) has zero amplitude")
+                raise NonFiniteValue(f"transition ({a}, {j}) has amplitude {amp!r}")
+            if type(color) is not Color:
+                color, built = _coerce_color(color), True
+            keep(new(Transition, (a, j, amp, color)) if built else edge)
+        return new(cls, (n, statistics, tuple(cooked), normalization_mode))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def transition_map(self) -> dict[tuple[int, int], Transition]:
         return {(t.source, t.detector): t for t in self.transitions}
@@ -145,100 +216,35 @@ def validate_network(
     normalization_mode: NormalizationMode | str = NormalizationMode.STRICT,
     row_tol: float = DEFAULT_TOL,
 ) -> NetworkSpec:
-    """Check invariants on raw transition data and build a NetworkSpec.
+    """Build a ``NetworkSpec`` from raw values, then check its rows.
 
-    The arguments are checked first, in order: ``n`` (IndexOutOfRange if
-    not an integer of at least 1), then the statistics and the mode
-    (InvalidArgument if unknown), ``row_tol`` (InvalidArgument unless a
-    finite number >= 0) and ``transitions`` (InvalidArgument if not
-    iterable). Then each edge in turn, and the first defect raises:
-
-    - InvalidArgument if it is not (source, detector, amplitude, color);
-    - IndexOutOfRange if the source, then the detector, is not an integer
-      (bools included), or either lies outside 1..n;
-    - DuplicateEdge on a second transition on the same pair;
-    - InvalidArgument if the amplitude is not a number (strings and bools
-      included), NonFiniteValue if it is an int beyond the float range;
-    - ZeroAmplitude, then NonFiniteValue (NaN or infinite);
-    - InvalidArgument on an unknown color.
-
-    Last, in strict mode, every particle row must satisfy
-    sum_j |T_aj|^2 = 1 within ``row_tol``; the lowest failing row raises
-    RowNotNormalized. Design mode skips the row check.
-    The checks run alike on every edge; a ``Transition`` whose fields have
-    their exact types (int, int, complex, Color) is kept as the record, so
-    ``validate_network(*spec)`` returns the spec's own records.
+    ``row_tol`` is checked first (InvalidArgument unless a finite number
+    >= 0); building the spec checks the other arguments. Last, in strict
+    mode, every particle row must satisfy sum_j |T_aj|^2 = 1 within
+    ``row_tol``; the lowest failing row raises RowNotNormalized. Design
+    mode skips the row check.
     """
-    if type(n) is not int:
-        n = _index(n, "n")
-    if n < 1:
-        raise IndexOutOfRange(f"n must be >= 1, got {n}")
-    statistics = _member(Statistics, statistics, "statistics")
-    normalization_mode = _member(NormalizationMode, normalization_mode, "mode")
-    strict = normalization_mode is NormalizationMode.STRICT
     try:
         tol_ok = not isinstance(row_tol, (str, bool)) and 0 <= row_tol < math.inf
     except TypeError:
         tol_ok = False
     if not tol_ok:
         raise InvalidArgument(f"row_tol must be a finite number >= 0, got {row_tol!r}")
-    try:
-        edges = iter(transitions)
-    except TypeError:
-        raise InvalidArgument(
-            f"transitions must be an iterable of edges, got {transitions!r}"
-        ) from None
-
-    seen: set[int] = set()  # pair (a, j) as a * (n + 1) + j
-    width = n + 1
-    cooked: list[Transition] = []
-    keep = cooked.append
-    new = tuple.__new__
-    # each row's squared sum, added in edge order
-    sums: dict[int, float] = {}
-    for edge in edges:
-        try:
-            a, j, amp, color = edge
-        except (TypeError, ValueError):
-            raise InvalidArgument(
-                f"transition {edge!r} is not (source, detector, amplitude, color)"
-            ) from None
-        # exact types need no coercion (a bool is not an int here); an uncoerced Transition is kept
-        built = type(edge) is not Transition
-        if type(a) is not int:
-            a, built = _index(a, "transition source"), True
-        if type(j) is not int:
-            j, built = _index(j, "transition detector"), True
-        if not (1 <= a <= n and 1 <= j <= n):
-            raise IndexOutOfRange(f"transition ({a}, {j}) outside 1..{n}")
-        key = a * width + j
-        if key in seen:
-            raise DuplicateEdge(f"more than one transition on ({a}, {j})")
-        seen.add(key)
-        if type(amp) is not complex:
-            amp, built = _amplitude(amp, a, j), True
-        if not (amp and cmath.isfinite(amp)):
-            if not amp:
-                raise ZeroAmplitude(f"transition ({a}, {j}) has zero amplitude")
-            raise NonFiniteValue(f"transition ({a}, {j}) has amplitude {amp!r}")
-        if type(color) is not Color:
-            color, built = _coerce_color(color), True
-        keep(new(Transition, (a, j, amp, color)) if built else edge)
-        if strict:
+    spec = NetworkSpec(n, statistics, transitions, normalization_mode)
+    if spec.normalization_mode is NormalizationMode.STRICT:
+        sums: dict[int, float] = {}  # each row's squared sum, added in edge order
+        for a, _, amp, _ in spec.transitions:
             try:
                 sums[a] = sums.get(a, 0.0) + abs(amp) ** 2
             except OverflowError:  # |amplitude| above about 1.3e154
                 sums[a] = math.inf
-
-    if strict:
         # every empty row sums to 0.0, so the first one stands for them all
         first_empty = next(a for a in itertools.count(1) if a not in sums)
         for a in sorted(sums.keys() | {first_empty}):
             s = sums.get(a, 0.0)
-            if a <= n and abs(s - 1.0) > row_tol:
+            if a <= spec.n and abs(s - 1.0) > row_tol:
                 raise RowNotNormalized(a, s)
-
-    return NetworkSpec(n, statistics, tuple(cooked), normalization_mode)
+    return spec
 
 
 def polar_amplitude(r: float, theta: float) -> complex:

@@ -29,7 +29,6 @@ from lqngraph.model import (
     NetworkSpec,
     NormalizationMode,
     Statistics,
-    Transition,
     validate_network,
 )
 
@@ -163,19 +162,6 @@ class TestLoopLabeled:
         for t in spec.transitions:
             neighbors[t.source - 1].append(t.detector)
         assert _matching_assignment(spec.n, [sorted(r) for r in neighbors]) == identity
-
-    def test_a_repeated_loop_does_not_stand_for_a_missing_one(self):
-        # built directly: three loop transitions, but vertex 3 has none
-        t = [
-            Transition(1, 1, 1.0, Color.UP),
-            Transition(1, 1, 1.0, Color.UP),
-            Transition(2, 2, 1.0, Color.UP),
-            Transition(2, 3, 1.0, Color.DOWN),
-            Transition(3, 2, 1.0, Color.UP),
-        ]
-        spec = NetworkSpec(3, Statistics.BOSON, tuple(t), NormalizationMode.DESIGN)
-        assert _base_matching(spec) == (1, 3, 2)
-        assert diagram_of_network(spec).relabeling == (1, 3, 2)
 
     def test_diagram_holds_the_specs_own_transitions(self):
         spec = n5_network()

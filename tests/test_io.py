@@ -125,6 +125,13 @@ def test_any_document_parses_or_raises_lqn_error(doc):
     assert isinstance(spec, NetworkSpec)
 
 
+@pytest.mark.parametrize("text", [None, 3, ["{}"]], ids=["none", "int", "list"])
+def test_text_that_is_not_a_string_is_a_parse_error(text):
+    # json.loads raises TypeError on a value that is not text
+    with pytest.raises(ParseError, match="invalid JSON"):
+        parse_network(text)
+
+
 #: marks a change that removes a key or list item in ``contract_document``
 DROP = object()
 

@@ -22,12 +22,20 @@ from lqngraph.errors import (
     DuplicateEdge,
     IndexOutOfRange,
     InvalidArgument,
+    LQNError,
     NonFiniteValue,
     RowNotNormalized,
     ZeroAmplitude,
 )
 from lqngraph.io import DotRenderOptions, View
-from lqngraph.model import Color, Transition, validate_network
+from lqngraph.model import (
+    Color,
+    NetworkSpec,
+    NormalizationMode,
+    Statistics,
+    Transition,
+    validate_network,
+)
 from lqngraph.states import NoBunchState
 
 from conftest import networks
@@ -259,20 +267,22 @@ def test_spec_fields_validate_back_to_the_spec(spec):
     again = validate_network(spec.n, spec.statistics, spec.transitions, spec.normalization_mode)
     assert again == spec
     assert validate_network(*spec) == spec
+    assert NetworkSpec(*spec) == spec
 
 
 @settings(suppress_health_check=[HealthCheck.too_slow])
 @given(networks(max_n=8, modes=("design", "strict")))
 def test_validated_spec_keeps_its_own_records(spec):
     # every field of a validated Transition has its exact type already
-    again = validate_network(*spec).transitions
-    assert len(again) == len(spec.transitions)
-    assert all(made is given_edge for made, given_edge in zip(again, spec.transitions))
+    for again in (validate_network(*spec).transitions, NetworkSpec(*spec).transitions):
+        assert len(again) == len(spec.transitions)
+        assert all(made is given_edge for made, given_edge in zip(again, spec.transitions))
 
 
 CUT = Bipartition(frozenset({1}), 3)
 STATE = NoBunchState(2, {"ud": 1.0})
 OPTS = DotRenderOptions()
+SPEC = validate_network(2, "boson", beamsplitter_edges(), "strict")
 
 
 @pytest.mark.parametrize(
@@ -287,6 +297,9 @@ OPTS = DotRenderOptions()
         (lambda: DotRenderOptions("bipartite"), InvalidArgument),
         (lambda: OPTS._replace(view="directed"), InvalidArgument),
         (lambda: DotRenderOptions._make(["pm_diagram", False, None]), InvalidArgument),
+        (lambda: NetworkSpec(2, "boson", SPEC.transitions * 2, "strict"), DuplicateEdge),
+        (lambda: SPEC._replace(n=1), IndexOutOfRange),
+        (lambda: NetworkSpec._make([2, "anyon", SPEC.transitions, "strict"]), InvalidArgument),
     ],
     ids=[
         "cut-new",
@@ -298,6 +311,9 @@ OPTS = DotRenderOptions()
         "dot-new",
         "dot-replace",
         "dot-make",
+        "spec-new",
+        "spec-replace",
+        "spec-make",
     ],
 )
 def test_every_way_to_build_a_checked_record_checks(build, error):
@@ -312,6 +328,81 @@ def test_checked_records_coerce_through_replace_and_make():
     assert STATE._replace(normalized=True).normalized is True
     opts = DotRenderOptions(View.DIRECTED, True, 0)
     assert DotRenderOptions._make([View.DIRECTED, True, 0]) == opts
+    assert SPEC._replace(statistics="fermion").statistics is Statistics.FERMION
+
+
+#: values of no field: none, strings, bools, NaN, ints out of any range, wrong enum members
+JUNK = st.sampled_from(
+    [None, "", "x", "1", True, False, math.nan, math.inf, -1, 0, 10**30, -(10**30), 2.0]
+    + [Color.UP, Statistics.BOSON, NormalizationMode.DESIGN, View.DIRECTED, b"u", ()]
+)
+
+
+def mixed(valid, *wrong):
+    """``valid`` nine times in ten, else one of the ``wrong`` values of its kind or junk."""
+    return st.integers(0, 19).flatmap(
+        lambda k: valid if k > 1 else st.sampled_from(wrong) if k and wrong else JUNK
+    )
+
+
+AMPLITUDE = mixed(
+    st.sampled_from([1.0, 0.5j, 1, complex(0.6, -0.8)]), 0, 10**400, complex(math.nan, 1)
+)
+COLOR = mixed(st.sampled_from([Color.UP, Color.DOWN, "u", "down", "↑", "up "]), "x", 1)
+
+
+@st.composite
+def spec_builds(draw):
+    """A call that builds a spec, in one of four ways, from valid and junk values.
+
+    The edges are tuples, unchecked ``Transition`` records or junk; their
+    indices lie in 1..n but for the wrong ones, and one may be repeated.
+    """
+    n = draw(mixed(st.integers(1, 3)), label="n")
+    top = n if type(n) is int and 1 <= n <= 3 else 3
+    index = mixed(st.integers(1, top), top + 1, 10**20)
+    parts = (index, index, AMPLITUDE, COLOR)
+    edges = draw(st.lists(mixed(st.tuples(*parts) | st.builds(Transition, *parts)), max_size=4))
+    if edges and draw(st.booleans()):
+        edges.append(draw(st.sampled_from(edges), label="repeated"))
+    fields = [
+        n,
+        draw(mixed(st.sampled_from([*Statistics, "boson", "fermion"]), "anyon", "Boson")),
+        draw(mixed(st.just(edges))),
+        draw(mixed(st.sampled_from([*NormalizationMode, "strict", "design"]), "x")),
+    ]
+    way = draw(st.sampled_from(["new", "validate", "make", "replace"]))
+    if way == "new":
+        return lambda: NetworkSpec(*fields)
+    if way == "validate":
+        row_tol = draw(mixed(st.sampled_from([1e-9, 0.5, 2.0]), -1.0, math.nan), label="row_tol")
+        return lambda: validate_network(*fields, row_tol=row_tol)
+    if way == "make":
+        return lambda: NetworkSpec._make(fields)
+    name = draw(st.sampled_from(NetworkSpec._fields))
+    return lambda: SPEC._replace(**{name: fields[NetworkSpec._fields.index(name)]})
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(spec_builds())
+def test_every_spec_built_is_checked(build):
+    try:
+        spec = build()
+    except LQNError:
+        return
+    assert type(spec) is NetworkSpec and type(spec.n) is int and spec.n >= 1
+    assert type(spec.statistics) is Statistics
+    assert type(spec.normalization_mode) is NormalizationMode
+    assert type(spec.transitions) is tuple
+    for t in spec.transitions:
+        assert type(t) is Transition and type(t.amplitude) is complex and type(t.color) is Color
+        assert type(t.source) is int and type(t.detector) is int
+        assert 1 <= t.source <= spec.n and 1 <= t.detector <= spec.n
+        assert t.amplitude and cmath.isfinite(t.amplitude)
+    assert len({(t.source, t.detector) for t in spec.transitions}) == len(spec.transitions)
+    again = NetworkSpec(*spec)
+    assert again == spec
+    assert all(made is kept for made, kept in zip(again.transitions, spec.transitions))
 
 
 def test_records_are_immutable_tuples():

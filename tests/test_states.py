@@ -222,21 +222,12 @@ class TestIntegerWeights:
         assert list(sums) == [code for code, v in want.items() if v]
         assert all(type(v) is complex and not v.imag for v in sums.values())
 
-    def test_int_amplitude_spec_still_assembles_a_complex_state(self):
-        # a spec built directly with int amplitudes is multiplied from
-        # complex(1.0), as the oracle is
-        edges = [(a, j, 3 * a + j, "ud"[(a + j) % 2]) for a in (1, 2, 3) for j in (1, 2, 3)]
-        spec = NetworkSpec(
-            3,
-            Statistics.FERMION,
-            tuple(Transition(a, j, w, Color(c)) for a, j, w, c in edges),
-            NormalizationMode.DESIGN,
-        )
-        state = assemble_network_state(spec)
-        assert ket_reprs(state) == ket_reprs(oracle_state(spec))
-        assert state.amplitudes and all(type(v) is complex for v in state.amplitudes.values())
-        # three factors of 1e200 leave the float range, as they do in the oracle
-        huge = spec._replace(transitions=tuple(t._replace(amplitude=10**200) for t in spec.transitions))
+    def test_huge_int_amplitudes_overflow_in_both_engines(self):
+        # an int amplitude becomes complex when the spec is built; three
+        # factors of 1e200 leave the float range, in the walk as in the oracle
+        edges = [(a, j, 10**200, "ud"[(a + j) % 2]) for a in (1, 2, 3) for j in (1, 2, 3)]
+        huge = NetworkSpec(3, Statistics.FERMION, edges, NormalizationMode.DESIGN)
+        assert all(type(t.amplitude) is complex for t in huge.transitions)
         for assemble in (assemble_network_state, oracle_state):
             with pytest.raises(NonFiniteValue):
                 assemble(huge)
@@ -268,6 +259,11 @@ class TestNormalize:
         assert state.amplitudes == {}
         with pytest.raises(ZeroState):
             normalize(state)
+        # built directly, with the statistics as a string: still fermions
+        edges = [Transition(a, j, h, Color.UP) for a in (1, 2) for j in (1, 2)]
+        raw = NetworkSpec(2, "fermion", edges, "strict")
+        for assemble in (assemble_network_state, oracle_state):
+            assert assemble(raw).amplitudes == {}
 
 
     def test_weight_beyond_float_range(self):
