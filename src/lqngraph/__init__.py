@@ -2,9 +2,11 @@
 
 Maps N-particle, N-detector linear networks to colored weighted graphs,
 enumerates the perfect matchings that carry the post-selected no-bunching
-state, classifies the entanglement of that state both structurally (from
-the PM diagram) and numerically (Schmidt ranks), and constructs networks
-for standard entangled target states.
+state, classifies the entanglement of that state both structurally
+(``build_report``: lemma 1, lemma 2, theorem 1 and the generic partition,
+from the PM diagram) and numerically (``schmidt_rank(state, {...})`` and
+``finest_partition``), and constructs networks for standard entangled
+target states.
 """
 
 from .designers import (
@@ -16,15 +18,11 @@ from .designers import (
     preset_tritter,
 )
 from .entanglement import (
-    Bipartition,
     SeparabilityReport,
     Verdict,
     build_report,
     finest_partition,
-    lemma1_separable_vertices,
-    lemma2_partition,
     schmidt_rank,
-    theorem1_check,
     theorem2_w_optimal_check,
 )
 from .errors import LQNError

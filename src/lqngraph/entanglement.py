@@ -1,26 +1,27 @@
 """Entanglement classification of no-bunching states.
 
-Two complementary routes are provided. The structural route inspects the PM
-diagram only: a vertex whose incoming edges all share one color pins its
-detector to a computational-basis state; a weakly disconnected diagram
-forces the state to factor across the component blocks; and genuine
-N-partite entanglement requires both incoming colors at every vertex and a
-strongly connected diagram. These conditions are sufficient for generic
-amplitudes, but only necessary for the network's own: a structurally
-healthy diagram can still produce a separable state for special
-amplitudes. The diagram's SCCs are its weak components, so lemma 2,
-theorem 1 and the numeric route all read the one partition
-``PMDiagram.components``.
+Two complementary routes are provided. The structural route,
+``build_report``, inspects the PM diagram only and answers the paper's
+criteria in one ``SeparabilityReport``: a vertex whose incoming edges all
+share one color pins its detector to a computational-basis state (lemma
+1); a weakly disconnected diagram forces the state to factor across the
+component blocks (lemma 2); and genuine N-partite entanglement requires
+both incoming colors at every vertex and a strongly connected diagram
+(theorem 1). These conditions are sufficient for generic amplitudes, but
+only necessary for the network's own: a structurally healthy diagram can
+still produce a separable state for special amplitudes. The diagram's SCCs
+are its weak components, so lemma 2, theorem 1 and the generic partition
+all read the one partition ``PMDiagram.components``.
 
 The numerical route works on an assembled state directly, in pure Python
 on the sparse kets, each read as an integer ket code (bit j set when
 detector X_j is down). ``schmidt_rank`` takes the rank of the amplitude
-matrix across a detector bipartition by Gram-Schmidt over its nonzero
-rows: rank 1 means the state factors there. ``finest_partition`` finds
-the finest product partition, unique for pure states, without a search
-over cuts: two detectors lie in different blocks exactly when the
-amplitudes, read as a multilinear polynomial, have a vanishing 2x2
-coefficient determinant over that pair.
+matrix across the cut between a set of detectors and the rest, by
+Gram-Schmidt over its nonzero rows: rank 1 means the state factors there.
+``finest_partition`` finds the finest product partition, unique for pure
+states, without a search over cuts: two detectors lie in different blocks
+exactly when the amplitudes, read as a multilinear polynomial, have a
+vanishing 2x2 coefficient determinant over that pair.
 
 ``build_report``'s numeric partition asks that question of generic
 amplitudes, and for them the PM diagram answers it exactly, with no walk
@@ -50,33 +51,6 @@ from .states import NoBunchState
 SV_TOL = 1e-8
 
 Partition = tuple[tuple[int, ...], ...]
-
-
-class Bipartition(namedtuple("Bipartition", "subset n")):
-    """A nonempty proper subset of detector indices.
-
-    ``n`` and each detector are read as ``NetworkSpec`` reads ``n``: a
-    float, bool or numeric string raises IndexOutOfRange. A ``subset`` that
-    is not a set raises InvalidArgument; a ``set`` is kept as a frozenset.
-    ``_replace`` and ``_make`` check as the constructor does.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, subset, n):
-        if not isinstance(subset, (set, frozenset)):
-            raise InvalidArgument(f"subset must be a set of detectors, got {subset!r}")
-        n = _index(n, "n")
-        subset = frozenset(_index(d, "detector") for d in subset)
-        if not subset or not all(1 <= d <= n for d in subset):
-            raise DimensionMismatch(f"subset {set(subset)} invalid for n={n}")
-        if len(subset) == n:
-            raise DimensionMismatch("subset must be proper")
-        return super().__new__(cls, subset, n)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 class Verdict(Enum):
@@ -114,83 +88,29 @@ class SeparabilityReport(
         "lemma1_vertices lemma2_partition theorem1 numeric_finest_partition diagram",
     )
 ):
-    """Everything ``analyze`` reports on one network.
+    """Everything ``analyze`` reports on one network, read off its PM diagram.
 
-    Fields: ``lemma1_vertices`` (tuple of (vertex, Color)),
-    ``lemma2_partition`` (Partition), ``theorem1`` (Theorem1Report),
-    ``numeric_finest_partition`` (Partition: the finest product partition
-    for generic amplitudes), ``diagram`` (PMDiagram).
+    - ``lemma1_vertices`` (tuple of (vertex, Color)), lemma 1: the vertices
+      whose incoming edges (loops included) share one color. The detector
+      at such a vertex receives the same internal state in every matching,
+      so it is separable and pinned to that color.
+    - ``lemma2_partition`` (Partition), lemma 2: the weak components in
+      original detector labels. Edge exchanges never cross a component, so
+      the state factors across the blocks.
+    - ``theorem1`` (Theorem1Report), theorem 1's necessary conditions for a
+      genuinely N-partite entangled output: every vertex sees both
+      incoming colors, and the diagram is one strongly connected piece.
+      Failing either means the state cannot be genuinely entangled.
+      Passing both makes it so for generic amplitudes (a corollary proved
+      in ``build_report``), but not for every choice of the network's own
+      amplitudes: special values can still cancel it into a product.
+    - ``numeric_finest_partition`` (Partition): the finest product
+      partition for generic amplitudes.
+    - ``diagram`` (PMDiagram), whose vertices the first and third fields
+      name.
     """
 
     __slots__ = ()
-
-
-#: bits of an incoming-color mask; a vertex with both colors has mask 3
-_UP_BIT, _DOWN_BIT = 1, 2
-
-
-def _incoming_colors(diag: PMDiagram) -> list[int]:
-    """Per vertex, a mask of the colors of its incoming edges: 1 up, 2 down.
-
-    Ints, not sets of ``Color`` members, because hashing an enum member
-    runs Python code for every edge.
-    """
-    up = Color.UP
-    incoming = [0] * diag.n
-    for t in diag.network.transitions:
-        incoming[t.detector - 1] |= _UP_BIT if t.color is up else _DOWN_BIT
-    return incoming
-
-
-def lemma1_separable_vertices(diag: PMDiagram) -> list[tuple[int, Color]]:
-    """Vertices whose incoming edges (loops included) share one color.
-
-    The detector sitting at such a vertex receives the same internal state
-    in every matching, so it is separable and pinned to that color.
-    """
-    return _lemma1(_incoming_colors(diag))
-
-
-def _lemma1(incoming: list[int]) -> list[tuple[int, Color]]:
-    pinned = {_UP_BIT: Color.UP, _DOWN_BIT: Color.DOWN}
-    return [(v, pinned[mask]) for v, mask in enumerate(incoming, start=1) if mask in pinned]
-
-
-def lemma2_partition(diag: PMDiagram) -> Partition:
-    """Weak components mapped to detector labels: a guaranteed separability.
-
-    Edge exchanges never cross a weak component, so the state factors
-    across the blocks. Reported in original detector indices.
-    """
-    blocks = []
-    for comp in diag.components:
-        blocks.append(tuple(sorted(diag.detector_of_vertex(v) for v in comp)))
-    return tuple(sorted(blocks))
-
-
-def theorem1_check(diag: PMDiagram) -> Theorem1Report:
-    """Necessary conditions for a genuinely entangled output.
-
-    Every vertex must see both incoming colors and the diagram must be one
-    strongly connected piece. Failing either means the state cannot be
-    genuinely N-partite entangled. Passing both makes the state genuinely
-    entangled for generic amplitudes (a corollary proved in
-    ``build_report``), but not for every choice of the network's own
-    amplitudes: special values can still cancel it into a product.
-    """
-    return _theorem1(diag, _incoming_colors(diag))
-
-
-def _theorem1(diag: PMDiagram, incoming: list[int]) -> Theorem1Report:
-    both = _UP_BIT | _DOWN_BIT
-    color_ok = tuple(mask == both for mask in incoming)
-    strong = len(diag.components) == 1
-    verdict = (
-        Verdict.MAY_BE_GENUINE
-        if strong and all(color_ok)
-        else Verdict.CANNOT_BE_GENUINE
-    )
-    return Theorem1Report(color_ok, strong, verdict)
 
 
 def theorem2_w_optimal_check(diag: PMDiagram) -> WOptimalityReport:
@@ -231,11 +151,17 @@ _PROBE_DRAWS = random.Random(2010)
 _PROBES: list[complex] = []
 
 
-def schmidt_rank(state: NoBunchState, cut: Bipartition) -> int:
-    """Rank of the amplitude matricization across the cut.
+def schmidt_rank(state: NoBunchState, subset: set[int] | frozenset[int]) -> int:
+    """Rank of the amplitude matricization across ``subset`` and the rest.
+
+    ``subset`` is a set of detectors, a nonempty proper subset of 1..n. A
+    value that is not a set raises InvalidArgument; a detector that is not
+    an integer (a float, bool or string) raises IndexOutOfRange; an empty,
+    full or out-of-range subset raises DimensionMismatch. Each detector is
+    compared with n, so the check is O(|subset|) whatever n is.
 
     Each nonzero ket's string is read as its code; the matrix's row is the
-    code's bits on the cut's detectors, its column the rest, so only
+    code's bits on ``subset``, its column the rest, so only
     rows and entries that are present are stored. The amplitudes are
     divided by their largest real or imaginary part first, so no scale
     overflows or underflows. The rank is taken by Gram-Schmidt with one
@@ -245,15 +171,21 @@ def schmidt_rank(state: NoBunchState, cut: Bipartition) -> int:
     singular values lie within a few orders of ``SV_TOL`` of the largest,
     it can count more of them. There is no size limit: the work grows
     with the kets, not with 2**n. The zero state has no rank: it raises
-    ZeroState.
+    ZeroState, after ``subset`` is checked.
     """
-    if cut.n != state.n:
-        raise DimensionMismatch(f"cut over {cut.n} detectors, state has {state.n}")
+    if not isinstance(subset, (set, frozenset)):
+        raise InvalidArgument(f"subset must be a set of detectors, got {subset!r}")
+    n = state.n
+    subset = {_index(d, "detector") for d in subset}
+    if not subset or not all(1 <= d <= n for d in subset):
+        raise DimensionMismatch(f"subset {subset} invalid for n={n}")
+    if len(subset) == n:
+        raise DimensionMismatch("subset must be proper")
     terms = [(ket, complex(amp)) for ket, amp in state.amplitudes.items() if amp]
     if not terms:
         raise ZeroState("state has zero norm (no Schmidt rank)")
     mask = 0
-    for d in cut.subset:
+    for d in subset:
         mask |= 1 << d
     peak = max(max(abs(v.real), abs(v.imag)) for _, v in terms)
     rows: dict[int, dict[int, complex]] = {}
@@ -369,7 +301,12 @@ def finest_partition(state: NoBunchState) -> Partition:
 
 
 def build_report(spec: NetworkSpec) -> SeparabilityReport:
-    """Structural report for a network, with its generic finest partition.
+    """The separability report of a network, read off its PM diagram.
+
+    This is the one place that answers lemma 1, lemma 2 and theorem 1 (see
+    ``SeparabilityReport``): one pass over the diagram's transitions gives
+    each vertex's incoming colors, and one loop over its components gives
+    both the lemma-2 blocks and the generic partition.
 
     ``numeric_finest_partition`` is the finest product partition of the
     state for generic amplitudes on the network's edges, read off the PM
@@ -409,19 +346,29 @@ def build_report(spec: NetworkSpec) -> SeparabilityReport:
     conditions are also sufficient for genuine N-partite entanglement.
     """
     diag = diagram_of_network(spec)
-    incoming = _incoming_colors(diag)  # read by lemma 1, theorem 1 and the partition
-    both = _UP_BIT | _DOWN_BIT
+    # per vertex, a mask of its incoming colors, 1 up and 2 down: ints, not
+    # sets of Color members, because hashing an enum member runs Python code
+    up = Color.UP
+    incoming = [0] * diag.n
+    for t in diag.network.transitions:
+        incoming[t.detector - 1] |= 1 if t.color is up else 2
     relabeling = diag.relabeling
-    blocks = []
+    weak, blocks = [], []
     for comp in diag.components:
-        varying = tuple(sorted(relabeling[v - 1] for v in comp if incoming[v - 1] == both))
+        detectors = [relabeling[v - 1] for v in comp]
+        weak.append(tuple(sorted(detectors)))
+        varying = tuple(sorted(d for v, d in zip(comp, detectors) if incoming[v - 1] == 3))
         if varying:
             blocks.append(varying)
-        blocks.extend((relabeling[v - 1],) for v in comp if incoming[v - 1] != both)
+        blocks.extend((d,) for v, d in zip(comp, detectors) if incoming[v - 1] != 3)
+    pinned = {1: Color.UP, 2: Color.DOWN}
+    color_ok = tuple(mask == 3 for mask in incoming)
+    strong = len(diag.components) == 1
+    verdict = Verdict.MAY_BE_GENUINE if strong and all(color_ok) else Verdict.CANNOT_BE_GENUINE
     return SeparabilityReport(
-        tuple(_lemma1(incoming)),
-        lemma2_partition(diag),
-        _theorem1(diag, incoming),
+        tuple((v, pinned[mask]) for v, mask in enumerate(incoming, start=1) if mask in pinned),
+        tuple(sorted(weak)),
+        Theorem1Report(color_ok, strong, verdict),
         tuple(sorted(blocks)),
         diag,
     )

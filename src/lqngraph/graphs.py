@@ -79,13 +79,13 @@ class PMDiagram(namedtuple("PMDiagram", "network relabeling removed components")
 
 
 def _successors(spec: NetworkSpec) -> list[list[int]]:
-    """Sorted non-loop out-neighbors of each vertex (index 0 ↔ w_1)."""
+    """Non-loop out-neighbors of each vertex (index 0 ↔ w_1), in the spec's
+    order. No caller reads that order: ``_tarjan_sccs`` sorts each
+    component, and ``diagram_of_network`` the list of them."""
     out: list[list[int]] = [[] for _ in range(spec.n)]
     for t in spec.transitions:
         if t.source != t.detector:
             out[t.source - 1].append(t.detector)
-    for succ in out:
-        succ.sort()
     return out
 
 

@@ -165,8 +165,6 @@ class NetworkSpec(
 
 
 def _coerce_color(value) -> Color:
-    if isinstance(value, Color):
-        return value
     if isinstance(value, str):
         key = value.strip().lower()
         if key in ("u", "up", "↑"):

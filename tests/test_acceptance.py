@@ -19,13 +19,10 @@ from lqngraph.designers import (
     preset_tritter,
 )
 from lqngraph.entanglement import (
-    Bipartition,
     Verdict,
+    build_report,
     finest_partition,
-    lemma1_separable_vertices,
-    lemma2_partition,
     schmidt_rank,
-    theorem1_check,
     theorem2_w_optimal_check,
 )
 from lqngraph.graphs import diagram_of_network
@@ -54,12 +51,13 @@ def _report(name: str, ok: bool) -> None:
 
 
 def all_bipartitions(n):
+    """The side of each cut that holds detector 1."""
     detectors = list(range(2, n + 1))
     for r in range(len(detectors) + 1):
         for extra in itertools.combinations(detectors, r):
-            subset = frozenset({1, *extra})
+            subset = {1, *extra}
             if len(subset) < n:
-                yield Bipartition(subset, n)
+                yield subset
 
 
 def test_criterion_1_two_mode_crossing_amplitudes():
@@ -119,10 +117,11 @@ def test_criterion_3_five_detector_worked_example():
         (4, 5, 1, 3, 2),
         (4, 5, 3, 1, 2),
     }
-    diag = diagram_of_network(spec)
+    report = build_report(spec)
+    diag = report.diagram
     removed_ok = set(diag.removed_bipartite_pairs()) == {(2, 1), (2, 3), (2, 4)}
-    lemma1_ok = lemma1_separable_vertices(diag) == [(3, Color.UP)]
-    lemma2_ok = lemma2_partition(diag) == ((1, 3, 4), (2, 5))
+    lemma1_ok = report.lemma1_vertices == ((3, Color.UP),)
+    lemma2_ok = report.lemma2_partition == ((1, 3, 4), (2, 5))
     generic = generic_amplitudes(spec, random.Random(103))
     numeric = finest_partition(normalize(assemble_network_state(generic)))
     _report(
@@ -226,11 +225,11 @@ def test_criterion_8_cluster_state():
     state = normalize(assemble_network_state(spec))
     target = {"uuuu": 0.5, "uudd": 0.5, "dduu": 0.5, "dddd": -0.5}
     worst = max_error_up_to_phase(state, target)
-    report = theorem1_check(diagram_of_network(spec))
+    verdict = build_report(spec).theorem1.verdict
     _report(
         f"criterion 8: cluster network reproduces the four-term target, "
-        f"worst error {worst:.2e}, necessary conditions {report.verdict.value}",
-        worst < 1e-10 and report.verdict is Verdict.MAY_BE_GENUINE,
+        f"worst error {worst:.2e}, necessary conditions {verdict.value}",
+        worst < 1e-10 and verdict is Verdict.MAY_BE_GENUINE,
     )
 
 
@@ -241,10 +240,11 @@ def test_criterion_9_structural_soundness_sweep():
     for _ in range(500):
         n = int(rng.integers(2, 7))
         spec = random_network_with_pm(rng, n)
-        diag = diagram_of_network(spec)
+        report = build_report(spec)
+        diag = report.diagram
         pms = matchings(spec)
 
-        for vertex, color in lemma1_separable_vertices(diag):
+        for vertex, color in report.lemma1_vertices:
             detector = diag.detector_of_vertex(vertex)
             for assignment, colors in pms:
                 a = assignment.index(detector)
@@ -252,16 +252,15 @@ def test_criterion_9_structural_soundness_sweep():
                     lemma1_failures += 1
 
         state = normalize(assemble_network_state(spec))
-        blocks = lemma2_partition(diag)
+        blocks = report.lemma2_partition
         if len(blocks) > 1:
             for r in range(1, len(blocks)):
                 for chosen in itertools.combinations(blocks, r):
-                    subset = frozenset(d for block in chosen for d in block)
-                    if schmidt_rank(state, Bipartition(subset, n)) != 1:
+                    subset = {d for block in chosen for d in block}
+                    if schmidt_rank(state, subset) != 1:
                         lemma2_failures += 1
 
-        report = theorem1_check(diag)
-        if report.verdict is Verdict.CANNOT_BE_GENUINE:
+        if report.theorem1.verdict is Verdict.CANNOT_BE_GENUINE:
             contrapositive_checked += 1
             generic = generic_amplitudes(spec, rng)
             numeric = finest_partition(

@@ -681,7 +681,7 @@ loaded = lambda: sys.modules.get("numpy") is not None
 runs = [["import", 0, "", "", loaded()]]
 ghz = lqngraph.NoBunchState(3, {"uuu": 1.0, "ddd": 1.0})
 runs.append(["finest_partition", 0, repr(lqngraph.finest_partition(ghz)), "", loaded()])
-rank = lqngraph.schmidt_rank(ghz, lqngraph.Bipartition({1}, 3))
+rank = lqngraph.schmidt_rank(ghz, {1})
 runs.append(["schmidt_rank", 0, repr(rank), "", loaded()])
 for argv in json.loads(sys.argv[3]):
     out, err = io.StringIO(), io.StringIO()

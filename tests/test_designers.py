@@ -16,8 +16,8 @@ from lqngraph.designers import (
 )
 from lqngraph.entanglement import (
     Verdict,
+    build_report,
     finest_partition,
-    theorem1_check,
     theorem2_w_optimal_check,
 )
 from lqngraph.errors import (
@@ -74,8 +74,7 @@ class TestGHZ:
         )
 
     def test_structure_checks(self):
-        diag = diagram_of_network(design_ghz(5))
-        assert theorem1_check(diag).verdict is Verdict.MAY_BE_GENUINE
+        assert build_report(design_ghz(5)).theorem1.verdict is Verdict.MAY_BE_GENUINE
         assert finest_partition(
             normalize(assemble_network_state(design_ghz(5)))
         ) == ((1, 2, 3, 4, 5),)
@@ -245,8 +244,8 @@ class TestCluster4:
         assert set(cycles) == {(1, 2), (3, 4), (1, 2, 3, 4)}
 
     def test_passes_necessary_conditions(self):
-        report = theorem1_check(diagram_of_network(design_cluster4()))
-        assert report.verdict is Verdict.MAY_BE_GENUINE
+        report = build_report(design_cluster4())
+        assert report.theorem1.verdict is Verdict.MAY_BE_GENUINE
 
 
 class TestTritter:

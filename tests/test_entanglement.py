@@ -14,14 +14,10 @@ from lqngraph import graphs
 from lqngraph.cli import cli_main
 from lqngraph.designers import design_ghz, design_w
 from lqngraph.entanglement import (
-    Bipartition,
     Verdict,
     build_report,
     finest_partition,
-    lemma1_separable_vertices,
-    lemma2_partition,
     schmidt_rank,
-    theorem1_check,
     theorem2_w_optimal_check,
 )
 from lqngraph.errors import (
@@ -95,10 +91,6 @@ def _matchable_networks(draw, max_n=8):
     return validate_network(n, statistics, edges, "design")
 
 
-def cut(n, *detectors):
-    return Bipartition(frozenset(detectors), n)
-
-
 def loops_only(n):
     return validate_network(
         n, "boson", [(a, a, 1.0, "up") for a in range(1, n + 1)], "strict"
@@ -113,27 +105,24 @@ PRODUCT_UD = NoBunchState(2, {"ud": 1.0}, normalized=True)
 
 class TestLemma1:
     def test_n5_pins_detector_three_up(self):
-        diag = diagram_of_network(n5_network())
-        assert lemma1_separable_vertices(diag) == [(3, Color.UP)]
+        assert build_report(n5_network()).lemma1_vertices == ((3, Color.UP),)
 
     def test_all_loops_pins_everything(self):
-        diag = diagram_of_network(loops_only(4))
-        assert lemma1_separable_vertices(diag) == [
+        assert build_report(loops_only(4)).lemma1_vertices == tuple(
             (v, Color.UP) for v in range(1, 5)
-        ]
+        )
 
     def test_ghz_diagram_pins_nothing(self):
-        diag = diagram_of_network(design_ghz(4))
-        assert lemma1_separable_vertices(diag) == []
+        assert build_report(design_ghz(4)).lemma1_vertices == ()
 
     def test_soundness_every_matching_agrees(self):
         rng = np.random.default_rng(59)
         for _ in range(40):
             spec = random_network_with_pm(rng, int(rng.integers(2, 7)))
-            diag = diagram_of_network(spec)
+            report = build_report(spec)
             pms = matchings(spec)
-            for vertex, color in lemma1_separable_vertices(diag):
-                detector = diag.detector_of_vertex(vertex)
+            for vertex, color in report.lemma1_vertices:
+                detector = report.diagram.detector_of_vertex(vertex)
                 for assignment, colors in pms:
                     a = assignment.index(detector) + 1
                     assert colors[a - 1] is color
@@ -141,16 +130,13 @@ class TestLemma1:
 
 class TestLemma2:
     def test_n5_partition(self):
-        diag = diagram_of_network(n5_network())
-        assert lemma2_partition(diag) == ((1, 3, 4), (2, 5))
+        assert build_report(n5_network()).lemma2_partition == ((1, 3, 4), (2, 5))
 
     def test_loops_only_fully_separable(self):
-        diag = diagram_of_network(loops_only(3))
-        assert lemma2_partition(diag) == ((1,), (2,), (3,))
+        assert build_report(loops_only(3)).lemma2_partition == ((1,), (2,), (3,))
 
     def test_w_star_single_block(self):
-        diag = diagram_of_network(design_w(4, form="star"))
-        assert lemma2_partition(diag) == ((1, 2, 3, 4),)
+        assert build_report(design_w(4, form="star")).lemma2_partition == ((1, 2, 3, 4),)
 
     def test_soundness_rank_one_across_component_cuts(self):
         # any amplitude assignment factorizes across whole-component splits
@@ -158,22 +144,20 @@ class TestLemma2:
         base = n5_network()
         for _ in range(50):
             spec = generic_amplitudes(base, rng)
-            diag = diagram_of_network(spec)
-            partition = lemma2_partition(diag)
-            assert partition == ((1, 3, 4), (2, 5))
+            assert build_report(spec).lemma2_partition == ((1, 3, 4), (2, 5))
             state = normalize(assemble_network_state(spec))
-            assert schmidt_rank(state, cut(5, 1, 3, 4)) == 1
+            assert schmidt_rank(state, {1, 3, 4}) == 1
 
 
 class TestTheorem1:
     def test_n5_cannot_be_genuine(self):
-        report = theorem1_check(diagram_of_network(n5_network()))
+        report = build_report(n5_network()).theorem1
         assert report.verdict is Verdict.CANNOT_BE_GENUINE
         assert not report.strongly_connected
         assert report.color_condition_ok[2] is False  # vertex w3
 
     def test_ghz_may_be_genuine(self):
-        report = theorem1_check(diagram_of_network(design_ghz(5)))
+        report = build_report(design_ghz(5)).theorem1
         assert report.verdict is Verdict.MAY_BE_GENUINE
         assert report.strongly_connected
         assert all(report.color_condition_ok)
@@ -181,8 +165,7 @@ class TestTheorem1:
     def test_conditions_are_not_sufficient(self):
         # structurally healthy diagram whose amplitudes factor X1 out anyway
         spec = superposed_subsystem_network()
-        report = theorem1_check(diagram_of_network(spec))
-        assert report.verdict is Verdict.MAY_BE_GENUINE
+        assert build_report(spec).theorem1.verdict is Verdict.MAY_BE_GENUINE
         state = normalize(assemble_network_state(spec))
         assert finest_partition(state) == ((1,), (2, 3))
 
@@ -192,8 +175,7 @@ class TestTheorem1:
         checked = 0
         while checked < 25:
             spec = random_network_with_pm(rng, int(rng.integers(2, 6)))
-            report = theorem1_check(diagram_of_network(spec))
-            if report.verdict is not Verdict.CANNOT_BE_GENUINE:
+            if build_report(spec).theorem1.verdict is not Verdict.CANNOT_BE_GENUINE:
                 continue
             checked += 1
             state = normalize(
@@ -207,19 +189,19 @@ class TestTheorem1:
 def test_structural_criteria_are_sound(spec, numeric_seed):
     pms = matchings(spec)
     assume(pms)
-    diag = diagram_of_network(spec)
+    report = build_report(spec)
     # lemma 1: a pinned detector takes its color in every matching
-    for vertex, color in lemma1_separable_vertices(diag):
-        detector = diag.detector_of_vertex(vertex)
+    for vertex, color in report.lemma1_vertices:
+        detector = report.diagram.detector_of_vertex(vertex)
         for assignment, colors in pms:
             assert colors[assignment.index(detector)] is color
     # lemma 2: the generic state factors at least across the diagram blocks
     generic = generic_amplitudes(spec, random.Random(numeric_seed))
     numeric = finest_partition(normalize(assemble_network_state(generic)))
-    blocks = [set(block) for block in lemma2_partition(diag)]
+    blocks = [set(block) for block in report.lemma2_partition]
     assert all(any(set(b) <= block for block in blocks) for b in numeric)
     # theorem 1: a diagram failing its conditions gives no genuine entanglement
-    if theorem1_check(diag).verdict is Verdict.CANNOT_BE_GENUINE:
+    if report.theorem1.verdict is Verdict.CANNOT_BE_GENUINE:
         assert len(numeric) > 1
 
 
@@ -268,18 +250,18 @@ class TestTheorem2:
 
 class TestSchmidtRank:
     def test_bell_state(self):
-        assert schmidt_rank(BELL, cut(2, 1)) == 2
+        assert schmidt_rank(BELL, {1}) == 2
 
     def test_product_state(self):
-        assert schmidt_rank(PRODUCT_UD, cut(2, 1)) == 1
-        assert schmidt_rank(PRODUCT_UD, cut(2, 2)) == 1
+        assert schmidt_rank(PRODUCT_UD, {1}) == 1
+        assert schmidt_rank(PRODUCT_UD, {2}) == 1
 
     def test_n5_generic_rank_one_across_guaranteed_cut(self):
         spec = generic_amplitudes(n5_network(), random.Random(71))
         state = normalize(assemble_network_state(spec))
-        assert schmidt_rank(state, cut(5, 1, 3, 4)) == 1
+        assert schmidt_rank(state, {1, 3, 4}) == 1
         # and entangled within the blocks
-        assert schmidt_rank(state, cut(5, 1)) == 2
+        assert schmidt_rank(state, {1}) == 2
 
     def test_swap_symmetry_random(self):
         rng = np.random.default_rng(73)
@@ -288,14 +270,13 @@ class TestSchmidtRank:
             spec = random_network_with_pm(rng, n)
             state = normalize(assemble_network_state(spec))
             size = int(rng.integers(1, n))
-            subset = frozenset(rng.choice(range(1, n + 1), size, replace=False).tolist())
-            c = Bipartition(subset, n)
-            cbar = Bipartition(frozenset(range(1, n + 1)) - subset, n)
-            assert schmidt_rank(state, c) == schmidt_rank(state, cbar)
+            subset = set(rng.choice(range(1, n + 1), size, replace=False).tolist())
+            rest = set(range(1, n + 1)) - subset
+            assert schmidt_rank(state, subset) == schmidt_rank(state, rest)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            schmidt_rank(BELL, cut(3, 1))
+            schmidt_rank(BELL, {3})
 
     def test_ghz_40_has_rank_two_on_a_cut_of_each_size(self):
         # two kets, so no 2**40 vector and no size limit
@@ -304,13 +285,13 @@ class TestSchmidtRank:
         order = list(range(1, n + 1))
         random.Random(40).shuffle(order)
         for size in range(1, n):
-            assert schmidt_rank(ghz, cut(n, *order[:size])) == 2, size
+            assert schmidt_rank(ghz, set(order[:size])) == 2, size
 
     def test_ghz_2048_half_cut(self):
         n = 2048
         ghz = NoBunchState(n, {"u" * n: 1.0, "d" * n: -1j})
-        assert schmidt_rank(ghz, cut(n, *range(1, n // 2 + 1))) == 2
-        assert schmidt_rank(ghz, cut(n, *range(1, n + 1, 2))) == 2
+        assert schmidt_rank(ghz, set(range(1, n // 2 + 1))) == 2
+        assert schmidt_rank(ghz, set(range(1, n + 1, 2))) == 2
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_product_of_bell_pairs(self, k):
@@ -321,9 +302,9 @@ class TestSchmidtRank:
         for bits in itertools.product("ud", repeat=k):
             amplitudes["".join(bits) * 2] = (-1) ** bits.count("d") * 2 ** (-k / 2)
         state = NoBunchState(n, amplitudes)
-        assert schmidt_rank(state, cut(n, *range(1, k + 1))) == 2**k
-        assert schmidt_rank(state, cut(n, 1, 1 + k)) == 1
-        assert schmidt_rank(state, cut(n, *range(1, k + 1))) == reference_schmidt_rank(
+        assert schmidt_rank(state, set(range(1, k + 1))) == 2**k
+        assert schmidt_rank(state, {1, 1 + k}) == 1
+        assert schmidt_rank(state, set(range(1, k + 1))) == reference_schmidt_rank(
             state, range(1, k + 1)
         )
 
@@ -338,7 +319,7 @@ class TestSchmidtRank:
         ],
     )
     def test_subnormal_and_huge_amplitudes(self, amplitudes, rank):
-        assert schmidt_rank(NoBunchState(2, amplitudes), cut(2, 1)) == rank
+        assert schmidt_rank(NoBunchState(2, amplitudes), {1}) == rank
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(networks(max_n=8, modes=("strict", "design")), st.none() | st.integers(0, 2**32 - 1))
@@ -352,7 +333,7 @@ class TestSchmidtRank:
         detectors = range(1, state.n + 1)
         for size in range(1, state.n):
             for subset in itertools.combinations(detectors, size):
-                assert schmidt_rank(state, cut(state.n, *subset)) == reference_schmidt_rank(
+                assert schmidt_rank(state, set(subset)) == reference_schmidt_rank(
                     state, subset
                 ), subset
 
@@ -360,7 +341,7 @@ class TestSchmidtRank:
     def test_zero_state_has_no_rank(self, amplitudes):
         # rank 0 would read as "not a product" to a caller testing rank == 1
         with pytest.raises(ZeroState):
-            schmidt_rank(NoBunchState(3, amplitudes), cut(3, 1))
+            schmidt_rank(NoBunchState(3, amplitudes), {1})
 
 
 class TestFinestPartition:
@@ -400,7 +381,7 @@ class TestFinestPartition:
         draw = random.Random(83)
         for _ in range(20):
             spec = random_network_with_pm(rng, int(rng.integers(2, 6)))
-            structural = lemma2_partition(diagram_of_network(spec))
+            structural = build_report(spec).lemma2_partition
             state = normalize(
                 assemble_network_state(generic_amplitudes(spec, draw))
             )
@@ -476,7 +457,7 @@ class TestFinestPartition:
         detectors = range(1, state.n + 1)
         for size in range(1, state.n):
             for subset in itertools.combinations(detectors, size):
-                assert schmidt_rank(state, cut(state.n, *subset)) == reference_schmidt_rank(
+                assert schmidt_rank(state, set(subset)) == reference_schmidt_rank(
                     state, subset
                 )
 
@@ -519,19 +500,6 @@ class TestReport:
         blocks = report.numeric_finest_partition
         assert blocks == tuple(sorted(blocks))
         assert sorted(d for block in blocks for d in block) == list(range(1, spec.n + 1))
-
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(networks(modes=("strict", "design")))
-    def test_structural_parts_equal_the_public_checks(self, spec):
-        # build_report reads the incoming colors once for lemma 1 and theorem 1
-        try:
-            report = build_report(spec)
-        except NoPerfectMatching:
-            reject()
-        diag = report.diagram
-        assert report.lemma1_vertices == tuple(lemma1_separable_vertices(diag))
-        assert report.theorem1 == theorem1_check(diag)
-        assert report.lemma2_partition == lemma2_partition(diag)
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(networks(min_n=2, modes=("strict", "design")))
@@ -655,61 +623,67 @@ class TestReport:
         seen = 0
         while seen < 15:
             spec = random_network_with_pm(rng, int(rng.integers(2, 6)))
-            diag = diagram_of_network(spec)
-            pinned = lemma1_separable_vertices(diag)
-            if not pinned:
+            report = build_report(spec)
+            if not report.lemma1_vertices:
                 continue
             seen += 1
-            report = build_report(spec)
-            for vertex, _ in pinned:
-                detector = diag.detector_of_vertex(vertex)
+            for vertex, _ in report.lemma1_vertices:
+                detector = report.diagram.detector_of_vertex(vertex)
                 assert (detector,) in report.numeric_finest_partition
 
 
 class TestBipartition:
+    """``schmidt_rank``'s cut: the set of detectors on one side of it."""
+
+    GHZ3 = NoBunchState(3, {"uuu": 1.0, "ddd": 1.0})
+
     def test_huge_n_builds_at_once(self):
         # each detector is compared with n: O(|subset|), whatever n is
         n = 10**12
-        assert Bipartition({1}, n).subset == {1}
-        assert Bipartition({n - 1, n}, n).n == n
+        zero = NoBunchState(n, {})
         with pytest.raises(DimensionMismatch):
-            Bipartition({n + 1}, n)
-        with pytest.raises(ZeroState):
-            schmidt_rank(NoBunchState(n, {}), Bipartition({1}, n))
+            schmidt_rank(zero, {n + 1})
+        for subset in ({1}, {n - 1, n}):
+            with pytest.raises(ZeroState):
+                schmidt_rank(zero, subset)
 
     def test_rejects_empty_and_full_subsets(self):
-        with pytest.raises(DimensionMismatch):
-            Bipartition(frozenset(), 3)
-        with pytest.raises(DimensionMismatch):
-            Bipartition(frozenset({1, 2, 3}), 3)
-        with pytest.raises(DimensionMismatch):
-            Bipartition(frozenset({0}), 3)
+        # the cut is checked before the state: a bad one on the zero state
+        # is an argument error, and only a good one reaches ZeroState
+        zero = NoBunchState(3, {})
+        for subset in (set(), {1, 2, 3}):
+            with pytest.raises(DimensionMismatch):
+                schmidt_rank(zero, subset)
+        with pytest.raises(ZeroState):
+            schmidt_rank(zero, {1, 2})
 
     @pytest.mark.parametrize(
-        "subset, n, error",
+        "subset, error",
         [
-            (frozenset({1}), 2.0, IndexOutOfRange),
-            (frozenset({1}), "2", IndexOutOfRange),
-            (frozenset({1}), True, IndexOutOfRange),
-            (frozenset({1.0}), 2, IndexOutOfRange),
-            (frozenset({True}), 2, IndexOutOfRange),
-            (frozenset({"1"}), 2, IndexOutOfRange),
-            ([1], 2, InvalidArgument),
-            ((1,), 2, InvalidArgument),
-            ("1", 2, InvalidArgument),
-            (1, 2, InvalidArgument),
+            ({1.0}, IndexOutOfRange),
+            ({True}, IndexOutOfRange),
+            ({"1"}, IndexOutOfRange),
+            ([1], InvalidArgument),
+            ((1,), InvalidArgument),
+            ("1", InvalidArgument),
+            (1, InvalidArgument),
+            (set(), DimensionMismatch),
+            ({0}, DimensionMismatch),
+            ({4}, DimensionMismatch),
+            ({1, 2, 3}, DimensionMismatch),
         ],
         ids=[
-            "float-n", "str-n", "bool-n", "float-detector", "bool-detector",
-            "str-detector", "list", "tuple", "str", "int",
+            "float-detector", "bool-detector", "str-detector", "list", "tuple", "str", "int",
+            "empty", "zero", "above-n", "full",
         ],
     )
-    def test_rejects_what_is_not_a_set_of_detector_indices(self, subset, n, error):
-        # each was a bare TypeError, or (1.0, True) taken as detector 1
+    def test_rejects_what_is_not_a_set_of_detector_indices(self, subset, error):
+        # the type rows were a bare TypeError, or (1.0, True) taken as detector 1
         with pytest.raises(error):
-            Bipartition(subset, n)
+            schmidt_rank(self.GHZ3, subset)
 
     def test_reads_integer_likes_and_plain_sets(self):
-        c = Bipartition({np.int64(1), 3}, np.int64(4))
-        assert c == cut(4, 1, 3) and hash(c) == hash(cut(4, 1, 3))
-        assert type(c.n) is int and all(type(d) is int for d in c.subset)
+        # X_1 and X_2 form a Bell pair; X_3 and X_4 are pinned up
+        state = NoBunchState(4, {"uuuu": 1.0, "dduu": 1.0})
+        assert schmidt_rank(state, {np.int64(1), 3}) == schmidt_rank(state, {1, 3}) == 2
+        assert schmidt_rank(state, frozenset({np.int64(1), 2})) == 1

@@ -16,9 +16,7 @@ from lqngraph.designers import (
     preset_beamsplitter,
     preset_tritter,
 )
-from lqngraph.entanglement import Bipartition
 from lqngraph.errors import (
-    DimensionMismatch,
     DuplicateEdge,
     IndexOutOfRange,
     InvalidArgument,
@@ -279,7 +277,6 @@ def test_validated_spec_keeps_its_own_records(spec):
         assert all(made is given_edge for made, given_edge in zip(again, spec.transitions))
 
 
-CUT = Bipartition(frozenset({1}), 3)
 STATE = NoBunchState(2, {"ud": 1.0})
 OPTS = DotRenderOptions()
 SPEC = validate_network(2, "boson", beamsplitter_edges(), "strict")
@@ -288,9 +285,6 @@ SPEC = validate_network(2, "boson", beamsplitter_edges(), "strict")
 @pytest.mark.parametrize(
     "build, error",
     [
-        (lambda: Bipartition(frozenset({4}), 3), DimensionMismatch),
-        (lambda: CUT._replace(n=1), DimensionMismatch),
-        (lambda: Bipartition._make([frozenset({1}), "3"]), IndexOutOfRange),
         (lambda: NoBunchState(2, {"ud": 1.0}, "yes"), InvalidArgument),
         (lambda: STATE._replace(amplitudes={"udu": 1.0}), InvalidArgument),
         (lambda: NoBunchState._make([2, {"ud": math.nan}]), NonFiniteValue),
@@ -302,9 +296,6 @@ SPEC = validate_network(2, "boson", beamsplitter_edges(), "strict")
         (lambda: NetworkSpec._make([2, "anyon", SPEC.transitions, "strict"]), InvalidArgument),
     ],
     ids=[
-        "cut-new",
-        "cut-replace",
-        "cut-make",
         "state-new",
         "state-replace",
         "state-make",
@@ -322,9 +313,6 @@ def test_every_way_to_build_a_checked_record_checks(build, error):
 
 
 def test_checked_records_coerce_through_replace_and_make():
-    # a set is kept as a frozenset, however the cut is built
-    assert type(CUT._replace(subset={2, 3}).subset) is frozenset
-    assert Bipartition._make([{1, 2}, 3]) == Bipartition(frozenset({1, 2}), 3)
     assert STATE._replace(normalized=True).normalized is True
     opts = DotRenderOptions(View.DIRECTED, True, 0)
     assert DotRenderOptions._make([View.DIRECTED, True, 0]) == opts
